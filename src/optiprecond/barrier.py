@@ -1,21 +1,32 @@
-"""Diagonal-restricted barrier machinery for the scaling feasible region.
+"""Log-det barrier over linear matrix inequalities, and its Newton ascent.
 
-For a PD matrix M and a level kappa, the region of interest is
-{d > 0 : M - D > 0, kappa D - M > 0} with D = diag(d). The log-det barrier
-over this region has the analytic center as its unique maximizer; a phase-I
-variant with uniformly shifted cones yields the feasibility margin that the
-two-sided bisection consumes.
+Every interior-point solver in the package maximizes c.x + mu * phi(x), where
+phi is the log-det barrier of LMIs F(x) = F0 + sum_j x_j F_j > 0 plus
+elementwise bounds on x. The coefficients F_j come in three kinds: diagonal
+e_j e_j^T, rank-one rows a_j a_j^T, or one dense matrix on a single variable.
+
+For a PD matrix M and a level kappa, the scaling region is
+{d > 0 : M - D > 0, kappa D - M > 0} with D = diag(d). The barrier over this
+region has the analytic center as its unique maximizer; a phase-I variant
+with uniformly shifted cones yields the feasibility margin that the two-sided
+bisection consumes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 from .linalg import SymMatrix, serial_blas
 from .matrixio import RectMatrix
+
+# A line-search trial is accepted when it loses at most this fraction of
+# (1 + |value|): the rounding noise of the barrier value near a center.
+_ACCEPT_RTOL = 1e-12
 
 
 class InfeasiblePointError(ValueError):
@@ -48,70 +59,37 @@ class FeasibilityResult:
     margin > tol means strictly feasible, margin < -tol infeasible, and
     |margin| <= tol is boundary (treated as feasible by callers). For the
     two-sided problem the witness is d2 and witness_left is d1.
+    newton_fallbacks counts Newton systems solved by least squares.
     """
 
     margin: float
     witness: np.ndarray
     converged: bool
     witness_left: np.ndarray | None = None
+    newton_fallbacks: int = 0
 
 
 def _chol_pd(a):
-    """Cholesky factor or None when the matrix is not numerically PD."""
-    try:
-        return np.linalg.cholesky(a)
-    except np.linalg.LinAlgError:
-        return None
+    """Lower Cholesky factor or None when the matrix is not numerically PD."""
+    lower, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
+    return lower if info == 0 else None
 
 
-def _solve_pd(neg_h, g):
-    """Solve the (nominally PD) Newton system, tolerating near-singularity.
+def _solve_pd(h, g):
+    """Solve the (nominally PD) Newton system h x = g; returns (x, pd).
 
+    pd is False when h was not numerically PD and least squares gave x.
     Steps are validated downstream by feasibility and value backtracking,
     so an inaccurate direction near a cone boundary is harmless.
     """
-    import warnings
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", scipy.linalg.LinAlgWarning)
-        try:
-            return scipy.linalg.solve(neg_h, g, assume_a="pos")
-        except (scipy.linalg.LinAlgError, ValueError):
-            return scipy.linalg.lstsq(neg_h, g)[0]
-
-
-class BarrierPoint:
-    """Strictly feasible point (d, kappa) with cached cone factors."""
-
-    __slots__ = ("m", "kappa", "d", "chol_r", "chol_s")
-
-    def __init__(self, m: SymMatrix, kappa: float, d):
-        d = np.asarray(d, dtype=float)
-        mm = m.mat
-        if d.shape != (m.order,):
-            raise ValueError("d has the wrong length")
-        if np.any(d <= 0):
-            raise InfeasiblePointError("d must be strictly positive")
-        lr = _chol_pd(mm - np.diag(d))
-        ls = _chol_pd(kappa * np.diag(d) - mm)
-        if lr is None or ls is None:
-            raise InfeasiblePointError(
-                f"(d, kappa={kappa:.6g}) is not strictly feasible")
-        self.m = m
-        self.kappa = float(kappa)
-        self.d = d
-        self.chol_r = lr
-        self.chol_s = ls
+    _, x, info = scipy.linalg.lapack.dposv(h, g, lower=0)
+    if info == 0:
+        return x, True
+    return scipy.linalg.lstsq(h, g)[0], False
 
 
 def _logdet_from_chol(lower):
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
-
-
-def barrier_value(m: SymMatrix, p: BarrierPoint) -> float:
-    """log det(M-D) + log det(kappa D - M) + log det D."""
-    return (_logdet_from_chol(p.chol_r) + _logdet_from_chol(p.chol_s)
-            + float(np.sum(np.log(p.d))))
 
 
 def _inv_from_chol(lower):
@@ -119,21 +97,6 @@ def _inv_from_chol(lower):
     if info != 0:
         raise np.linalg.LinAlgError("dpotri failed on the Cholesky factor")
     return inv + np.tril(inv, -1).T
-
-
-def barrier_gradient(m: SymMatrix, p: BarrierPoint) -> np.ndarray:
-    """Per-coordinate derivative -[(M-D)^{-1}]_ii + kappa[(kD-M)^{-1}]_ii + 1/d_i."""
-    x = _inv_from_chol(p.chol_r)
-    y = _inv_from_chol(p.chol_s)
-    return -np.diag(x) + p.kappa * np.diag(y) + 1.0 / p.d
-
-
-def barrier_hessian(m: SymMatrix, p: BarrierPoint) -> SymMatrix:
-    """Hessian over the diagonal coordinates; negative definite."""
-    x = _inv_from_chol(p.chol_r)
-    y = _inv_from_chol(p.chol_s)
-    h = -(x * x) - (p.kappa ** 2) * (y * y) - np.diag(1.0 / p.d ** 2)
-    return SymMatrix(h)
 
 
 def _max_step_cone(lower, delta_mat):
@@ -147,107 +110,294 @@ def _max_step_cone(lower, delta_mat):
     return 1.0 / wmax
 
 
-class _ShiftedBarrier:
-    """The one-sided barrier with all three cones shifted by s.
+@dataclass(frozen=True)
+class Term:
+    """Variables x[sl] entering one LMI, x_j as coef * F_j.
 
-    Cones: (M - sI) - D, kappa D - (M + sI), and d - s. With s = 0 this is
-    the plain barrier.
+    F_j = e_j e_j^T by default, a_j a_j^T for row j of ``rows``, or the
+    matrix ``dense`` when sl holds a single variable.
     """
 
-    def __init__(self, m_arr, kappa, shift=0.0):
-        n = m_arr.shape[0]
-        self.kappa = kappa
-        self.shift = shift
-        self.m1 = m_arr - shift * np.eye(n)
-        self.m2 = m_arr + shift * np.eye(n)
-        self.n = n
+    sl: slice
+    coef: float
+    rows: np.ndarray | None = None
+    dense: np.ndarray | None = None
 
-    def factors(self, d):
-        lr = _chol_pd(self.m1 - np.diag(d))
-        ls = _chol_pd(self.kappa * np.diag(d) - self.m2)
-        if lr is None or ls is None or np.any(d <= self.shift):
+    def matrix(self, xs):
+        """sum_j coef * xs_j F_j."""
+        if self.dense is not None:
+            return (self.coef * xs[0]) * self.dense
+        if self.rows is None:
+            return np.diag(self.coef * xs)
+        g = self.rows.T @ ((self.coef * xs)[:, None] * self.rows)
+        return 0.5 * (g + g.T)
+
+    def kernels(self, p):
+        """tr(P F_j) per variable, and the image P B (dense) or U P, where
+        U is ``rows`` or the identity."""
+        if self.dense is not None:
+            img = p @ self.dense
+            return np.trace(img), img
+        if self.rows is None:
+            return np.diag(p), p
+        img = self.rows @ p
+        return np.einsum("ij,ij->i", img, self.rows), img
+
+
+def _cross(ti, pi, tj, pj):
+    """tr(P F_a P F_b) for F_a of term ti and F_b of tj, as a 2-d block."""
+    if ti.dense is not None and tj.dense is not None:
+        return np.array([[np.sum(pi * pj.T)]])
+    if ti.dense is not None:
+        return _cross(tj, pj, ti, pi).T
+    if tj.dense is not None:
+        upb = pj if ti.rows is None else ti.rows @ pj
+        return np.einsum("ij,ij->i", upb, pi)[:, None]
+    w = pi if tj.rows is None else pi @ tj.rows.T
+    return w * w
+
+
+def _linear(terms, x):
+    """sum_j x_j F_j over the terms of one LMI."""
+    return sum(t.matrix(x[t.sl]) for t in terms)
+
+
+@dataclass(frozen=True)
+class Bound:
+    """Elementwise slack sign * (x[sl] - ref) > 0."""
+
+    sl: slice
+    sign: float = 1.0
+    ref: float = 0.0
+
+    def slack(self, x):
+        return self.sign * (x[self.sl] - self.ref)
+
+
+class LmiBarrier:
+    """sum of log det F(x) over the cones + sum log of the bound slacks.
+
+    Each cone is a pair (F0, terms) with F(x) = F0 + sum_j x_j F_j. With
+    P = F^{-1}, d phi/dx_j = tr(P F_j) and d2 phi/dx_j dx_k = -tr(P F_j P F_k)
+    (Vandenberghe & Boyd, Semidefinite Programming, SIAM Rev. 1996). A
+    factored point, or state, is (Cholesky factors, bound slacks).
+    """
+
+    def __init__(self, nvar, cones, bounds):
+        self.nvar = nvar
+        self.cones = cones
+        self.bounds = bounds
+
+    @property
+    def dim(self) -> int:
+        """Barrier parameter: total cone order plus bound count."""
+        return (sum(f0.shape[0] for f0, _ in self.cones)
+                + sum(b.sl.stop - b.sl.start for b in self.bounds))
+
+    def factor(self, x):
+        """State at x, or None when x is not strictly feasible."""
+        slacks = [b.slack(x) for b in self.bounds]
+        if any(s.min() <= 0 for s in slacks):
             return None
-        return lr, ls
+        # numpy and scipy each run their own BLAS thread pool; grouping the
+        # calls of each library avoids paying for a hand-over per cone
+        mats = [_linear(terms, x) + f0 for f0, terms in self.cones]
+        chols = []
+        for mat in mats:
+            chols.append(_chol_pd(mat))
+            if chols[-1] is None:
+                return None
+        return chols, slacks
 
-    def value(self, d, factors):
-        lr, ls = factors
-        return (_logdet_from_chol(lr) + _logdet_from_chol(ls)
-                + float(np.sum(np.log(d - self.shift))))
+    def value(self, state):
+        chols, slacks = state
+        return sum([*map(_logdet_from_chol, chols),
+                    *(float(np.sum(np.log(s))) for s in slacks)])
 
-    def grad_hess(self, d, factors):
-        lr, ls = factors
-        x = _inv_from_chol(lr)
-        y = _inv_from_chol(ls)
-        slack = d - self.shift
-        g = -np.diag(x) + self.kappa * np.diag(y) + 1.0 / slack
-        h = -(x * x) - (self.kappa ** 2) * (y * y) - np.diag(1.0 / slack ** 2)
-        return g, h
+    def derivatives(self, state):
+        """Gradient and negated (positive definite) Hessian."""
+        chols, slacks = state
+        g = np.zeros(self.nvar)
+        nh = np.zeros((self.nvar, self.nvar))
+        for (_, terms), p in zip(self.cones, list(map(_inv_from_chol, chols))):
+            ker = [t.kernels(p) for t in terms]
+            for i, (ti, (tr, pi)) in enumerate(zip(terms, ker)):
+                g[ti.sl] += ti.coef * tr
+                for tj, (_, pj) in zip(terms[i:], ker[i:]):
+                    k = (ti.coef * tj.coef) * _cross(ti, pi, tj, pj)
+                    nh[ti.sl, tj.sl] += k
+                    if tj is not ti:
+                        nh[tj.sl, ti.sl] += k.T
+        for b, s in zip(self.bounds, slacks):
+            g[b.sl] += b.sign / s
+            idx = np.arange(b.sl.start, b.sl.stop)
+            nh[idx, idx] += 1.0 / s ** 2
+        return g, nh
 
-    def max_step(self, d, delta, factors):
-        lr, ls = factors
-        # R(alpha) = R - alpha diag(delta); S(alpha) = S + alpha kappa diag(delta)
-        alpha = _max_step_cone(lr, np.diag(delta))
-        alpha = min(alpha, _max_step_cone(ls, np.diag(-self.kappa * delta)))
-        neg = delta < 0
-        if np.any(neg):
-            alpha = min(alpha, np.min((d[neg] - self.shift) / -delta[neg]))
+    def max_step(self, state, dx):
+        """Largest alpha keeping x + alpha dx feasible (inf if unbounded)."""
+        chols, slacks = state
+        deltas = [-_linear(terms, dx) for _, terms in self.cones]
+        alpha = min(map(_max_step_cone, chols, deltas))
+        for b, s in zip(self.bounds, slacks):
+            rate = b.sign * dx[b.sl]
+            neg = rate < 0
+            if np.any(neg):
+                alpha = min(alpha, float(np.min(s[neg] / -rate[neg])))
         return alpha
 
 
-def _newton_maximize(problem, d0, tol, max_iter, dec_tol=None):
-    """Damped Newton ascent of a strictly concave barrier.
+def _min_slack(barrier, x):
+    """Smallest eigenvalue over the cones and smallest bound slack at x.
 
-    Full step when it keeps >= 10% distance from every cone boundary,
-    otherwise backtracking by halving (at most 40 halvings). Stops on the
-    gradient's infinity norm, or early on the affine-invariant Newton
-    decrement when dec_tol is set. Returns (d, grad_inf_norm, converged).
+    Only the first bound counts: phase-I barriers shift it with the cones
+    and keep their other bounds unshifted.
     """
-    d = np.asarray(d0, dtype=float).copy()
-    factors = problem.factors(d)
-    if factors is None:
+    return float(min(
+        min(scipy.linalg.eigvalsh(_linear(t, x) + f0)[0]
+            for f0, t in barrier.cones),
+        barrier.bounds[0].slack(x).min()))
+
+
+class NewtonResult(NamedTuple):
+    """newton_ascent's last iterate; status is 'converged', 'max_iter' or
+    'stalled' (no trial passed the line search), and fallbacks counts Newton
+    systems that were not numerically PD and were solved by least squares."""
+
+    x: np.ndarray
+    status: str
+    grad_norm: float
+    fallbacks: int
+
+
+def newton_ascent(barrier, x0, max_iter, *, grad_tol=None, dec_tol=None,
+                  c=None, mu=1.0) -> NewtonResult:
+    """Damped Newton maximization of c.x + mu * barrier from a feasible x0.
+
+    barrier provides factor, value, derivatives and max_step (LmiBarrier's
+    interface). Stops when the gradient's infinity norm is at most grad_tol,
+    or when the Newton decrement g.dx is at most dec_tol * (1 + |value|).
+    Each step tries the full Newton step, then 0.9 of the step to the
+    nearest boundary, then halves (at most 40 trials).
+    """
+    x = np.array(x0, dtype=float)
+    state = barrier.factor(x)
+    if state is None:
         raise InfeasiblePointError("start is not strictly feasible")
-    val = problem.value(d, factors)
+
+    def objective(x, state):
+        v = mu * barrier.value(state)
+        return v if c is None else float(c @ x) + v
+
+    val = objective(x, state)
+    fallbacks = 0
     gnorm = np.inf
     for _ in range(max_iter):
-        g, h = problem.grad_hess(d, factors)
+        g, nh = barrier.derivatives(state)
+        g, nh = mu * g, mu * nh
+        if c is not None:
+            g += c
         gnorm = float(np.abs(g).max())
-        if gnorm <= tol:
-            return d, gnorm, True
-        delta = _solve_pd(-h, g)
-        if dec_tol is not None and float(g @ delta) <= dec_tol * (1 + abs(val)):
-            return d, gnorm, True
+        if grad_tol is not None and gnorm <= grad_tol:
+            return NewtonResult(x, "converged", gnorm, fallbacks)
+        step, pd = _solve_pd(nh, g)
+        fallbacks += not pd
+        if dec_tol is not None and \
+                float(g @ step) <= dec_tol * (1.0 + abs(val)):
+            return NewtonResult(x, "converged", gnorm, fallbacks)
         # try the full step before paying for the exact boundary computation
         alpha = 1.0
-        accepted = False
         for attempt in range(40):
-            d_new = d + alpha * delta
-            f_new = problem.factors(d_new)
-            if f_new is not None:
-                v_new = problem.value(d_new, f_new)
-                if v_new >= val - 1e-10 * (1.0 + abs(val)):
-                    d, factors, val = d_new, f_new, v_new
-                    accepted = True
+            x_new = x + alpha * step
+            s_new = barrier.factor(x_new)
+            if s_new is not None:
+                v_new = objective(x_new, s_new)
+                if v_new >= val - _ACCEPT_RTOL * (1.0 + abs(val)):
+                    x, state, val = x_new, s_new, v_new
                     break
             if attempt == 0:
-                bound = 0.9 * problem.max_step(d, delta, factors)
+                bound = 0.9 * barrier.max_step(state, step)
                 alpha = bound if bound < alpha else 0.5 * alpha
             else:
                 alpha *= 0.5
-        if not accepted:
-            return d, gnorm, False
-    return d, gnorm, False
+        else:
+            return NewtonResult(x, "stalled", gnorm, fallbacks)
+    return NewtonResult(x, "max_iter", gnorm, fallbacks)
+
+
+def _one_sided(m_arr, kappa, shift=0.0) -> LmiBarrier:
+    """Cones (M - sI) - D, kappa D - (M + sI) and bound d > s, over d."""
+    n = m_arr.shape[0]
+    d = slice(0, n)
+    shift_eye = shift * np.eye(n)
+    return LmiBarrier(n, [(m_arr - shift_eye, (Term(d, -1.0),)),
+                          (-(m_arr + shift_eye), (Term(d, kappa),))],
+                      [Bound(d, 1.0, shift)])
+
+
+def _two_sided(a_arr, kappa, shift, box_bound) -> LmiBarrier:
+    """Cones A^T D1 A - D2 - sI, kappa D2 - A^T D1 A - sI over (d1, d2).
+
+    Bounds d1 > 1 + s (first: it bounds the margin), d1 < box_bound and
+    d2 > 0; the box and positivity stay unshifted, and the box bounds the
+    otherwise scale-unbounded region.
+    """
+    m_rows, n = a_arr.shape
+    d1, d2 = slice(0, m_rows), slice(m_rows, m_rows + n)
+    f0 = -shift * np.eye(n)
+    return LmiBarrier(
+        m_rows + n,
+        [(f0, (Term(d1, 1.0, rows=a_arr), Term(d2, -1.0))),
+         (f0, (Term(d2, kappa), Term(d1, -1.0, rows=a_arr)))],
+        [Bound(d1, 1.0, 1.0 + shift), Bound(d1, -1.0, box_bound),
+         Bound(d2)])
+
+
+class BarrierPoint:
+    """Strictly feasible point (d, kappa) with its cached barrier state."""
+
+    __slots__ = ("m", "kappa", "d", "state")
+
+    def __init__(self, m: SymMatrix, kappa: float, d):
+        d = np.asarray(d, dtype=float)
+        if d.shape != (m.order,):
+            raise ValueError("d has the wrong length")
+        state = _one_sided(m.mat, kappa).factor(d)
+        if state is None:
+            raise InfeasiblePointError(
+                f"(d, kappa={kappa:.6g}) is not strictly feasible")
+        self.m = m
+        self.kappa = float(kappa)
+        self.d = d
+        self.state = state
+
+
+def barrier_value(m: SymMatrix, p: BarrierPoint) -> float:
+    """log det(M-D) + log det(kappa D - M) + log det D."""
+    return _one_sided(m.mat, p.kappa).value(p.state)
+
+
+def barrier_gradient(m: SymMatrix, p: BarrierPoint) -> np.ndarray:
+    """Per-coordinate derivative -[(M-D)^{-1}]_ii + kappa[(kD-M)^{-1}]_ii + 1/d_i."""
+    return _one_sided(m.mat, p.kappa).derivatives(p.state)[0]
+
+
+def barrier_hessian(m: SymMatrix, p: BarrierPoint) -> SymMatrix:
+    """Hessian over the diagonal coordinates; negative definite."""
+    return SymMatrix(-_one_sided(m.mat, p.kappa).derivatives(p.state)[1])
 
 
 def compute_center(m: SymMatrix, kappa: float, start: BarrierPoint,
                    tol: float = 1e-8, max_iter: int = 200) -> BarrierPoint:
     """Analytic center of the region at level kappa from a feasible start."""
-    problem = _ShiftedBarrier(m.mat, kappa, shift=0.0)
-    d, gnorm, ok = _newton_maximize(problem, start.d, tol, max_iter)
-    if not ok:
+    res = newton_ascent(_one_sided(m.mat, kappa), start.d, max_iter,
+                        grad_tol=tol)
+    if res.status != "converged":
         raise CenteringError(
             f"centering did not reach tol={tol:.1e} "
-            f"(last gradient norm {gnorm:.3e})", grad_norm=gnorm)
-    return BarrierPoint(m, kappa, d)
+            f"(last gradient norm {res.grad_norm:.3e})",
+            grad_norm=res.grad_norm)
+    return BarrierPoint(m, kappa, res.x)
 
 
 def initial_feasible_point(m: SymMatrix, kappa: float) -> BarrierPoint:
@@ -264,14 +414,7 @@ def initial_feasible_point(m: SymMatrix, kappa: float) -> BarrierPoint:
     return BarrierPoint(m, kappa, np.full(m.order, c))
 
 
-def _one_sided_slack(m_arr, kappa, d):
-    dd = np.diag(d)
-    s1 = scipy.linalg.eigvalsh(m_arr - dd)[0]
-    s2 = scipy.linalg.eigvalsh(kappa * dd - m_arr)[0]
-    return float(min(s1, s2, d.min()))
-
-
-def _margin_ascent(make_problem, slack_of, d0, config, stop_above=None):
+def _margin_ascent(make_barrier, x0, config, stop_above=None):
     """Max-margin search by repeated centering at the current best slack.
 
     Centering the s-shifted region from a witness with slack > s lands
@@ -279,26 +422,28 @@ def _margin_ascent(make_problem, slack_of, d0, config, stop_above=None):
     slack converges geometrically. stop_above ends the climb early once the
     margin's sign is unambiguous (all a bisection caller needs).
     """
-    w = np.asarray(d0, dtype=float).copy()
-    sig = slack_of(w)
+    base = make_barrier(0.0)
+    w = np.asarray(x0, dtype=float).copy()
+    sig = _min_slack(base, w)
     converged = False
+    fallbacks = 0
     with serial_blas():
         for _ in range(config.outer_steps):
             if stop_above is not None and sig > stop_above:
                 converged = True
                 break
             pad = 1e-9 * max(1.0, abs(sig))
-            s_run = sig - pad
-            problem = make_problem(s_run)
             try:
-                cand, _, _ = _newton_maximize(
-                    problem, w, config.newton_tol, config.newton_cap,
-                    dec_tol=1e-12)
+                res = newton_ascent(make_barrier(sig - pad), w,
+                                    config.newton_cap,
+                                    grad_tol=config.newton_tol,
+                                    dec_tol=1e-12)
             except InfeasiblePointError:
                 break
-            sig_new = slack_of(cand)
+            fallbacks += res.fallbacks
+            sig_new = _min_slack(base, res.x)
             if sig_new > sig:
-                w, climb = cand, sig_new - sig
+                w, climb = res.x, sig_new - sig
                 sig = sig_new
                 if climb <= 10 * pad:
                     converged = True
@@ -306,7 +451,8 @@ def _margin_ascent(make_problem, slack_of, d0, config, stop_above=None):
             else:
                 converged = True
                 break
-    return sig, w, converged
+    return FeasibilityResult(margin=sig, witness=w, converged=converged,
+                             newton_fallbacks=fallbacks)
 
 
 def feasibility_margin(m: SymMatrix, kappa: float,
@@ -323,111 +469,8 @@ def feasibility_margin(m: SymMatrix, kappa: float,
     if lamn <= 0:
         raise InfeasiblePointError("matrix must be positive definite")
     c = np.sqrt(lam1 * lamn / kappa) if kappa > 0 else np.sqrt(lam1 * lamn)
-    d0 = np.full(m.order, c)
-
-    def make(s):
-        return _ShiftedBarrier(m_arr, kappa, shift=s)
-
-    margin, witness, converged = _margin_ascent(
-        make, lambda d: _one_sided_slack(m_arr, kappa, d), d0, config)
-    return FeasibilityResult(margin=margin, witness=witness,
-                             converged=converged)
-
-
-class _TwoSidedBarrier:
-    """Shifted barrier over (d1, d2) for the two-sided feasibility cones.
-
-    Cones at shift s: A^T D1 A - D2 - sI, kappa D2 - A^T D1 A - sI, and
-    d1 - (1 + s). The upper box d1 <= B and positivity d2 > 0 are kept
-    unshifted; the box bounds the otherwise scale-unbounded region.
-    """
-
-    def __init__(self, a_arr, kappa, shift, box_bound):
-        self.a = a_arr
-        self.kappa = kappa
-        self.shift = shift
-        self.box = box_bound
-        self.m_rows, self.n = a_arr.shape
-
-    def split(self, v):
-        return v[:self.m_rows], v[self.m_rows:]
-
-    def factors(self, v):
-        d1, d2 = self.split(v)
-        if np.any(d1 <= 1.0 + self.shift) or np.any(d1 >= self.box) or \
-                np.any(d2 <= 0):
-            return None
-        g = self.a.T @ (d1[:, None] * self.a)
-        g = 0.5 * (g + g.T)
-        eye = np.eye(self.n)
-        l1 = _chol_pd(g - np.diag(d2) - self.shift * eye)
-        l2 = _chol_pd(self.kappa * np.diag(d2) - g - self.shift * eye)
-        if l1 is None or l2 is None:
-            return None
-        return l1, l2
-
-    def value(self, v, factors):
-        d1, d2 = self.split(v)
-        l1, l2 = factors
-        return (_logdet_from_chol(l1) + _logdet_from_chol(l2)
-                + float(np.sum(np.log(d1 - 1.0 - self.shift)))
-                + float(np.sum(np.log(self.box - d1)))
-                + float(np.sum(np.log(d2))))
-
-    def grad_hess(self, v, factors):
-        d1, d2 = self.split(v)
-        l1, l2 = factors
-        p = _inv_from_chol(l1)
-        q = _inv_from_chol(l2)
-        ap = self.a @ p
-        aq = self.a @ q
-        row_p = np.einsum("ij,ij->i", ap, self.a)
-        row_q = np.einsum("ij,ij->i", aq, self.a)
-        lo = d1 - 1.0 - self.shift
-        hi = self.box - d1
-        g1 = row_p - row_q + 1.0 / lo - 1.0 / hi
-        g2 = -np.diag(p) + self.kappa * np.diag(q) + 1.0 / d2
-        apa = ap @ self.a.T
-        aqa = aq @ self.a.T
-        h11 = -(apa * apa) - (aqa * aqa) \
-            - np.diag(1.0 / lo ** 2 + 1.0 / hi ** 2)
-        h22 = -(p * p) - (self.kappa ** 2) * (q * q) - np.diag(1.0 / d2 ** 2)
-        h12 = ap ** 2 + self.kappa * (aq ** 2)
-        g = np.concatenate([g1, g2])
-        h = np.block([[h11, h12], [h12.T, h22]])
-        return g, 0.5 * (h + h.T)
-
-    def max_step(self, v, delta, factors):
-        d1, d2 = self.split(v)
-        e1, e2 = self.split(delta)
-        l1, l2 = factors
-        # cone 1 changes by alpha*(A^T diag(e1) A - diag(e2))
-        dg = self.a.T @ (e1[:, None] * self.a)
-        dg = 0.5 * (dg + dg.T)
-        alpha = _max_step_cone(l1, -(dg - np.diag(e2)))
-        alpha = min(alpha, _max_step_cone(
-            l2, -(self.kappa * np.diag(e2) - dg)))
-        lo = d1 - 1.0 - self.shift
-        neg = e1 < 0
-        if np.any(neg):
-            alpha = min(alpha, np.min(lo[neg] / -e1[neg]))
-        pos = e1 > 0
-        if np.any(pos):
-            alpha = min(alpha, np.min((self.box - d1)[pos] / e1[pos]))
-        neg2 = e2 < 0
-        if np.any(neg2):
-            alpha = min(alpha, np.min(d2[neg2] / -e2[neg2]))
-        return alpha
-
-
-def _two_sided_slack(a_arr, kappa, v):
-    m = a_arr.shape[0]
-    d1, d2 = v[:m], v[m:]
-    g = a_arr.T @ (d1[:, None] * a_arr)
-    g = 0.5 * (g + g.T)
-    s1 = scipy.linalg.eigvalsh(g - np.diag(d2))[0]
-    s2 = scipy.linalg.eigvalsh(kappa * np.diag(d2) - g)[0]
-    return float(min(s1, s2, d1.min() - 1.0))
+    return _margin_ascent(lambda s: _one_sided(m_arr, kappa, s),
+                          np.full(m.order, c), config)
 
 
 def two_sided_feasibility(a: RectMatrix, kappa: float,
@@ -435,9 +478,7 @@ def two_sided_feasibility(a: RectMatrix, kappa: float,
                           ) -> FeasibilityResult:
     """Phase-I max margin for A^T D1 A >= D2, kD2 >= A^T D1 A, D1 >= I."""
     config = config or PhaseIConfig()
-    x = a.mat
-    if x.shape[0] < x.shape[1]:
-        x = x.T
+    x = a.tall()
     m_rows, n = x.shape
     gram = x.T @ x
     w = scipy.linalg.eigvalsh(0.5 * (gram + gram.T))
@@ -449,14 +490,9 @@ def two_sided_feasibility(a: RectMatrix, kappa: float,
                else np.sqrt(lam1 * lamn))
     v0 = np.concatenate([d1, np.full(n, c)])
 
-    def make(s):
-        return _TwoSidedBarrier(x, kappa, s, config.box_bound)
-
     # bisection needs only the margin's sign; stop once it is unambiguous
     stop_above = max(100 * config.boundary_tol, 1e-3 * lamn)
-    margin, witness, converged = _margin_ascent(
-        make, lambda v: _two_sided_slack(x, kappa, v), v0, config,
-        stop_above=stop_above)
-    return FeasibilityResult(margin=margin, witness=witness[m_rows:],
-                             converged=converged,
-                             witness_left=witness[:m_rows])
+    res = _margin_ascent(lambda s: _two_sided(x, kappa, s, config.box_bound),
+                         v0, config, stop_above=stop_above)
+    res.witness_left, res.witness = res.witness[:m_rows], res.witness[m_rows:]
+    return res

@@ -10,7 +10,7 @@ import numpy as np
 import scipy.linalg
 
 from .heuristics import DiagScaling, apply_scaling
-from .linalg import SymMatrix, NotPositiveDefiniteError
+from .linalg import SymMatrix, NotPositiveDefiniteError, condition_number
 from .matrixio import RectMatrix, SolveReport, gram_matrix, sample_rows
 from .optimal import OptimalRequest, optimal_right
 
@@ -85,7 +85,7 @@ def pcg_compare(m: SymMatrix, scalings: dict, tol: float = 1e-6,
     """Run PCG once per named scaling (plus 'none') on one shared seeded RHS."""
     rng = np.random.default_rng(seed)
     rhs = rng.standard_normal(m.order)
-    kappa_plain = _kappa(m.mat)
+    kappa_plain = condition_number(m)
     reports = []
     named = {"none": None, **scalings}
     for name, scaling in named.items():
@@ -93,7 +93,7 @@ def pcg_compare(m: SymMatrix, scalings: dict, tol: float = 1e-6,
         result = pcg(m, rhs=rhs, precond=scaling, tol=tol,
                      max_iters=max_iters)
         kappa_after = kappa_plain if scaling is None else \
-            _kappa(apply_scaling(m, scaling).mat)
+            condition_number(apply_scaling(m, scaling))
         reports.append(SolveReport(
             matrix="", method=f"pcg[{name}]",
             kappa_before=kappa_plain, kappa_after=kappa_after,
@@ -103,13 +103,6 @@ def pcg_compare(m: SymMatrix, scalings: dict, tol: float = 1e-6,
                    "final_relative_residual":
                        result.final_relative_residual}))
     return reports
-
-
-def _kappa(m_arr):
-    w = scipy.linalg.eigvalsh(m_arr)
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    return float(w[-1] / w[0])
 
 
 @dataclass
@@ -154,7 +147,7 @@ def sampling_sweep(a: RectMatrix, ratios, seed: int = 0,
             continue
         scaling, _ = optimal_right(SymMatrix(0.5 * (sub_gram + sub_gram.T)),
                                    req)
-        kappa_full = _kappa(apply_scaling(full_gram, scaling).mat)
+        kappa_full = condition_number(apply_scaling(full_gram, scaling))
         points.append(SamplingPoint(ratio=float(ratio), gram_gap=gap,
                                     kappa_preconditioned=kappa_full))
     return points
@@ -182,7 +175,7 @@ def concentration_experiment(p: int, n_grid, sigma_spec, trials: int,
     kappa_sigma = float(w_sig[-1] / w_sig[0])
     d_pop = np.diag(sigma)
     s = 1.0 / np.sqrt(d_pop)
-    kappa_sigma_scaled = _kappa(s[:, None] * sigma * s[None, :])
+    kappa_sigma_scaled = condition_number(s[:, None] * sigma * s[None, :])
 
     table = []
     for n_index, n in enumerate(n_grid):
@@ -206,7 +199,7 @@ def concentration_experiment(p: int, n_grid, sigma_spec, trials: int,
             dhat = np.diag(xtx)
             sh = 1.0 / np.sqrt(dhat)
             x0tx0 = sh[:, None] * xtx * sh[None, :]
-            ratio_scaled = _kappa(x0tx0) / kappa_sigma_scaled
+            ratio_scaled = condition_number(x0tx0) / kappa_sigma_scaled
             gaps.append(abs(ratio_raw - ratio_scaled))
         table.append({"n": int(n), "mean_gap": float(np.mean(gaps)),
                       "trials": trials})

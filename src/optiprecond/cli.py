@@ -107,8 +107,7 @@ def _solve_precond(method, a, gram, args):
         scaling = jacobi_scaling(gram)
         return scaling, None
     if method == "colnorm":
-        x = a.mat if a.rows >= a.cols else a.mat.T
-        scaling = column_norm_scaling(RectMatrix(x))
+        scaling = column_norm_scaling(RectMatrix(a.tall()))
         return scaling, None
     if method == "ruiz":
         return ruiz_equilibrate(gram), None

@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .barrier import _chol_pd, _inv_from_chol, _max_step_cone, _solve_pd
-from .linalg import SymMatrix, NotPositiveDefiniteError, serial_blas
+from .barrier import Bound, LmiBarrier, Term, newton_ascent
+from .linalg import (SymMatrix, NotPositiveDefiniteError, condition_number,
+                     serial_blas)
 from .matrixio import RectMatrix, SolveReport
 
 
@@ -40,7 +41,7 @@ class DsdpConfig:
     mu_factor: float = 5.0
     mu_min: float = 1e-9
     newton_cap: int = 50
-    decrement_tol: float = 1e-10
+    decrement_tol: float = 1e-10   # relative to 1 + |stage objective|
 
 
 @dataclass
@@ -82,168 +83,38 @@ def build_left(a: RectMatrix) -> DsdpProblem:
     return DsdpProblem(side="left", gram=None, a=x.copy(), dim_d=x.shape[0])
 
 
-class _RightPath:
-    """Cones C1 = M - D, C2 = D - tau M, plus d > 0."""
-
-    def __init__(self, m):
-        self.m = m
-        self.n = m.shape[0]
-        self.barrier_dim = 3 * self.n
-
-    def start(self):
-        w = scipy.linalg.eigvalsh(self.m)
-        lamn, lam1 = float(w[0]), float(w[-1])
-        kappa0 = 2.0 * lam1 / lamn
-        c = np.sqrt(lam1 * lamn / kappa0)
-        return 1.0 / kappa0, np.full(self.n, c)
-
-    def factors(self, tau, d):
-        if np.any(d <= 0):
-            return None
-        l1 = _chol_pd(self.m - np.diag(d))
-        l2 = _chol_pd(np.diag(d) - tau * self.m)
-        if l1 is None or l2 is None:
-            return None
-        return l1, l2
-
-    def barrier(self, tau, d, factors):
-        l1, l2 = factors
-        return (2.0 * float(np.sum(np.log(np.diag(l1))))
-                + 2.0 * float(np.sum(np.log(np.diag(l2))))
-                + float(np.sum(np.log(d))))
-
-    def grad_hess(self, tau, d, factors, mu):
-        l1, l2 = factors
-        p = _inv_from_chol(l1)          # (M - D)^{-1}
-        q = _inv_from_chol(l2)          # (D - tau M)^{-1}
-        qm = q @ self.m
-        g_d = mu * (-np.diag(p) + np.diag(q) + 1.0 / d)
-        g_tau = 1.0 - mu * float(np.trace(qm))
-        h_dd = mu * (-(p * p) - (q * q) - np.diag(1.0 / d ** 2))
-        h_tt = -mu * float(np.sum(qm * qm.T))
-        h_td = mu * np.einsum("ij,ji->i", qm, q)   # (Q M Q)_ii
-        g = np.concatenate([[g_tau], g_d])
-        h = np.zeros((self.n + 1, self.n + 1))
-        h[0, 0] = h_tt
-        h[0, 1:] = h_td
-        h[1:, 0] = h_td
-        h[1:, 1:] = h_dd
-        return g, h
-
-    def max_step(self, tau, d, dtau, dd, factors):
-        l1, l2 = factors
-        alpha = _max_step_cone(l1, np.diag(dd))
-        alpha = min(alpha, _max_step_cone(l2, dtau * self.m - np.diag(dd)))
-        neg = dd < 0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min(d[neg] / -dd[neg])))
-        return alpha
+def _right_path(m):
+    """Cones M - D, D - tau M and bound d > 0 over x = (tau, d), with a
+    strictly feasible start."""
+    n = m.shape[0]
+    tau, d = slice(0, 1), slice(1, n + 1)
+    barrier = LmiBarrier(
+        n + 1, [(m, (Term(d, -1.0),)),
+                (np.zeros((n, n)), (Term(d, 1.0), Term(tau, 1.0, dense=-m)))],
+        [Bound(d)])
+    w = scipy.linalg.eigvalsh(m)
+    lamn, lam1 = float(w[0]), float(w[-1])
+    kappa0 = 2.0 * lam1 / lamn
+    c = np.sqrt(lam1 * lamn / kappa0)
+    return barrier, np.concatenate([[1.0 / kappa0], np.full(n, c)])
 
 
-class _LeftPath:
-    """Cones C1 = G(d) - tau I, C2 = I - G(d) with G = A^T diag(d) A."""
-
-    def __init__(self, a):
-        self.a = a
-        self.m_rows, self.n = a.shape
-        self.barrier_dim = 2 * self.n + self.m_rows
-
-    def start(self):
-        w = scipy.linalg.eigvalsh(self.a.T @ self.a)
-        lamn, lam1 = float(w[0]), float(w[-1])
-        return lamn / (4.0 * lam1), np.full(self.m_rows, 1.0 / (2.0 * lam1))
-
-    def _g(self, d):
-        g = self.a.T @ (d[:, None] * self.a)
-        return 0.5 * (g + g.T)
-
-    def factors(self, tau, d):
-        if np.any(d <= 0):
-            return None
-        g = self._g(d)
-        eye = np.eye(self.n)
-        l1 = _chol_pd(g - tau * eye)
-        l2 = _chol_pd(eye - g)
-        if l1 is None or l2 is None:
-            return None
-        return l1, l2
-
-    def barrier(self, tau, d, factors):
-        l1, l2 = factors
-        return (2.0 * float(np.sum(np.log(np.diag(l1))))
-                + 2.0 * float(np.sum(np.log(np.diag(l2))))
-                + float(np.sum(np.log(d))))
-
-    def grad_hess(self, tau, d, factors, mu):
-        l1, l2 = factors
-        p = _inv_from_chol(l1)          # (G - tau I)^{-1}
-        q = _inv_from_chol(l2)          # (I - G)^{-1}
-        ap = self.a @ p
-        aq = self.a @ q
-        row_p = np.einsum("ij,ij->i", ap, self.a)
-        row_q = np.einsum("ij,ij->i", aq, self.a)
-        g_d = mu * (row_p - row_q + 1.0 / d)
-        g_tau = 1.0 - mu * float(np.trace(p))
-        apa = ap @ self.a.T
-        aqa = aq @ self.a.T
-        h_dd = mu * (-(apa * apa) - (aqa * aqa) - np.diag(1.0 / d ** 2))
-        h_tt = -mu * float(np.sum(p * p))
-        h_td = mu * np.einsum("ij,ij->i", ap, ap)   # A_i^T P^2 A_i
-        g = np.concatenate([[g_tau], g_d])
-        h = np.zeros((self.m_rows + 1, self.m_rows + 1))
-        h[0, 0] = h_tt
-        h[0, 1:] = h_td
-        h[1:, 0] = h_td
-        h[1:, 1:] = h_dd
-        return g, h
-
-    def max_step(self, tau, d, dtau, dd, factors):
-        l1, l2 = factors
-        dg = self._g(dd) if np.any(dd) else np.zeros((self.n, self.n))
-        eye = np.eye(self.n)
-        alpha = _max_step_cone(l1, -(dg - dtau * eye))
-        alpha = min(alpha, _max_step_cone(l2, dg))
-        neg = dd < 0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min(d[neg] / -dd[neg])))
-        return alpha
-
-
-def _stage_newton(path, tau, d, mu, config):
-    """Damped Newton maximization of tau + mu * barrier at fixed mu."""
-    factors = path.factors(tau, d)
-    if factors is None:
-        raise NewtonFailureError("infeasible stage start", mu=mu)
-    value = tau + mu * path.barrier(tau, d, factors)
-    for _ in range(config.newton_cap):
-        g, h = path.grad_hess(tau, d, factors, mu)
-        step = _solve_pd(-h, g)
-        decrement = float(g @ step)
-        if decrement <= config.decrement_tol:
-            break
-        dtau, dd = step[0], step[1:]
-        alpha = 1.0
-        accepted = False
-        for attempt in range(40):
-            t_new = tau + alpha * dtau
-            d_new = d + alpha * dd
-            f_new = path.factors(t_new, d_new)
-            if f_new is not None:
-                v_new = t_new + mu * path.barrier(t_new, d_new, f_new)
-                if v_new >= value - 1e-12 * (1 + abs(value)):
-                    tau, d, factors, value = t_new, d_new, f_new, v_new
-                    accepted = True
-                    break
-            if attempt == 0:
-                bound = 0.9 * path.max_step(tau, d, dtau, dd, factors)
-                alpha = bound if bound < alpha else 0.5 * alpha
-            else:
-                alpha *= 0.5
-        if not accepted:
-            raise NewtonFailureError(
-                "line search failed", mu=mu,
-                residual=float(np.abs(g).max()))
-    return tau, d
+def _left_path(a):
+    """Cones G(d) - tau I, I - G(d) with G = A^T diag(d) A and bound d > 0
+    over x = (tau, d), with a strictly feasible start."""
+    m_rows, n = a.shape
+    tau, d = slice(0, 1), slice(1, m_rows + 1)
+    eye = np.eye(n)
+    barrier = LmiBarrier(
+        m_rows + 1,
+        [(np.zeros((n, n)),
+          (Term(d, 1.0, rows=a), Term(tau, 1.0, dense=-eye))),
+         (eye, (Term(d, -1.0, rows=a),))],
+        [Bound(d)])
+    w = scipy.linalg.eigvalsh(a.T @ a)
+    lamn, lam1 = float(w[0]), float(w[-1])
+    return barrier, np.concatenate([[lamn / (4.0 * lam1)],
+                                    np.full(m_rows, 1.0 / (2.0 * lam1))])
 
 
 def barrier_path_solve(p: DsdpProblem, config: DsdpConfig | None = None
@@ -251,35 +122,39 @@ def barrier_path_solve(p: DsdpProblem, config: DsdpConfig | None = None
     """Follow the central path to (tau*, d*); returns kappa = 1/tau* in the report."""
     config = config or DsdpConfig()
     t0 = time.perf_counter()
-    path = _RightPath(p.gram) if p.side == "right" else _LeftPath(p.a)
-    tau, d = path.start()
-    if path.factors(tau, d) is None:
+    barrier, x = _right_path(p.gram) if p.side == "right" else \
+        _left_path(p.a)
+    if barrier.factor(x) is None:
         raise NewtonFailureError("strictly feasible start recipe failed",
                                  mu=config.mu_init)
-    state = PathState(tau=tau, d=d, mu=config.mu_init)
-    stages = 0
+    objective = np.zeros(x.size)
+    objective[0] = 1.0
+    state = PathState(tau=x[0], d=x[1:], mu=config.mu_init)
+    stages = fallbacks = 0
     taus = []   # per-stage central path points; tau is monotone along them
     with serial_blas():
         while True:
-            tau, d = _stage_newton(path, state.tau, state.d, state.mu,
-                                   config)
-            state = PathState(tau=tau, d=d, mu=state.mu)
+            res = newton_ascent(barrier, x, config.newton_cap,
+                                dec_tol=config.decrement_tol,
+                                c=objective, mu=state.mu)
+            fallbacks += res.fallbacks
+            if res.status == "stalled":
+                raise NewtonFailureError("line search failed", mu=state.mu,
+                                         residual=res.grad_norm)
+            x = res.x
+            state = PathState(tau=x[0], d=x[1:], mu=state.mu)
             taus.append(state.tau)
             stages += 1
             if state.mu <= config.mu_min:
                 break
             state.mu /= config.mu_factor
-    tau, d = state.tau, state.d
-    gap_proxy = state.mu * path.barrier_dim
-    if p.side == "right":
-        w0 = scipy.linalg.eigvalsh(p.gram)
-    else:
-        w0 = scipy.linalg.eigvalsh(p.a.T @ p.a)
-    kappa_before = float(w0[-1] / w0[0])
+    kappa_before = condition_number(
+        p.gram if p.side == "right" else p.a.T @ p.a)
     report = SolveReport(
         matrix="", method=f"dsdp_{p.side}",
-        kappa_before=kappa_before, kappa_after=1.0 / tau,
+        kappa_before=kappa_before, kappa_after=1.0 / state.tau,
         iterations=stages, wall_time_seconds=time.perf_counter() - t0,
-        extra={"mu_final": state.mu, "duality_gap_proxy": gap_proxy,
-               "tau_path": taus})
-    return float(tau), d.copy(), report
+        extra={"mu_final": state.mu,
+               "duality_gap_proxy": state.mu * barrier.dim,
+               "tau_path": taus, "newton_fallbacks": fallbacks})
+    return float(state.tau), state.d.copy(), report

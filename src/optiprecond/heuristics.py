@@ -69,9 +69,7 @@ def apply_pair(a: RectMatrix, scaling: DiagScaling) -> SymMatrix:
     """Two-sided scaled Gram D2^{-1/2} A^T D1 A D2^{-1/2}."""
     if scaling.side != SIDE_PAIR:
         raise ValueError("apply_pair needs a two_sided_pair scaling")
-    x = a.mat
-    if x.shape[0] < x.shape[1]:
-        x = x.T
+    x = a.tall()
     d1, d2 = scaling.left_values, scaling.values
     if d1.size != x.shape[0] or d2.size != x.shape[1]:
         raise ValueError("pair lengths do not match the matrix shape")

@@ -134,13 +134,22 @@ def cholesky(m: SymMatrix) -> CholFactor:
     return CholFactor(lower=lower, success=True)
 
 
-def condition_number(m: SymMatrix) -> float:
-    """lambda_max / lambda_min of a symmetric positive definite matrix."""
-    w = sym_eig(m).eigenvalues
-    if w[-1] <= 0:
+def condition_number(m: SymMatrix | np.ndarray) -> float:
+    """lambda_max / lambda_min of a symmetric positive definite matrix.
+
+    An array is read as symmetric from its lower triangle, unvalidated.
+    """
+    a = _as_array(m)
+    try:
+        w = scipy.linalg.eigvalsh(a)
+    except scipy.linalg.LinAlgError as exc:
+        raise EigenConvergenceError(
+            f"symmetric eigensolver failed on order-{a.shape[0]} matrix"
+        ) from exc
+    if w[0] <= 0:
         raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {w[-1]:.3e} is not positive")
-    return float(w[0] / w[-1])
+            f"smallest eigenvalue {w[0]:.3e} is not positive")
+    return float(w[-1] / w[0])
 
 
 def psd_inverse(m: SymMatrix) -> SymMatrix:

@@ -45,6 +45,10 @@ class RectMatrix:
     def cols(self) -> int:
         return self.mat.shape[1]
 
+    def tall(self) -> np.ndarray:
+        """The matrix when m >= n, else its transpose."""
+        return self.mat if self.rows >= self.cols else self.mat.T
+
     def __repr__(self):
         return f"RectMatrix({self.rows}x{self.cols})"
 
@@ -188,9 +192,7 @@ def read_matrix_market(path) -> RectMatrix:
 
 def gram_matrix(a: RectMatrix) -> SymMatrix:
     """A^T A when the input is tall (m >= n), else A A^T."""
-    x = a.mat
-    if x.shape[0] < x.shape[1]:
-        x = x.T
+    x = a.tall()
     g = x.T @ x
     return SymMatrix(0.5 * (g + g.T))
 

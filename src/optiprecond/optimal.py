@@ -49,13 +49,6 @@ def _normalized(values: np.ndarray) -> np.ndarray:
     return values / values.max()
 
 
-def _kappa_of(m_arr) -> float:
-    w = scipy.linalg.eigvalsh(m_arr)
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError("matrix is not positive definite")
-    return float(w[-1] / w[0])
-
-
 def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
                   ) -> tuple[DiagScaling, SolveReport]:
     """Optimal right preconditioner of a PD Gram matrix.
@@ -66,7 +59,7 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
     """
     req = req or OptimalRequest(side="right")
     t0 = time.perf_counter()
-    kappa_before = _kappa_of(m.mat)
+    kappa_before = condition_number(m)
     method = req.method
     if method == "auto":
         method = "potential_reduction" if m.order <= 200 else "dsdp"
@@ -97,15 +90,15 @@ def optimal_left(a: RectMatrix, req: OptimalRequest | None = None
     """Optimal left preconditioner D1 minimizing kappa(A^T D1 A)."""
     req = req or OptimalRequest(side="left")
     t0 = time.perf_counter()
-    x = a.mat if a.rows >= a.cols else a.mat.T
+    x = a.tall()
     rect = RectMatrix(x)
     gram = SymMatrix(x.T @ x)
-    kappa_before = _kappa_of(gram.mat)
+    kappa_before = condition_number(gram)
     _, d, inner = barrier_path_solve(build_left(rect), req.dsdp_config)
     d = _normalized(d)
     scaling = DiagScaling(d, side=SIDE_LEFT)
     scaled = x.T @ (d[:, None] * x)
-    kappa_after = _kappa_of(0.5 * (scaled + scaled.T))
+    kappa_after = condition_number(0.5 * (scaled + scaled.T))
     if kappa_after > kappa_before:
         scaling = DiagScaling(np.ones(x.shape[0]), side=SIDE_LEFT)
         kappa_after = kappa_before
@@ -138,12 +131,12 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     """
     req = req or OptimalRequest(side="two_sided", method="bisection")
     t0 = time.perf_counter()
-    x = a.mat if a.rows >= a.cols else a.mat.T
+    x = a.tall()
     if max(x.shape) > 300:
         raise ValueError("two-sided bisection is limited to max(m, n) <= 300")
     rect = RectMatrix(x)
     gram = SymMatrix(x.T @ x)
-    kappa_before = _kappa_of(gram.mat)
+    kappa_before = condition_number(gram)
     phase1 = req.phase1_config or PhaseIConfig()
 
     kappa0 = kappa_before
@@ -159,12 +152,14 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     res0 = two_sided_feasibility(rect, kappa0, phase1)
     if res0.margin >= -phase1.boundary_tol:
         best_d1, best_d2 = res0.witness_left, res0.witness
+    fallbacks = res0.newton_fallbacks
     lo, hi = 1.0, kappa0
     iterations = 0
     while hi - lo >= req.epsilon:
         iterations += 1
         mid = 0.5 * (lo + hi)
         res = two_sided_feasibility(rect, mid, phase1)
+        fallbacks += res.newton_fallbacks
         if res.margin >= -phase1.boundary_tol:
             hi = mid
             best_d1, best_d2 = res.witness_left, res.witness
@@ -183,7 +178,7 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
         iterations=iterations,
         wall_time_seconds=time.perf_counter() - t0,
         extra={"kappa0": kappa0, "bracket": [lo, hi],
-               "iteration_bound": bound})
+               "iteration_bound": bound, "newton_fallbacks": fallbacks})
     return scaling, report
 
 
@@ -199,10 +194,10 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None,
     """
     req = req or OptimalRequest(side="two_sided")
     t0 = time.perf_counter()
-    x = a.mat if a.rows >= a.cols else a.mat.T
+    x = a.tall()
     rect = RectMatrix(x)
     gram = SymMatrix(x.T @ x)
-    kappa_before = _kappa_of(gram.mat)
+    kappa_before = condition_number(gram)
 
     d1_total = np.ones(x.shape[0])
     d2_total = np.ones(x.shape[1])
@@ -222,7 +217,7 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None,
         d2_total *= right_scaling.values
         current = current / np.sqrt(right_scaling.values)[None, :]
 
-        kappa_now = _kappa_of(current.T @ current)
+        kappa_now = condition_number(current.T @ current)
         kappa_track.append(kappa_now)
         if kappa_now <= 1 + 1e-9 or \
                 kappa_track[-2] - kappa_now < improvement_tol * kappa_track[-2]:

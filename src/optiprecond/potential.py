@@ -21,14 +21,17 @@ from .barrier import (
     CenteringError,
     _chol_pd,
     _inv_from_chol,
+    _logdet_from_chol,
     _max_step_cone,
-    _ShiftedBarrier,
+    _one_sided,
     _solve_pd,
     compute_center,
     initial_feasible_point,
+    newton_ascent,
 )
 from .heuristics import DiagScaling, SIDE_RIGHT
-from .linalg import SymMatrix, NotPositiveDefiniteError, serial_blas
+from .linalg import (SymMatrix, NotPositiveDefiniteError, condition_number,
+                     serial_blas)
 from .matrixio import SolveReport
 
 MODE_FULL = "full"
@@ -143,6 +146,39 @@ class CenterState:
             raise ValueError("linear identity Z + kappa Y = X violated")
 
 
+class _MatrixCenter:
+    """log det(M - D) + log det(kappa D - M) + log det D over x = vec(D).
+
+    Supplies newton_ascent's barrier interface for a full symmetric D.
+    """
+
+    def __init__(self, m_arr, kappa):
+        self.m = m_arr
+        self.kappa = kappa
+
+    def factor(self, x):
+        d_mat = x.reshape(self.m.shape)
+        chols = [_chol_pd(self.m - d_mat),
+                 _chol_pd(self.kappa * d_mat - self.m), _chol_pd(d_mat)]
+        return None if any(f is None for f in chols) else chols
+
+    def value(self, chols):
+        return sum(map(_logdet_from_chol, chols))
+
+    def derivatives(self, chols):
+        x, y, z = map(_inv_from_chol, chols)
+        grad = -x + self.kappa * y + z
+        op = np.kron(x, x) + self.kappa ** 2 * np.kron(y, y) + np.kron(z, z)
+        return grad.reshape(-1), op
+
+    def max_step(self, chols, dx):
+        delta = dx.reshape(self.m.shape)
+        lr, ls, ld = chols
+        return min(_max_step_cone(lr, delta),
+                   _max_step_cone(ls, -self.kappa * delta),
+                   _max_step_cone(ld, -delta))
+
+
 def exact_center_full(m: SymMatrix, kappa: float, tol: float = 1e-12,
                       max_iter: int = 200) -> np.ndarray:
     """Unrestricted symmetric analytic center: -R^{-1} + kappa S^{-1} + D^{-1} = 0.
@@ -150,50 +186,14 @@ def exact_center_full(m: SymMatrix, kappa: float, tol: float = 1e-12,
     Matrix-variable Newton with a vectorized (Kronecker) solve; intended for
     the small orders used by the proposition tests.
     """
-    m_arr = m.mat
-    n = m.order
-    bp = initial_feasible_point(m, kappa)
-    d_mat = np.diag(bp.d)
-
-    def matrix_barrier(dm):
-        facs = (_chol_pd(m_arr - dm), _chol_pd(kappa * dm - m_arr),
-                _chol_pd(dm))
-        if any(f is None for f in facs):
-            return None
-        return sum(2.0 * np.sum(np.log(np.diag(f))) for f in facs)
-
-    val = matrix_barrier(d_mat)
-    for _ in range(max_iter):
-        lr = _chol_pd(m_arr - d_mat)
-        ls = _chol_pd(kappa * d_mat - m_arr)
-        ld = _chol_pd(d_mat)
-        if lr is None or ls is None or ld is None:
-            raise CenteringError("center iterate left the cone")
-        x = _inv_from_chol(lr)
-        y = _inv_from_chol(ls)
-        z = _inv_from_chol(ld)
-        grad = -x + kappa * y + z
-        gnorm = np.linalg.norm(grad, ord="fro")
-        if gnorm <= tol:
-            return d_mat
-        op = (np.kron(x, x) + kappa ** 2 * np.kron(y, y) + np.kron(z, z))
-        delta = _solve_pd(op, grad.reshape(-1)).reshape(n, n)
-        delta = 0.5 * (delta + delta.T)
-        alpha = min(1.0, 0.9 * min(
-            _max_step_cone(lr, delta),
-            _max_step_cone(ls, -kappa * delta),
-            _max_step_cone(ld, -delta)))
-        for _ in range(40):
-            cand = d_mat + alpha * delta
-            v_new = matrix_barrier(cand)
-            if v_new is not None and v_new >= val - 1e-12 * (1 + abs(val)):
-                d_mat, val = cand, v_new
-                break
-            alpha *= 0.5
-        else:
-            raise CenteringError("backtracking failed", grad_norm=gnorm)
-    raise CenteringError(f"no convergence in {max_iter} Newton iterations",
-                         grad_norm=gnorm)
+    start = np.diag(initial_feasible_point(m, kappa).d)
+    res = newton_ascent(_MatrixCenter(m.mat, kappa), start.reshape(-1),
+                        max_iter, grad_tol=tol)
+    if res.status != "converged":
+        raise CenteringError(f"matrix centering ended {res.status}",
+                             grad_norm=res.grad_norm)
+    d_mat = res.x.reshape(start.shape)
+    return 0.5 * (d_mat + d_mat.T)
 
 
 def state_from_center(m: SymMatrix, kappa: float, mode: str = MODE_FULL,
@@ -205,12 +205,15 @@ def state_from_center(m: SymMatrix, kappa: float, mode: str = MODE_FULL,
         bp = compute_center(m, kappa, initial_feasible_point(m, kappa),
                             tol=center_tol)
         d_mat = np.diag(bp.d)
-    m_arr = m.mat
-    x = _sym_pow(m_arr - d_mat, -1.0)
-    y = _sym_pow(kappa * d_mat - m_arr, -1.0)
-    z = _sym_pow(d_mat, -1.0)
-    return CenterState(m=m_arr, kappa=float(kappa), D=d_mat,
-                       X=x, Y=y, Z=z, mode=mode)
+    return _state_at(m.mat, float(kappa), d_mat, mode)
+
+
+def _state_at(m_arr, kappa, d_mat, mode):
+    """CenterState at D with X, Y, Z set to the true inverses."""
+    return CenterState(m=m_arr, kappa=kappa, D=d_mat,
+                       X=_sym_pow(m_arr - d_mat, -1.0),
+                       Y=_sym_pow(kappa * d_mat - m_arr, -1.0),
+                       Z=_sym_pow(d_mat, -1.0), mode=mode)
 
 
 def delta_kappa(state: CenterState, beta: float) -> float:
@@ -267,11 +270,11 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
 
     if state.mode == MODE_DIAG:
         coeff = ui ** 2 + wi ** 2 + kappa1 ** 2 * vi ** 2
-        delta_d = np.diag(_solve_pd(coeff, np.diag(rhs)))
+        delta_d = np.diag(_solve_pd(coeff, np.diag(rhs))[0])
     else:
         op = (np.kron(ui, ui) + np.kron(wi, wi)
               + kappa1 ** 2 * np.kron(vi, vi))
-        delta_d = _solve_pd(op, rhs.reshape(-1)).reshape(n, n)
+        delta_d = _solve_pd(op, rhs.reshape(-1))[0].reshape(n, n)
         delta_d = 0.5 * (delta_d + delta_d.T)
 
     delta_z = z_rhs - wi @ delta_d @ wi
@@ -289,11 +292,9 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
 
 
 def _potential(m_arr, kappa, d):
-    problem = _ShiftedBarrier(m_arr, kappa, shift=0.0)
-    factors = problem.factors(d)
-    if factors is None:
-        return None
-    return problem.value(d, factors)
+    barrier = _one_sided(m_arr, kappa)
+    state = barrier.factor(d)
+    return None if state is None else barrier.value(state)
 
 
 def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
@@ -310,24 +311,13 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
     config = config or PRConfig()
     t0 = time.perf_counter()
     m_arr = m.mat
-    w = scipy.linalg.eigvalsh(m_arr)
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError("input must be positive definite")
-    kappa_m = float(w[-1] / w[0])
+    kappa_m = condition_number(m)
     kappa = kappa_m * 1.01
     center_tol = 1e-9 * max(1.0, float(np.abs(np.diag(m_arr)).max()))
 
     bp = compute_center(m, kappa, initial_feasible_point(m, kappa),
                         tol=center_tol)
     d = bp.d
-
-    def fresh_state(d_vec, kappa_val):
-        d_mat = np.diag(d_vec)
-        return CenterState(
-            m=m_arr, kappa=kappa_val, D=d_mat,
-            X=_sym_pow(m_arr - d_mat, -1.0),
-            Y=_sym_pow(kappa_val * d_mat - m_arr, -1.0),
-            Z=_sym_pow(d_mat, -1.0), mode=MODE_DIAG)
     beta = config.beta
     trajectory = [(kappa, _potential(m_arr, kappa, d), beta)]
     small_progress = 0
@@ -356,8 +346,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
                     d_new = compute_center(m, kappa_new, start,
                                            tol=center_tol).d
                 else:
-                    state = nt_step(shift_state(fresh_state(d, kappa), dk),
-                                    kappa_new)
+                    state = _state_at(m_arr, kappa, np.diag(d), MODE_DIAG)
+                    state = nt_step(shift_state(state, dk), kappa_new)
                     d_new = np.diag(state.D).copy()
                     if np.any(d_new <= 0):
                         raise StepTooLargeError("diagonal left positivity")
@@ -388,12 +378,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
                 small_progress = 0
 
     # the returned scaling never worsens the condition number
-    def _scaled_kappa(vals):
-        s = 1.0 / np.sqrt(vals)
-        ws = scipy.linalg.eigvalsh(s[:, None] * m_arr * s[None, :])
-        return float(ws[-1] / ws[0])
-
-    kappa_after = _scaled_kappa(d)
+    s = 1.0 / np.sqrt(d)
+    kappa_after = condition_number(s[:, None] * m_arr * s[None, :])
     if kappa_after > kappa_m:
         d = np.ones(m.order)
         kappa_after = kappa_m

@@ -10,7 +10,7 @@ import scipy.linalg
 import scipy.sparse.linalg
 
 from .heuristics import DiagScaling, SIDE_RIGHT
-from .linalg import SymMatrix, NotPositiveDefiniteError
+from .linalg import SymMatrix, NotPositiveDefiniteError, condition_number
 from .matrixio import SolveReport
 
 # dense eigensolver below this order, Lanczos above
@@ -77,11 +77,10 @@ def projected_subgradient_solve(m: SymMatrix,
     n = m.order
 
     def kappa_at(dv):
-        dmd = dv[:, None] * m_arr * dv[None, :]
-        w = scipy.linalg.eigvalsh(0.5 * (dmd + dmd.T))
-        if w[0] <= 0:
+        try:
+            return condition_number(dv[:, None] * m_arr * dv[None, :])
+        except NotPositiveDefiniteError:
             return np.inf
-        return float(w[-1] / w[0])
 
     d = np.ones(n)
     best_d = d.copy()

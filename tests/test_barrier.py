@@ -15,6 +15,8 @@ from optiprecond import (
     initial_feasible_point,
     two_sided_feasibility,
 )
+from optiprecond.barrier import _one_sided, _two_sided
+from optiprecond.dsdp import _left_path, _right_path
 from conftest import grid_optimal_two_sided_3x3, random_spd
 
 # root of -12 d^2 + 10 d - 1 inside (1/4, 1): the 1x1, kappa=4 center
@@ -267,3 +269,46 @@ def test_phase1_config_defaults():
     cfg = PhaseIConfig()
     assert cfg.outer_steps == 30
     assert cfg.boundary_tol == 1e-7
+
+
+def _phase_one_one_sided(rng):
+    m = random_spd(5, rng, cond=20.0)
+    kappa = 3.0 * np.linalg.cond(m.mat)
+    res = feasibility_margin(m, kappa)
+    return _one_sided(m.mat, kappa, 0.5 * res.margin), res.witness
+
+
+def _phase_one_two_sided(rng):
+    a = RectMatrix(rng.standard_normal((6, 4)))
+    kappa = 2.0 * np.linalg.cond(a.mat.T @ a.mat)
+    res = two_sided_feasibility(a, kappa)
+    barrier = _two_sided(a.mat, kappa, 0.5 * res.margin, 1e6)
+    return barrier, np.concatenate([res.witness_left, res.witness])
+
+
+def _dsdp_right(rng):
+    return _right_path(random_spd(5, rng, cond=20.0).mat)
+
+
+def _dsdp_left(rng):
+    return _left_path(rng.standard_normal((7, 3)))
+
+
+@pytest.mark.parametrize("make", [_phase_one_one_sided, _phase_one_two_sided,
+                                  _dsdp_right, _dsdp_left])
+def test_lmi_barrier_derivatives_match_finite_differences(make, rng):
+    barrier, x0 = make(rng)
+    x0 = x0 * (1 + 1e-3 * rng.uniform(-1, 1, x0.size))
+    state = barrier.factor(x0)
+    assert state is not None
+    g, neg_h = barrier.derivatives(state)
+    for i in range(x0.size):
+        e = np.zeros(x0.size)
+        e[i] = 1e-6 * abs(x0[i])
+        plus, minus = barrier.factor(x0 + e), barrier.factor(x0 - e)
+        fd = (barrier.value(plus) - barrier.value(minus)) / (2 * e[i])
+        assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-7), i
+        fd_h = (barrier.derivatives(plus)[0]
+                - barrier.derivatives(minus)[0]) / (2 * e[i])
+        assert np.allclose(-neg_h[:, i], fd_h, rtol=1e-4,
+                           atol=1e-6 * np.abs(neg_h).max()), i

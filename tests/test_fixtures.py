@@ -72,13 +72,18 @@ REPORTED_OPTIMAL = {
 
 
 def test_optimal_solver_reproduces_reported_values():
-    from optiprecond import RectMatrix, SymMatrix
-    from optiprecond.optimal import OptimalRequest, optimal_right
+    from optiprecond import RectMatrix
+    from optiprecond.optimal import OptimalRequest, optimal_left, optimal_right
 
     for name, reported in REPORTED_OPTIMAL.items():
-        gram = gram_matrix(RectMatrix(generate(name)))
-        _, rep = optimal_right(gram, OptimalRequest(method="dsdp"))
+        a = RectMatrix(generate(name))
+        _, rep = optimal_right(gram_matrix(a), OptimalRequest(method="dsdp"))
         assert rep.kappa_after == pytest.approx(reported, rel=2e-3), name
+    # the left optimum of a symmetric A equals the right one of A^T A
+    for name in ("trefethen_20b", "trefethen_20", "trefethen_150"):
+        _, rep = optimal_left(RectMatrix(generate(name)))
+        assert rep.kappa_after == pytest.approx(REPORTED_OPTIMAL[name],
+                                                rel=2e-3), name
 
 
 def test_two_sided_alternation_reproduces_reported_values():

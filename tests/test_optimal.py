@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from optiprecond import (
     apply_pair,
     condition_number,
     jacobi_scaling,
+    read_matrix_market,
 )
+from optiprecond.fixtures import fixture_path
 from optiprecond.optimal import (
     OptimalRequest,
     alternate_two_sided,
@@ -17,6 +21,7 @@ from optiprecond.optimal import (
     optimal_left,
     optimal_right,
 )
+from optiprecond.dsdp import barrier_path_solve, build_right
 from conftest import grid_optimal_right, grid_optimal_two_sided_3x3, random_spd
 
 
@@ -179,3 +184,33 @@ def test_pair_kappa_matches_apply(rng):
                                                  epsilon=0.1))
     assert condition_number(apply_pair(a, sc)) == \
         pytest.approx(rep.kappa_after, rel=1e-9)
+
+
+def _trefethen_20b():
+    return read_matrix_market(fixture_path("trefethen_20b"))
+
+
+def test_newton_fallbacks_are_reported():
+    # the phase-I oracle meets singular Newton systems near the boundary
+    _, rep = bisect_two_sided(_trefethen_20b())
+    assert rep.extra["newton_fallbacks"] > 0
+    _, _, rep = barrier_path_solve(
+        build_right(random_spd(8, np.random.default_rng(3), cond=20.0)))
+    assert rep.extra["newton_fallbacks"] == 0
+
+
+def test_bisect_two_sided_retains_no_memory():
+    # scipy.linalg.solve kept ~0.7 KB per non-PD Newton system, and one
+    # bisection meets about 1,600 of them
+    a = _trefethen_20b()
+    req = OptimalRequest(side="two_sided", epsilon=1e-2)
+    bisect_two_sided(a, req)             # warm up lazy imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        bisect_two_sided(a, req)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.5e6
