@@ -414,6 +414,7 @@ def initial_feasible_point(m: SymMatrix, kappa: float) -> BarrierPoint:
     return BarrierPoint(m, kappa, np.full(m.order, c))
 
 
+@serial_blas()
 def _margin_ascent(make_barrier, x0, config, stop_above=None):
     """Max-margin search by repeated centering at the current best slack.
 
@@ -427,30 +428,29 @@ def _margin_ascent(make_barrier, x0, config, stop_above=None):
     sig = _min_slack(base, w)
     converged = False
     fallbacks = 0
-    with serial_blas():
-        for _ in range(config.outer_steps):
-            if stop_above is not None and sig > stop_above:
+    for _ in range(config.outer_steps):
+        if stop_above is not None and sig > stop_above:
+            converged = True
+            break
+        pad = 1e-9 * max(1.0, abs(sig))
+        try:
+            res = newton_ascent(make_barrier(sig - pad), w,
+                                config.newton_cap,
+                                grad_tol=config.newton_tol,
+                                dec_tol=1e-12)
+        except InfeasiblePointError:
+            break
+        fallbacks += res.fallbacks
+        sig_new = _min_slack(base, res.x)
+        if sig_new > sig:
+            w, climb = res.x, sig_new - sig
+            sig = sig_new
+            if climb <= 10 * pad:
                 converged = True
                 break
-            pad = 1e-9 * max(1.0, abs(sig))
-            try:
-                res = newton_ascent(make_barrier(sig - pad), w,
-                                    config.newton_cap,
-                                    grad_tol=config.newton_tol,
-                                    dec_tol=1e-12)
-            except InfeasiblePointError:
-                break
-            fallbacks += res.fallbacks
-            sig_new = _min_slack(base, res.x)
-            if sig_new > sig:
-                w, climb = res.x, sig_new - sig
-                sig = sig_new
-                if climb <= 10 * pad:
-                    converged = True
-                    break
-            else:
-                converged = True
-                break
+        else:
+            converged = True
+            break
     return FeasibilityResult(margin=sig, witness=w, converged=converged,
                              newton_fallbacks=fallbacks)
 

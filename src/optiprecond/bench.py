@@ -10,7 +10,8 @@ import numpy as np
 import scipy.linalg
 
 from .heuristics import DiagScaling, apply_scaling
-from .linalg import SymMatrix, NotPositiveDefiniteError, condition_number
+from .linalg import (SymMatrix, NotPositiveDefiniteError, condition_number,
+                     serial_blas)
 from .matrixio import RectMatrix, SolveReport, gram_matrix, sample_rows
 from .optimal import OptimalRequest, optimal_right
 
@@ -27,6 +28,7 @@ class PcgResult:
     residual_history: list = field(default_factory=list)
 
 
+@serial_blas()
 def pcg(m: SymMatrix, rhs=None, precond: DiagScaling | None = None,
         tol: float = 1e-6, max_iters: int | None = None,
         seed_for_rhs: int = 0) -> PcgResult:

@@ -19,8 +19,8 @@ import numpy as np
 import scipy.linalg
 
 from .barrier import Bound, LmiBarrier, Term, newton_ascent
-from .linalg import (SymMatrix, NotPositiveDefiniteError, condition_number,
-                     serial_blas)
+from .linalg import (SymMatrix, NotPositiveDefiniteError, blas_backend,
+                     condition_number, serial_blas)
 from .matrixio import RectMatrix, SolveReport
 
 
@@ -117,6 +117,7 @@ def _left_path(a):
                                     np.full(m_rows, 1.0 / (2.0 * lam1))])
 
 
+@serial_blas()
 def barrier_path_solve(p: DsdpProblem, config: DsdpConfig | None = None
                        ) -> tuple[float, np.ndarray, SolveReport]:
     """Follow the central path to (tau*, d*); returns kappa = 1/tau* in the report."""
@@ -132,22 +133,21 @@ def barrier_path_solve(p: DsdpProblem, config: DsdpConfig | None = None
     state = PathState(tau=x[0], d=x[1:], mu=config.mu_init)
     stages = fallbacks = 0
     taus = []   # per-stage central path points; tau is monotone along them
-    with serial_blas():
-        while True:
-            res = newton_ascent(barrier, x, config.newton_cap,
-                                dec_tol=config.decrement_tol,
-                                c=objective, mu=state.mu)
-            fallbacks += res.fallbacks
-            if res.status == "stalled":
-                raise NewtonFailureError("line search failed", mu=state.mu,
-                                         residual=res.grad_norm)
-            x = res.x
-            state = PathState(tau=x[0], d=x[1:], mu=state.mu)
-            taus.append(state.tau)
-            stages += 1
-            if state.mu <= config.mu_min:
-                break
-            state.mu /= config.mu_factor
+    while True:
+        res = newton_ascent(barrier, x, config.newton_cap,
+                            dec_tol=config.decrement_tol,
+                            c=objective, mu=state.mu)
+        fallbacks += res.fallbacks
+        if res.status == "stalled":
+            raise NewtonFailureError("line search failed", mu=state.mu,
+                                     residual=res.grad_norm)
+        x = res.x
+        state = PathState(tau=x[0], d=x[1:], mu=state.mu)
+        taus.append(state.tau)
+        stages += 1
+        if state.mu <= config.mu_min:
+            break
+        state.mu /= config.mu_factor
     kappa_before = condition_number(
         p.gram if p.side == "right" else p.a.T @ p.a)
     report = SolveReport(
@@ -156,5 +156,6 @@ def barrier_path_solve(p: DsdpProblem, config: DsdpConfig | None = None
         iterations=stages, wall_time_seconds=time.perf_counter() - t0,
         extra={"mu_final": state.mu,
                "duality_gap_proxy": state.mu * barrier.dim,
-               "tau_path": taus, "newton_fallbacks": fallbacks})
+               "tau_path": taus, "newton_fallbacks": fallbacks,
+               "blas_backend": blas_backend()})
     return float(state.tau), state.d.copy(), report

@@ -8,6 +8,11 @@ Gram formation since all the solver mathematics operates on M = A^T A.
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
+import importlib
+import logging
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,23 +20,121 @@ import scipy.linalg
 
 try:
     import threadpoolctl
-except ImportError:          # pragma: no cover - optional speedup only
+except ImportError:          # the ctypes path below covers the wheels' BLAS
     threadpoolctl = None
+
+logger = logging.getLogger(__name__)
 
 # A matrix counts as positive definite when lambda_min > PD_RTOL * lambda_max.
 PD_RTOL = 1e-12
 
+# The OpenBLAS copies bundled with the numpy and scipy wheels: a module whose
+# shared library links the copy, and its thread-count getter and setter.
+_OPENBLAS_COPIES = (
+    ("numpy.linalg._umath_linalg", "scipy_openblas_get_num_threads64_",
+     "scipy_openblas_set_num_threads64_"),
+    ("scipy.linalg._flapack", "scipy_openblas_get_num_threads",
+     "scipy_openblas_set_num_threads"),
+)
 
-def serial_blas():
+
+@functools.cache
+def _openblas_controls() -> tuple:
+    """(get, set) thread-count functions of every OpenBLAS copy found.
+
+    Looked up on first use rather than at import, so importing the package
+    opens no library.
+    """
+    controls = []
+    for module, getter, setter in _OPENBLAS_COPIES:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            get, set_ = getattr(lib, getter), getattr(lib, setter)
+        except (ImportError, OSError, AttributeError):
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        controls.append((get, set_))
+    return tuple(controls)
+
+
+@functools.cache
+def blas_backend() -> str:
+    """How ``serial_blas`` limits BLAS threads in this process.
+
+    ``"threadpoolctl"`` when that package is importable, ``"openblas-ctypes"``
+    when the wheels' OpenBLAS thread functions are found, else ``"none"``
+    (logged once as a warning: solves then run at the default thread count).
+    """
+    if threadpoolctl is not None:
+        return "threadpoolctl"
+    if _openblas_controls():
+        return "openblas-ctypes"
+    logger.warning("no BLAS thread control found (threadpoolctl is not "
+                   "installed and no bundled OpenBLAS exports "
+                   "scipy_openblas_set_num_threads); solves run with the "
+                   "default BLAS thread count")
+    return "none"
+
+
+def _limit_to_one_thread():
+    """Set every BLAS this process loaded to one thread; returns the undo."""
+    backend = blas_backend()
+    if backend == "threadpoolctl":
+        return threadpoolctl.threadpool_limits(limits=1).restore_original_limits
+    saved = [(set_, get()) for get, set_ in _openblas_controls()]
+    for set_, _ in saved:
+        set_(1)
+
+    def restore():
+        for set_, count in saved:
+            set_(count)
+    return restore
+
+
+class _SerialBlas(contextlib.ContextDecorator):
+    """Process-wide one-thread BLAS while any holder is inside.
+
+    Thread counts are process-global, so holders are counted: the first to
+    enter saves the counts and sets one thread, the last to leave restores
+    them. Nested and concurrent uses therefore never restore a count that
+    another holder still relies on.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._holders = 0
+        self._restore = None
+
+    def __enter__(self):
+        with self._lock:
+            if self._holders == 0:
+                self._restore = _limit_to_one_thread()
+            self._holders += 1
+        return self
+
+    def __exit__(self, *exc):
+        with self._lock:
+            self._holders -= 1
+            if self._holders == 0:
+                restore, self._restore = self._restore, None
+                restore()
+        return False
+
+
+_SERIAL_BLAS = _SerialBlas()
+
+
+def serial_blas() -> _SerialBlas:
     """Limit BLAS to one thread for the duration of a solve.
 
+    Use as ``with serial_blas():`` or as the decorator ``@serial_blas()``.
     The iterative solvers issue thousands of LAPACK calls on small dense
     matrices; multi-threaded BLAS pays a per-call synchronization cost that
-    dwarfs the arithmetic at these orders.
+    dwarfs the arithmetic at these orders. The previous thread counts come
+    back when the outermost use exits, also by an exception.
     """
-    if threadpoolctl is None:
-        return contextlib.nullcontext()
-    return threadpoolctl.threadpool_limits(limits=1)
+    return _SERIAL_BLAS
 
 
 class NotPositiveDefiniteError(ValueError):

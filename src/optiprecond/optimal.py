@@ -23,7 +23,8 @@ from .heuristics import (
     apply_pair,
     apply_scaling,
 )
-from .linalg import SymMatrix, NotPositiveDefiniteError, condition_number
+from .linalg import (SymMatrix, NotPositiveDefiniteError, blas_backend,
+                     condition_number, serial_blas)
 from .matrixio import RectMatrix, SolveReport
 from .potential import PRConfig, solve_right_pr
 
@@ -49,6 +50,7 @@ def _normalized(values: np.ndarray) -> np.ndarray:
     return values / values.max()
 
 
+@serial_blas()
 def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
                   ) -> tuple[DiagScaling, SolveReport]:
     """Optimal right preconditioner of a PD Gram matrix.
@@ -85,6 +87,7 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
     return DiagScaling(d, side=SIDE_RIGHT), report
 
 
+@serial_blas()
 def optimal_left(a: RectMatrix, req: OptimalRequest | None = None
                  ) -> tuple[DiagScaling, SolveReport]:
     """Optimal left preconditioner D1 minimizing kappa(A^T D1 A)."""
@@ -120,6 +123,7 @@ def _warm_kappa(m: SymMatrix, warm: DiagScaling | None) -> float | None:
         return None
 
 
+@serial_blas()
 def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
                      ) -> tuple[DiagScaling, SolveReport]:
     """Classic bisection on kappa over the two-sided SDP feasibility oracle.
@@ -178,10 +182,12 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
         iterations=iterations,
         wall_time_seconds=time.perf_counter() - t0,
         extra={"kappa0": kappa0, "bracket": [lo, hi],
-               "iteration_bound": bound, "newton_fallbacks": fallbacks})
+               "iteration_bound": bound, "newton_fallbacks": fallbacks,
+               "blas_backend": blas_backend()})
     return scaling, report
 
 
+@serial_blas()
 def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None,
                         max_rounds: int = 20, improvement_tol: float = 1e-3
                         ) -> tuple[DiagScaling, SolveReport]:
@@ -233,5 +239,6 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None,
         kappa_before=kappa_before, kappa_after=kappa_after,
         iterations=rounds,
         wall_time_seconds=time.perf_counter() - t0,
-        extra={"kappa_per_round": kappa_track})
+        extra={"kappa_per_round": kappa_track,
+               "blas_backend": blas_backend()})
     return scaling, report

@@ -30,8 +30,8 @@ from .barrier import (
     newton_ascent,
 )
 from .heuristics import DiagScaling, SIDE_RIGHT
-from .linalg import (SymMatrix, NotPositiveDefiniteError, condition_number,
-                     serial_blas)
+from .linalg import (SymMatrix, NotPositiveDefiniteError, blas_backend,
+                     condition_number, serial_blas)
 from .matrixio import SolveReport
 
 MODE_FULL = "full"
@@ -297,6 +297,7 @@ def _potential(m_arr, kappa, d):
     return None if state is None else barrier.value(state)
 
 
+@serial_blas()
 def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
                    mode: str = "approximate") -> tuple[DiagScaling, SolveReport]:
     """Right preconditioner for M = A^T A by potential reduction.
@@ -325,57 +326,56 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
     clean_steps = 0
     iterations = 0
 
-    with serial_blas():
-        while iterations < config.max_outer:
-            iterations += 1
-            ls = _chol_pd(kappa * np.diag(d) - m_arr)
-            if ls is None:
-                raise StagnationError("slack matrix lost definiteness",
-                                      {"kappa": kappa})
-            s_inv = _inv_from_chol(ls)
-            dk = beta / float(np.sum(d * np.diag(s_inv)))
-            if kappa - dk <= 1.0:
-                dk = 0.5 * (kappa - 1.0)
-                if dk <= 1e-15 * kappa:
-                    break
-            kappa_new = kappa - dk
+    while iterations < config.max_outer:
+        iterations += 1
+        ls = _chol_pd(kappa * np.diag(d) - m_arr)
+        if ls is None:
+            raise StagnationError("slack matrix lost definiteness",
+                                  {"kappa": kappa})
+        s_inv = _inv_from_chol(ls)
+        dk = beta / float(np.sum(d * np.diag(s_inv)))
+        if kappa - dk <= 1.0:
+            dk = 0.5 * (kappa - 1.0)
+            if dk <= 1e-15 * kappa:
+                break
+        kappa_new = kappa - dk
 
-            try:
-                if mode == "exact":
-                    start = BarrierPoint(m, kappa_new, d)
-                    d_new = compute_center(m, kappa_new, start,
-                                           tol=center_tol).d
-                else:
-                    state = _state_at(m_arr, kappa, np.diag(d), MODE_DIAG)
-                    state = nt_step(shift_state(state, dk), kappa_new)
-                    d_new = np.diag(state.D).copy()
-                    if np.any(d_new <= 0):
-                        raise StepTooLargeError("diagonal left positivity")
-            except (StepTooLargeError, CenteringError,
-                    NotPositiveDefiniteError, ValueError):
-                beta *= 0.5
-                clean_steps = 0
-                failed_attempts += 1
-                if beta < 1e-12 or failed_attempts >= 50:
-                    raise StagnationError(
-                        "no strict progress for 50 attempts",
-                        {"kappa": kappa, "beta": beta,
-                         "failed_attempts": failed_attempts})
-                continue
-
-            failed_attempts = 0
-            kappa, d = kappa_new, d_new
-            trajectory.append((kappa, _potential(m_arr, kappa, d), beta))
-            clean_steps += 1
-            if clean_steps >= 5:
-                beta = min(2 * beta, config.beta)
-                clean_steps = 0
-            if dk / kappa < config.kappa_tol:
-                small_progress += 1
-                if small_progress >= 3:
-                    break
+        try:
+            if mode == "exact":
+                start = BarrierPoint(m, kappa_new, d)
+                d_new = compute_center(m, kappa_new, start,
+                                       tol=center_tol).d
             else:
-                small_progress = 0
+                state = _state_at(m_arr, kappa, np.diag(d), MODE_DIAG)
+                state = nt_step(shift_state(state, dk), kappa_new)
+                d_new = np.diag(state.D).copy()
+                if np.any(d_new <= 0):
+                    raise StepTooLargeError("diagonal left positivity")
+        except (StepTooLargeError, CenteringError,
+                NotPositiveDefiniteError, ValueError):
+            beta *= 0.5
+            clean_steps = 0
+            failed_attempts += 1
+            if beta < 1e-12 or failed_attempts >= 50:
+                raise StagnationError(
+                    "no strict progress for 50 attempts",
+                    {"kappa": kappa, "beta": beta,
+                     "failed_attempts": failed_attempts})
+            continue
+
+        failed_attempts = 0
+        kappa, d = kappa_new, d_new
+        trajectory.append((kappa, _potential(m_arr, kappa, d), beta))
+        clean_steps += 1
+        if clean_steps >= 5:
+            beta = min(2 * beta, config.beta)
+            clean_steps = 0
+        if dk / kappa < config.kappa_tol:
+            small_progress += 1
+            if small_progress >= 3:
+                break
+        else:
+            small_progress = 0
 
     # the returned scaling never worsens the condition number
     s = 1.0 / np.sqrt(d)
@@ -390,5 +390,6 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
         wall_time_seconds=time.perf_counter() - t0,
         extra={"kappa_terminal": kappa,
                "potential_trajectory": [
-                   [k, p, b] for (k, p, b) in trajectory]})
+                   [k, p, b] for (k, p, b) in trajectory],
+               "blas_backend": blas_backend()})
     return DiagScaling(d, side=SIDE_RIGHT), report

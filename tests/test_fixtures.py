@@ -98,6 +98,21 @@ def test_two_sided_alternation_reproduces_reported_values():
         assert rep.kappa_after <= reported * 1.05, name
 
 
+
+def test_two_sided_alternation_on_trefethen_150():
+    # took 89 s while BLAS ran multi-threaded; about 3 s on one thread
+    from optiprecond import RectMatrix
+    from optiprecond.optimal import alternate_two_sided
+
+    x = generate("trefethen_150")
+    scaling, rep = alternate_two_sided(RectMatrix(x))
+    assert rep.kappa_after <= 1.01 * REPORTED_OPTIMAL["trefethen_150"]
+    s = 1.0 / np.sqrt(scaling.values)
+    scaled = s[:, None] * (x.T @ (scaling.left_values[:, None] * x)) * s
+    w = np.linalg.eigvalsh(scaled)
+    assert rep.kappa_after == pytest.approx(w[-1] / w[0], rel=1e-8)
+    assert rep.iterations <= 20
+
 def test_gauss_cov_design_deterministic():
     assert np.array_equal(gauss_cov_design(3), gauss_cov_design(3))
     assert gauss_cov_design(0).shape == (400, 40)

@@ -1,3 +1,7 @@
+import ctypes
+import importlib
+import logging
+
 import numpy as np
 import pytest
 
@@ -14,6 +18,8 @@ from optiprecond import (
     sym_eig,
     trace_product,
 )
+from optiprecond import linalg
+from optiprecond.linalg import blas_backend, serial_blas
 from conftest import random_spd
 
 
@@ -194,3 +200,96 @@ def test_trace_product(rng):
     assert trace_product(a, b) == pytest.approx(direct, rel=1e-12)
     with pytest.raises(ValueError):
         trace_product(SymMatrix.identity(2), SymMatrix.identity(3))
+
+
+def _openblas_thread_functions():
+    """(get, set) of each OpenBLAS copy the numpy and scipy wheels bundle."""
+    found = []
+    for module, suffix in (("numpy.linalg._umath_linalg", "64_"),
+                           ("scipy.linalg._flapack", "")):
+        lib = ctypes.CDLL(importlib.import_module(module).__file__)
+        get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}", None)
+        set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}", None)
+        if get is None or set_ is None:
+            continue
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        found.append((get, set_))
+    return found
+
+
+@pytest.fixture
+def two_blas_threads():
+    """Both OpenBLAS copies at two threads; returns a reader of the counts."""
+    functions = _openblas_thread_functions()
+    if not functions:
+        pytest.skip("no bundled OpenBLAS exports its thread functions")
+    shipped = [get() for get, _ in functions]
+    for _, set_ in functions:
+        set_(2)
+    yield lambda: [get() for get, _ in functions]
+    for (_, set_), count in zip(functions, shipped):
+        set_(count)
+
+
+def test_serial_blas_sets_one_thread_and_restores(two_blas_threads):
+    threads = two_blas_threads
+    with serial_blas():
+        assert set(threads()) == {1}
+    assert set(threads()) == {2}
+
+
+def test_serial_blas_restores_after_exception(two_blas_threads):
+    threads = two_blas_threads
+    with pytest.raises(ZeroDivisionError):
+        with serial_blas():
+            assert set(threads()) == {1}
+            1 / 0
+    assert set(threads()) == {2}
+
+
+def test_serial_blas_nested_keeps_outer_count(two_blas_threads):
+    threads = two_blas_threads
+    with serial_blas():
+        with serial_blas():
+            assert set(threads()) == {1}
+        assert set(threads()) == {1}
+    assert set(threads()) == {2}
+
+
+def test_serial_blas_as_decorator(two_blas_threads):
+    threads = two_blas_threads
+
+    @serial_blas()
+    def solve(fail):
+        seen = threads()
+        if fail:
+            raise RuntimeError("solver failed")
+        return seen
+
+    assert set(solve(False)) == {1}
+    assert set(threads()) == {2}
+    with pytest.raises(RuntimeError):
+        solve(True)
+    assert set(threads()) == {2}
+    with serial_blas():
+        assert set(solve(False)) == {1}
+        assert set(threads()) == {1}
+    assert set(threads()) == {2}
+
+
+def test_blas_backend_on_this_install():
+    if linalg.threadpoolctl is not None:
+        assert blas_backend() == "threadpoolctl"
+    elif not _openblas_thread_functions():
+        pytest.skip("no bundled OpenBLAS exports its thread functions")
+    else:
+        assert blas_backend() == "openblas-ctypes"
+
+
+def test_blas_backend_none_warns(monkeypatch, caplog):
+    monkeypatch.setattr(linalg, "threadpoolctl", None)
+    monkeypatch.setattr(linalg, "_openblas_controls", lambda: ())
+    with caplog.at_level(logging.WARNING, logger="optiprecond.linalg"):
+        assert blas_backend.__wrapped__() == "none"
+    assert "no BLAS thread control" in caplog.text

@@ -21,7 +21,9 @@ from optiprecond.optimal import (
     optimal_left,
     optimal_right,
 )
+from optiprecond import optimal
 from optiprecond.dsdp import barrier_path_solve, build_right
+from optiprecond.linalg import _openblas_controls, blas_backend
 from conftest import grid_optimal_right, grid_optimal_two_sided_3x3, random_spd
 
 
@@ -214,3 +216,34 @@ def test_bisect_two_sided_retains_no_memory():
     finally:
         tracemalloc.stop()
     assert retained < 0.5e6
+
+
+def test_entry_points_report_blas_backend():
+    # which backend this install has is checked in test_linalg
+    rng = np.random.default_rng(7)
+    a = RectMatrix(rng.standard_normal((6, 3)))
+    m = random_spd(5, rng, cond=30.0)
+    reports = [
+        optimal_right(m)[1],
+        optimal_right(m, OptimalRequest(method="dsdp"))[1],
+        optimal_left(a)[1],
+        bisect_two_sided(a, OptimalRequest(side="two_sided", epsilon=0.1))[1],
+        alternate_two_sided(a)[1],
+        barrier_path_solve(build_right(m))[2],
+    ]
+    assert [r.extra["blas_backend"] for r in reports] == [blas_backend()] * 6
+
+
+def test_entry_point_checks_run_on_one_blas_thread(monkeypatch):
+    # the kappa checks around the inner solve run under the same limit
+    if blas_backend() != "openblas-ctypes":
+        pytest.skip("thread counts are read through the OpenBLAS ctypes path")
+    seen = []
+
+    def kappa_recording_threads(m):
+        seen.append(tuple(get() for get, _ in _openblas_controls()))
+        return condition_number(m)
+
+    monkeypatch.setattr(optimal, "condition_number", kappa_recording_threads)
+    optimal_right(random_spd(5, np.random.default_rng(8), cond=30.0))
+    assert seen and set(seen) == {(1,) * len(_openblas_controls())}
