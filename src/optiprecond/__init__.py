@@ -9,17 +9,9 @@ on preconditioned conjugate gradient convergence.
 
 from .linalg import (
     SymMatrix,
-    EigDecomp,
-    CholFactor,
     NotPositiveDefiniteError,
-    sym_eig,
-    cholesky,
     condition_number,
-    psd_inverse,
-    psd_sqrt,
     proximity_delta,
-    log_det,
-    trace_product,
 )
 from .matrixio import (
     RectMatrix,
@@ -68,7 +60,6 @@ from .potential import (
 from .dsdp import (
     DsdpProblem,
     DsdpConfig,
-    PathState,
     build_right,
     build_left,
     barrier_path_solve,

@@ -19,9 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
-import scipy.linalg.lapack
 
-from .linalg import SymMatrix, serial_blas
+from .linalg import (SymMatrix, chol_pd, inv_from_chol, logdet_from_chol,
+                     max_step_cone, serial_blas, solve_pd)
 from .matrixio import RectMatrix
 
 # A line-search trial is accepted when it loses at most this fraction of
@@ -67,47 +67,6 @@ class FeasibilityResult:
     converged: bool
     witness_left: np.ndarray | None = None
     newton_fallbacks: int = 0
-
-
-def _chol_pd(a):
-    """Lower Cholesky factor or None when the matrix is not numerically PD."""
-    lower, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
-    return lower if info == 0 else None
-
-
-def _solve_pd(h, g):
-    """Solve the (nominally PD) Newton system h x = g; returns (x, pd).
-
-    pd is False when h was not numerically PD and least squares gave x.
-    Steps are validated downstream by feasibility and value backtracking,
-    so an inaccurate direction near a cone boundary is harmless.
-    """
-    _, x, info = scipy.linalg.lapack.dposv(h, g, lower=0)
-    if info == 0:
-        return x, True
-    return scipy.linalg.lstsq(h, g)[0], False
-
-
-def _logdet_from_chol(lower):
-    return 2.0 * float(np.sum(np.log(np.diag(lower))))
-
-
-def _inv_from_chol(lower):
-    inv, info = scipy.linalg.lapack.dpotri(lower, lower=1)
-    if info != 0:
-        raise np.linalg.LinAlgError("dpotri failed on the Cholesky factor")
-    return inv + np.tril(inv, -1).T
-
-
-def _max_step_cone(lower, delta_mat):
-    """Largest alpha with cone - alpha*delta_mat still PSD (inf if unbounded)."""
-    z = scipy.linalg.solve_triangular(lower, delta_mat, lower=True)
-    t = scipy.linalg.solve_triangular(lower, z.T, lower=True).T
-    w = scipy.linalg.eigvalsh(0.5 * (t + t.T))
-    wmax = w[-1]
-    if wmax <= 0:
-        return np.inf
-    return 1.0 / wmax
 
 
 @dataclass(frozen=True)
@@ -204,14 +163,14 @@ class LmiBarrier:
         mats = [_linear(terms, x) + f0 for f0, terms in self.cones]
         chols = []
         for mat in mats:
-            chols.append(_chol_pd(mat))
+            chols.append(chol_pd(mat))
             if chols[-1] is None:
                 return None
         return chols, slacks
 
     def value(self, state):
         chols, slacks = state
-        return sum([*map(_logdet_from_chol, chols),
+        return sum([*map(logdet_from_chol, chols),
                     *(float(np.sum(np.log(s))) for s in slacks)])
 
     def derivatives(self, state):
@@ -219,7 +178,7 @@ class LmiBarrier:
         chols, slacks = state
         g = np.zeros(self.nvar)
         nh = np.zeros((self.nvar, self.nvar))
-        for (_, terms), p in zip(self.cones, list(map(_inv_from_chol, chols))):
+        for (_, terms), p in zip(self.cones, list(map(inv_from_chol, chols))):
             ker = [t.kernels(p) for t in terms]
             for i, (ti, (tr, pi)) in enumerate(zip(terms, ker)):
                 g[ti.sl] += ti.coef * tr
@@ -238,7 +197,7 @@ class LmiBarrier:
         """Largest alpha keeping x + alpha dx feasible (inf if unbounded)."""
         chols, slacks = state
         deltas = [-_linear(terms, dx) for _, terms in self.cones]
-        alpha = min(map(_max_step_cone, chols, deltas))
+        alpha = min(map(max_step_cone, chols, deltas))
         for b, s in zip(self.bounds, slacks):
             rate = b.sign * dx[b.sl]
             neg = rate < 0
@@ -300,7 +259,7 @@ def newton_ascent(barrier, x0, max_iter, *, grad_tol=None, dec_tol=None,
         gnorm = float(np.abs(g).max())
         if grad_tol is not None and gnorm <= grad_tol:
             return NewtonResult(x, "converged", gnorm, fallbacks)
-        step, pd = _solve_pd(nh, g)
+        step, pd = solve_pd(nh, g)
         fallbacks += not pd
         if dec_tol is not None and \
                 float(g @ step) <= dec_tol * (1.0 + abs(val)):

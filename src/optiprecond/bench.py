@@ -11,7 +11,7 @@ import scipy.linalg
 
 from .heuristics import DiagScaling, apply_scaling
 from .linalg import (SymMatrix, NotPositiveDefiniteError, condition_number,
-                     serial_blas)
+                     serial_blas, sym_pow)
 from .matrixio import RectMatrix, SolveReport, gram_matrix, sample_rows
 from .optimal import OptimalRequest, optimal_right
 
@@ -170,11 +170,8 @@ def concentration_experiment(p: int, n_grid, sigma_spec, trials: int,
         sigma = np.diag(sigma)
     if sigma.shape != (p, p):
         raise ValueError("sigma_spec must be length p or a p x p matrix")
-    w_sig, v_sig = scipy.linalg.eigh(sigma)
-    if w_sig[0] <= 0:
-        raise NotPositiveDefiniteError("Sigma must be positive definite")
-    sigma_half = (v_sig * np.sqrt(w_sig)) @ v_sig.T
-    kappa_sigma = float(w_sig[-1] / w_sig[0])
+    sigma_half = sym_pow(sigma, 0.5)
+    kappa_sigma = condition_number(sigma)
     d_pop = np.diag(sigma)
     s = 1.0 / np.sqrt(d_pop)
     kappa_sigma_scaled = condition_number(s[:, None] * sigma * s[None, :])

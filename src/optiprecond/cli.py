@@ -42,7 +42,7 @@ from .optimal import (
     optimal_right,
 )
 from .potential import StagnationError
-from .subgradient import SubgradConfig, projected_subgradient_solve
+from .subgradient import projected_subgradient_solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -122,8 +122,7 @@ def _solve_precond(method, a, gram, args):
             return bisect_two_sided(a, req2)
         return alternate_two_sided(a, req2)
     if method == "subgrad":
-        return projected_subgradient_solve(
-            gram, SubgradConfig(seed=args.seed))
+        return projected_subgradient_solve(gram)
     raise ValueError(f"unknown method {method!r}")
 
 

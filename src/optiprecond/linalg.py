@@ -1,8 +1,12 @@
-"""Dense symmetric linear algebra primitives shared by all solver modules.
+"""Dense symmetric linear algebra shared by all solver modules.
 
-Everything here works on plain float64 arrays wrapped in small validated
-containers. Matrices are assumed dense; sparse inputs are densified after
-Gram formation since all the solver mathematics operates on M = A^T A.
+``SymMatrix`` validates symmetric input and ``condition_number`` is the one
+kappa helper. The positive-definite kernels below are the only LAPACK
+binding in the package: ``chol_pd`` (dpotrf), ``inv_from_chol`` and
+``inv_pd`` (dpotri), ``solve_pd`` (dposv, least squares when not PD),
+``logdet_from_chol``, ``max_step_cone``, ``sym_pow`` and
+``proximity_delta``. They take and return plain float64 arrays.
+``serial_blas`` runs a solve on one BLAS thread.
 """
 
 from __future__ import annotations
@@ -13,10 +17,10 @@ import functools
 import importlib
 import logging
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.linalg.lapack
 
 try:
     import threadpoolctl
@@ -24,9 +28,6 @@ except ImportError:          # the ctypes path below covers the wheels' BLAS
     threadpoolctl = None
 
 logger = logging.getLogger(__name__)
-
-# A matrix counts as positive definite when lambda_min > PD_RTOL * lambda_max.
-PD_RTOL = 1e-12
 
 # The OpenBLAS copies bundled with the numpy and scipy wheels: a module whose
 # shared library links the copy, and its thread-count getter and setter.
@@ -184,57 +185,8 @@ class SymMatrix:
         return f"SymMatrix(order={self.order})"
 
 
-@dataclass
-class EigDecomp:
-    """Eigendecomposition with eigenvalues sorted nonincreasing.
-
-    Column k of ``eigenvectors`` pairs with ``eigenvalues[k]``.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-@dataclass
-class CholFactor:
-    """Lower-triangular Cholesky factor with a numeric-PD success flag."""
-
-    lower: np.ndarray
-    success: bool
-
-
 def _as_array(m) -> np.ndarray:
     return m.mat if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
-
-
-def sym_eig(m: SymMatrix) -> EigDecomp:
-    """Full symmetric eigendecomposition, eigenvalues nonincreasing."""
-    a = _as_array(m)
-    try:
-        w, v = scipy.linalg.eigh(a)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(
-            f"symmetric eigensolver failed on order-{a.shape[0]} matrix"
-        ) from exc
-    order = np.argsort(w)[::-1]
-    return EigDecomp(eigenvalues=w[order], eigenvectors=v[:, order])
-
-
-def cholesky(m: SymMatrix) -> CholFactor:
-    """Cholesky factorization. success iff m is numerically PD.
-
-    A factorization counts as successful only when every pivot (the squared
-    diagonal of L) exceeds 1e-13 times the largest diagonal entry of m.
-    """
-    a = _as_array(m)
-    try:
-        lower = scipy.linalg.cholesky(a, lower=True)
-    except scipy.linalg.LinAlgError:
-        return CholFactor(lower=np.zeros_like(a), success=False)
-    pivots = np.diag(lower) ** 2
-    if pivots.min() <= 1e-13 * np.diag(a).max():
-        return CholFactor(lower=lower, success=False)
-    return CholFactor(lower=lower, success=True)
 
 
 def condition_number(m: SymMatrix | np.ndarray) -> float:
@@ -255,52 +207,78 @@ def condition_number(m: SymMatrix | np.ndarray) -> float:
     return float(w[-1] / w[0])
 
 
-def psd_inverse(m: SymMatrix) -> SymMatrix:
-    """Inverse of a positive definite matrix via eigendecomposition."""
-    dec = sym_eig(m)
-    w = dec.eigenvalues
-    if w[-1] <= PD_RTOL * max(w[0], 0.0):
-        raise NotPositiveDefiniteError("matrix is numerically singular")
-    v = dec.eigenvectors
-    inv = (v / w) @ v.T
-    return SymMatrix(0.5 * (inv + inv.T))
 
 
-def psd_sqrt(m: SymMatrix) -> SymMatrix:
-    """Symmetric PSD square root via eigendecomposition."""
-    dec = sym_eig(m)
-    w = dec.eigenvalues.copy()
-    if w[-1] < -1e-10 * max(w[0], 0.0):
-        raise NotPositiveDefiniteError(
-            f"eigenvalue {w[-1]:.3e} too negative for a PSD square root")
-    np.clip(w, 0.0, None, out=w)
-    v = dec.eigenvectors
-    root = (v * np.sqrt(w)) @ v.T
-    return SymMatrix(0.5 * (root + root.T))
+# Positive-definite kernels shared by every solver. LAPACK is bound here and
+# nowhere else; Cholesky (dpotrf) factors, inverts (dpotri) and solves
+# (dposv), and eigh runs only for fractional powers and step lengths.
 
 
-def proximity_delta(a: SymMatrix, b: SymMatrix) -> float:
-    """Frobenius proximity ||b^{1/2} a b^{1/2} - I||_F.
+def chol_pd(a):
+    """Lower Cholesky factor, or None when a is not numerically PD."""
+    lower, info = scipy.linalg.lapack.dpotrf(a, lower=1, clean=1)
+    return lower if info == 0 else None
 
-    Symmetric in its arguments when both are positive definite.
+
+def inv_from_chol(lower):
+    """The symmetric inverse of L L^T from its lower Cholesky factor L."""
+    inv, info = scipy.linalg.lapack.dpotri(lower, lower=1)
+    if info != 0:
+        raise np.linalg.LinAlgError("dpotri failed on the Cholesky factor")
+    return inv + np.tril(inv, -1).T
+
+
+def inv_pd(a):
+    """Inverse of a positive definite matrix through its Cholesky factor."""
+    lower = chol_pd(a)
+    if lower is None:
+        raise NotPositiveDefiniteError("matrix is not numerically PD")
+    return inv_from_chol(lower)
+
+
+def solve_pd(h, g):
+    """Solve the (nominally PD) system h x = g; returns (x, pd).
+
+    pd is False when h was not numerically PD and least squares gave x.
+    Newton steps are validated downstream by feasibility and value
+    backtracking, so an inaccurate direction near a cone boundary is
+    harmless.
     """
-    bh = psd_sqrt(b).mat
-    n = bh.shape[0]
-    inner = bh @ _as_array(a) @ bh
-    return float(np.linalg.norm(inner - np.eye(n), ord="fro"))
+    _, x, info = scipy.linalg.lapack.dposv(h, g, lower=0)
+    if info == 0:
+        return x, True
+    return scipy.linalg.lstsq(h, g)[0], False
 
 
-def log_det(m: SymMatrix) -> float:
-    """log-determinant of a positive definite matrix via Cholesky."""
-    fac = cholesky(m)
-    if not fac.success:
-        raise NotPositiveDefiniteError("Cholesky failed; matrix is not PD")
-    return float(2.0 * np.sum(np.log(np.diag(fac.lower))))
+def logdet_from_chol(lower):
+    """log det(L L^T) from the lower Cholesky factor L."""
+    return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
-def trace_product(a: SymMatrix, b: SymMatrix) -> float:
-    """Tr(a b) for symmetric a, b, computed as the entrywise sum a_ij b_ij."""
-    am, bm = _as_array(a), _as_array(b)
-    if am.shape != bm.shape:
-        raise ValueError(f"dimension mismatch: {am.shape} vs {bm.shape}")
-    return float(np.sum(am * bm))
+def max_step_cone(lower, delta_mat):
+    """Largest alpha with L L^T - alpha*delta_mat still PSD (inf if unbounded)."""
+    z = scipy.linalg.solve_triangular(lower, delta_mat, lower=True)
+    t = scipy.linalg.solve_triangular(lower, z.T, lower=True).T
+    wmax = scipy.linalg.eigvalsh(0.5 * (t + t.T))[-1]
+    return np.inf if wmax <= 0 else 1.0 / wmax
+
+
+def sym_pow(a, power):
+    """a**power for a symmetric PD matrix, by eigendecomposition."""
+    w, v = scipy.linalg.eigh(a)
+    if w[0] <= 0:
+        raise NotPositiveDefiniteError("matrix power needs a PD argument")
+    return (v * w ** power) @ v.T
+
+
+def proximity_delta(a, b):
+    """Proximity ||b^{1/2} a b^{1/2} - I||_F for symmetric a; inf unless b is PD.
+
+    Computed as ||L^T a L - I||_F with b = L L^T: the two matrices are
+    orthogonally similar, so their distances to I agree.
+    """
+    lower = chol_pd(b)
+    if lower is None:
+        return np.inf
+    inner = lower.T @ a @ lower
+    return float(np.linalg.norm(inner - np.eye(a.shape[0]), ord="fro"))

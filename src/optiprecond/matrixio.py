@@ -10,8 +10,9 @@ import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .linalg import SymMatrix, sym_eig
+from .linalg import SymMatrix
 
 
 class MatrixMarketError(ValueError):
@@ -60,7 +61,6 @@ class GramSpec:
     gram: SymMatrix
     epsilon: float
     kappa_cap: float
-    source: object = None    # originating RectMatrix or path, if known
 
 
 @dataclass
@@ -205,8 +205,8 @@ def regularize_cap(m: SymMatrix, kappa_cap: float) -> GramSpec:
     """
     if kappa_cap <= 1:
         raise ValueError("kappa_cap must exceed 1")
-    w = sym_eig(m).eigenvalues
-    lam1, lamn = float(w[0]), float(w[-1])
+    w = scipy.linalg.eigvalsh(m.mat)
+    lamn, lam1 = float(w[0]), float(w[-1])
     if lam1 <= 0:
         raise ValueError("matrix must have a positive largest eigenvalue")
     eps = max(0.0, (lam1 - kappa_cap * lamn) / (kappa_cap - 1.0))

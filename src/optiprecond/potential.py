@@ -14,24 +14,20 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .barrier import (
     BarrierPoint,
     CenteringError,
-    _chol_pd,
-    _inv_from_chol,
-    _logdet_from_chol,
-    _max_step_cone,
     _one_sided,
-    _solve_pd,
     compute_center,
     initial_feasible_point,
     newton_ascent,
 )
 from .heuristics import DiagScaling, SIDE_RIGHT
 from .linalg import (SymMatrix, NotPositiveDefiniteError, blas_backend,
-                     condition_number, serial_blas)
+                     chol_pd, condition_number, inv_from_chol, inv_pd,
+                     logdet_from_chol, max_step_cone, proximity_delta,
+                     serial_blas, solve_pd, sym_pow)
 from .matrixio import SolveReport
 
 MODE_FULL = "full"
@@ -55,39 +51,19 @@ class PRConfig:
     """Step-size and termination parameters for potential reduction."""
 
     beta: float = 0.1
-    delta_cap: float = 0.25
     kappa_tol: float = 1e-3
     max_outer: int = 10000
 
     def __post_init__(self):
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
-        if not 0 < self.delta_cap < 1:
-            raise ValueError("delta_cap must lie in (0, 1)")
-
-
-def _delta(a, b):
-    """Proximity ||b^{1/2} a b^{1/2} - I||_F for symmetric a, PD b."""
-    w, v = scipy.linalg.eigh(b)
-    if w[0] <= 0:
-        return np.inf
-    bh = (v * np.sqrt(w)) @ v.T
-    inner = bh @ a @ bh
-    return float(np.linalg.norm(inner - np.eye(a.shape[0]), ord="fro"))
-
-
-def _sym_pow(a, power):
-    w, v = scipy.linalg.eigh(a)
-    if w[0] <= 0:
-        raise NotPositiveDefiniteError("matrix power needs a PD argument")
-    return (v * w ** power) @ v.T
 
 
 def _geometric_mean(rho, xi):
     """U = rho^{1/2} (rho^{1/2} xi rho^{1/2})^{-1/2} rho^{1/2}; U xi U = rho."""
-    rh = _sym_pow(rho, 0.5)
+    rh = sym_pow(rho, 0.5)
     inner = rh @ xi @ rh
-    return rh @ _sym_pow(0.5 * (inner + inner.T), -0.5) @ rh
+    return rh @ sym_pow(0.5 * (inner + inner.T), -0.5) @ rh
 
 
 @dataclass
@@ -126,8 +102,9 @@ class CenterState:
 
     def deltas(self):
         """(delta_RX, delta_SY, delta_DZ)."""
-        return (_delta(self.X, self.R), _delta(self.Y, self.S),
-                _delta(self.Z, self.D))
+        return (proximity_delta(self.X, self.R),
+                proximity_delta(self.Y, self.S),
+                proximity_delta(self.Z, self.D))
 
     def identity_residual(self) -> float:
         """Relative residual of Z + kappa Y = X (full) or its diagonal."""
@@ -139,7 +116,7 @@ class CenterState:
 
     def validate(self, rtol: float = 1e-8):
         for name, mat in (("R", self.R), ("S", self.S), ("D", self.D)):
-            if _chol_pd(mat + rtol * np.linalg.norm(mat) * np.eye(len(mat))) \
+            if chol_pd(mat + rtol * np.linalg.norm(mat) * np.eye(len(mat))) \
                     is None:
                 raise NotPositiveDefiniteError(f"{name} left the PSD cone")
         if self.identity_residual() > rtol:
@@ -158,15 +135,15 @@ class _MatrixCenter:
 
     def factor(self, x):
         d_mat = x.reshape(self.m.shape)
-        chols = [_chol_pd(self.m - d_mat),
-                 _chol_pd(self.kappa * d_mat - self.m), _chol_pd(d_mat)]
+        chols = [chol_pd(self.m - d_mat),
+                 chol_pd(self.kappa * d_mat - self.m), chol_pd(d_mat)]
         return None if any(f is None for f in chols) else chols
 
     def value(self, chols):
-        return sum(map(_logdet_from_chol, chols))
+        return sum(map(logdet_from_chol, chols))
 
     def derivatives(self, chols):
-        x, y, z = map(_inv_from_chol, chols)
+        x, y, z = map(inv_from_chol, chols)
         grad = -x + self.kappa * y + z
         op = np.kron(x, x) + self.kappa ** 2 * np.kron(y, y) + np.kron(z, z)
         return grad.reshape(-1), op
@@ -174,9 +151,9 @@ class _MatrixCenter:
     def max_step(self, chols, dx):
         delta = dx.reshape(self.m.shape)
         lr, ls, ld = chols
-        return min(_max_step_cone(lr, delta),
-                   _max_step_cone(ls, -self.kappa * delta),
-                   _max_step_cone(ld, -delta))
+        return min(max_step_cone(lr, delta),
+                   max_step_cone(ls, -self.kappa * delta),
+                   max_step_cone(ld, -delta))
 
 
 def exact_center_full(m: SymMatrix, kappa: float, tol: float = 1e-12,
@@ -211,19 +188,14 @@ def state_from_center(m: SymMatrix, kappa: float, mode: str = MODE_FULL,
 def _state_at(m_arr, kappa, d_mat, mode):
     """CenterState at D with X, Y, Z set to the true inverses."""
     return CenterState(m=m_arr, kappa=kappa, D=d_mat,
-                       X=_sym_pow(m_arr - d_mat, -1.0),
-                       Y=_sym_pow(kappa * d_mat - m_arr, -1.0),
-                       Z=_sym_pow(d_mat, -1.0), mode=mode)
+                       X=inv_pd(m_arr - d_mat),
+                       Y=inv_pd(kappa * d_mat - m_arr),
+                       Z=inv_pd(d_mat), mode=mode)
 
 
 def delta_kappa(state: CenterState, beta: float) -> float:
     """Step size beta / Tr(D (kappa D - M)^{-1}) from the current state."""
-    ls = _chol_pd(state.S)
-    if ls is None:
-        raise NotPositiveDefiniteError("S = kappa D - M is singular")
-    s_inv = _inv_from_chol(ls)
-    tr = float(np.sum(state.D * s_inv))
-    return beta / tr
+    return beta / float(np.sum(state.D * inv_pd(state.S)))
 
 
 def shift_state(state: CenterState, dk: float) -> CenterState:
@@ -234,7 +206,7 @@ def shift_state(state: CenterState, dk: float) -> CenterState:
     """
     kappa1 = state.kappa - dk
     s_shifted = kappa1 * state.D - state.m
-    if _chol_pd(s_shifted) is None:
+    if chol_pd(s_shifted) is None:
         raise StepTooLargeError(
             f"shift {dk:.3e} makes S indefinite at kappa={kappa1:.6g}")
     return CenterState(m=state.m, kappa=kappa1, D=state.D.copy(),
@@ -260,21 +232,19 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
                          "apply shift_state first")
     n = state.D.shape[0]
     scal = nt_scalings(state)
-    ui = _sym_pow(scal.U, -1.0)
-    vi = _sym_pow(scal.V, -1.0)
-    wi = _sym_pow(scal.W, -1.0)
-    z_rhs = _sym_pow(state.D, -1.0) - state.Z
-    y_rhs = _sym_pow(state.S, -1.0) - state.Y
-    x_rhs = _sym_pow(state.R, -1.0) - state.X
+    ui, vi, wi = inv_pd(scal.U), inv_pd(scal.V), inv_pd(scal.W)
+    z_rhs = inv_pd(state.D) - state.Z
+    y_rhs = inv_pd(state.S) - state.Y
+    x_rhs = inv_pd(state.R) - state.X
     rhs = z_rhs + kappa1 * y_rhs - x_rhs
 
     if state.mode == MODE_DIAG:
         coeff = ui ** 2 + wi ** 2 + kappa1 ** 2 * vi ** 2
-        delta_d = np.diag(_solve_pd(coeff, np.diag(rhs))[0])
+        delta_d = np.diag(solve_pd(coeff, np.diag(rhs))[0])
     else:
         op = (np.kron(ui, ui) + np.kron(wi, wi)
               + kappa1 ** 2 * np.kron(vi, vi))
-        delta_d = _solve_pd(op, rhs.reshape(-1))[0].reshape(n, n)
+        delta_d = solve_pd(op, rhs.reshape(-1))[0].reshape(n, n)
         delta_d = 0.5 * (delta_d + delta_d.T)
 
     delta_z = z_rhs - wi @ delta_d @ wi
@@ -284,8 +254,8 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
     new = CenterState(m=state.m, kappa=kappa1, D=state.D + delta_d,
                       X=state.X + delta_x, Y=state.Y + delta_y,
                       Z=state.Z + delta_z, mode=state.mode)
-    if _chol_pd(new.R) is None or _chol_pd(new.S) is None or \
-            _chol_pd(new.D) is None:
+    if chol_pd(new.R) is None or chol_pd(new.S) is None or \
+            chol_pd(new.D) is None:
         raise StepTooLargeError(
             "NT step left the cone; proximity exceeded the step's basin")
     return new
@@ -328,11 +298,11 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
 
     while iterations < config.max_outer:
         iterations += 1
-        ls = _chol_pd(kappa * np.diag(d) - m_arr)
-        if ls is None:
+        try:
+            s_inv = inv_pd(kappa * np.diag(d) - m_arr)
+        except NotPositiveDefiniteError:
             raise StagnationError("slack matrix lost definiteness",
-                                  {"kappa": kappa})
-        s_inv = _inv_from_chol(ls)
+                                  {"kappa": kappa}) from None
         dk = beta / float(np.sum(d * np.diag(s_inv)))
         if kappa - dk <= 1.0:
             dk = 0.5 * (kappa - 1.0)

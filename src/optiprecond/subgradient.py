@@ -24,7 +24,6 @@ class SubgradConfig:
     upper_bound: float = 10.0
     step_rule: str = "1/k"           # '1/k' | '1/sqrt(k)'
     max_iters: int = 2000
-    seed: int = 0                    # reserved for randomized eigensolves
 
     def __post_init__(self):
         if self.upper_bound <= 1:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from optiprecond import SymMatrix
-from optiprecond.potential import CenterState, _sym_pow, state_from_center
+from optiprecond.linalg import sym_pow
+from optiprecond.potential import CenterState, state_from_center
 
 
 def random_spd(n, rng, cond=50.0):
@@ -113,8 +114,8 @@ def perturbed_center_state(m, kappa, delta_target, rng):
         wd = np.linalg.eigvalsh(d_new)
         if min(wr[0], ws[0], wd[0]) <= 0:
             return None
-        y = _sym_pow(s, -1.0)
-        z = _sym_pow(d_new, -1.0)
+        y = sym_pow(s, -1.0)
+        z = sym_pow(d_new, -1.0)
         x = z + kappa * y
         return CenterState(m=m.mat, kappa=kappa, D=d_new, X=x, Y=y, Z=z,
                            mode="full")
@@ -135,8 +136,8 @@ def perturbed_center_state(m, kappa, delta_target, rng):
 
     p_dir = random_sym(n, rng)
     q_dir = random_sym(n, rng)
-    s_ih = _sym_pow(base.S, -0.5)
-    d_ih = _sym_pow(base.D, -0.5)
+    s_ih = sym_pow(base.S, -0.5)
+    d_ih = sym_pow(base.D, -0.5)
     p_unit = s_ih @ p_dir @ s_ih / np.linalg.norm(p_dir, ord="fro")
     q_unit = d_ih @ q_dir @ d_ih / np.linalg.norm(q_dir, ord="fro")
 

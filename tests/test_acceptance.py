@@ -43,8 +43,8 @@ from optiprecond.potential import (
     shift_state,
     solve_right_pr,
     state_from_center,
-    _sym_pow,
 )
+from optiprecond.linalg import sym_pow
 from optiprecond.subgradient import logcond_subgradient
 from optiprecond.fixtures import FIXTURE_NAMES, fixture_path
 from conftest import (
@@ -266,7 +266,7 @@ def test_criterion_5_proposition_suite():
                 stepped = nt_step(st, st.kappa)
                 after = max(stepped.deltas())
                 assert after <= 0.5 * measured ** 2 / (1 - measured) + 1e-9
-                d_ih = _sym_pow(st.D, -0.5)
+                d_ih = sym_pow(st.D, -0.5)
                 disp = np.linalg.norm(d_ih @ stepped.D @ d_ih - np.eye(n),
                                       ord="fro")
                 assert disp <= measured / (1 - measured) + 1e-9

@@ -16,7 +16,7 @@ from optiprecond import (
     two_sided_feasibility,
 )
 from optiprecond.barrier import _one_sided, _two_sided
-from optiprecond.dsdp import _left_path, _right_path
+from optiprecond.dsdp import build_left, build_right
 from conftest import grid_optimal_two_sided_3x3, random_spd
 
 # root of -12 d^2 + 10 d - 1 inside (1/4, 1): the 1x1, kappa=4 center
@@ -287,11 +287,13 @@ def _phase_one_two_sided(rng):
 
 
 def _dsdp_right(rng):
-    return _right_path(random_spd(5, rng, cond=20.0).mat)
+    p = build_right(random_spd(5, rng, cond=20.0))
+    return p.barrier, p.start
 
 
 def _dsdp_left(rng):
-    return _left_path(rng.standard_normal((7, 3)))
+    p = build_left(RectMatrix(rng.standard_normal((7, 3))))
+    return p.barrier, p.start
 
 
 @pytest.mark.parametrize("make", [_phase_one_one_sided, _phase_one_two_sided,

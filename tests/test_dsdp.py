@@ -16,7 +16,7 @@ def test_build_right_requires_pd():
         build_right(SymMatrix([[1.0, 2.0], [2.0, 1.0]]))
     p = build_right(SymMatrix.identity(3))
     assert p.side == "right"
-    assert p.dim_d == 3
+    assert p.start.size == 1 + 3
 
 
 def test_build_left_requires_rank_and_shape(rng):
@@ -26,7 +26,7 @@ def test_build_left_requires_rank_and_shape(rng):
     with pytest.raises(ValueError):
         build_left(RectMatrix(rng.standard_normal((2, 5))))
     p = build_left(RectMatrix(rng.standard_normal((6, 3))))
-    assert p.dim_d == 6
+    assert p.start.size == 1 + 6
 
 
 def test_right_identity_and_diagonal():

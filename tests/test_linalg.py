@@ -5,21 +5,19 @@ import logging
 import numpy as np
 import pytest
 
-from optiprecond import (
-    CholFactor,
-    NotPositiveDefiniteError,
-    SymMatrix,
-    cholesky,
-    condition_number,
-    log_det,
-    proximity_delta,
-    psd_inverse,
-    psd_sqrt,
-    sym_eig,
-    trace_product,
-)
+from optiprecond import NotPositiveDefiniteError, SymMatrix, condition_number
 from optiprecond import linalg
-from optiprecond.linalg import blas_backend, serial_blas
+from optiprecond.linalg import (
+    blas_backend,
+    chol_pd,
+    inv_pd,
+    logdet_from_chol,
+    max_step_cone,
+    proximity_delta,
+    serial_blas,
+    solve_pd,
+    sym_pow,
+)
 from conftest import random_spd
 
 
@@ -33,60 +31,22 @@ def test_symmatrix_rejects_nonfinite():
         SymMatrix([[np.inf, 0.0], [0.0, 1.0]])
 
 
-def test_sym_eig_identity():
-    dec = sym_eig(SymMatrix.identity(3))
-    assert np.allclose(dec.eigenvalues, [1.0, 1.0, 1.0])
-
-
-def test_sym_eig_diagonal():
-    dec = sym_eig(SymMatrix.diagonal([4.0, 1.0]))
-    assert np.allclose(dec.eigenvalues, [4.0, 1.0])
-    # axis-aligned eigenvectors
-    assert np.allclose(np.abs(dec.eigenvectors), np.eye(2))
-
-
-def test_sym_eig_2x2_quadratic():
-    # eigenvalues of [[1, .5], [.5, 2]] are (3 +- sqrt(2)) / 2
-    dec = sym_eig(SymMatrix([[1.0, 0.5], [0.5, 2.0]]))
-    expect = np.array([(3 + np.sqrt(2)) / 2, (3 - np.sqrt(2)) / 2])
-    assert np.allclose(dec.eigenvalues, expect, rtol=1e-12)
-
-
-def test_sym_eig_reconstruction_invariants(rng):
-    for _ in range(200):
-        n = int(rng.integers(1, 31))
-        a = rng.standard_normal((n, n))
-        m = SymMatrix(0.5 * (a + a.T))
-        dec = sym_eig(m)
-        v, w = dec.eigenvectors, dec.eigenvalues
-        recon = (v * w) @ v.T
-        assert np.linalg.norm(recon - m.mat, ord="fro") <= \
-            1e-10 * (1 + np.linalg.norm(m.mat, ord="fro"))
-        assert np.linalg.norm(v.T @ v - np.eye(n), ord="fro") <= 1e-10 * n
-        assert np.all(np.diff(w) <= 1e-12 * max(1, abs(w[0])))
-
-
 def test_cholesky_identity():
-    fac = cholesky(SymMatrix.identity(2))
-    assert fac.success
-    assert np.allclose(fac.lower, np.eye(2))
+    assert np.allclose(chol_pd(np.eye(2)), np.eye(2))
 
 
 def test_cholesky_indefinite():
-    fac = cholesky(SymMatrix([[1.0, 2.0], [2.0, 1.0]]))
-    assert not fac.success
+    assert chol_pd(np.array([[1.0, 2.0], [2.0, 1.0]])) is None
 
 
 def test_cholesky_hand_elimination():
-    fac = cholesky(SymMatrix([[4.0, 2.0], [2.0, 2.0]]))
-    assert fac.success
-    assert np.allclose(fac.lower, [[2.0, 0.0], [1.0, 1.0]])
+    assert np.allclose(chol_pd(np.array([[4.0, 2.0], [2.0, 2.0]])),
+                       [[2.0, 0.0], [1.0, 1.0]])
 
 
 def test_cholesky_tiny_pivot_fails():
-    fac = cholesky(SymMatrix(np.diag([1.0, 1e-15])))
-    assert isinstance(fac, CholFactor)
-    assert not fac.success
+    # the second pivot, 1e-17, rounds to zero
+    assert chol_pd(np.array([[1.0, 1.0], [1.0, 1.0 + 1e-17]])) is None
 
 
 def test_condition_number_values():
@@ -124,82 +84,89 @@ def test_gram_condition_square_relation(rng):
 
 
 def test_psd_inverse_examples():
-    assert np.allclose(psd_inverse(SymMatrix.diagonal([2.0, 4.0])).mat,
-                       np.diag([0.5, 0.25]))
-    assert np.allclose(psd_inverse(SymMatrix.identity(3)).mat, np.eye(3))
-    inv = psd_inverse(SymMatrix([[4.0, 2.0], [2.0, 2.0]]))
-    assert np.allclose(inv.mat, [[0.5, -0.5], [-0.5, 1.0]])
+    assert np.allclose(inv_pd(np.diag([2.0, 4.0])), np.diag([0.5, 0.25]))
+    assert np.allclose(inv_pd(np.eye(3)), np.eye(3))
+    assert np.allclose(inv_pd(np.array([[4.0, 2.0], [2.0, 2.0]])),
+                       [[0.5, -0.5], [-0.5, 1.0]])
 
 
 def test_psd_inverse_residual(rng):
     m = random_spd(8, rng, cond=1e4)
-    inv = psd_inverse(m)
-    resid = np.linalg.norm(m.mat @ inv.mat - np.eye(8), ord="fro")
+    resid = np.linalg.norm(m.mat @ inv_pd(m.mat) - np.eye(8), ord="fro")
     assert resid <= 1e-8 * condition_number(m)
     with pytest.raises(NotPositiveDefiniteError):
-        psd_inverse(SymMatrix(np.diag([1.0, 0.0])))
+        inv_pd(np.diag([1.0, 0.0]))
 
 
 def test_psd_sqrt():
-    assert np.allclose(psd_sqrt(SymMatrix.diagonal([4.0, 9.0])).mat,
-                       np.diag([2.0, 3.0]))
-    assert np.allclose(psd_sqrt(SymMatrix.identity(4)).mat, np.eye(4))
-    m = SymMatrix([[2.0, 1.0], [1.0, 2.0]])
-    root = psd_sqrt(m)
-    assert np.linalg.norm(root.mat @ root.mat - m.mat, ord="fro") < 1e-10
+    assert np.allclose(sym_pow(np.diag([4.0, 9.0]), 0.5), np.diag([2.0, 3.0]))
+    assert np.allclose(sym_pow(np.eye(4), 0.5), np.eye(4))
+    m = np.array([[2.0, 1.0], [1.0, 2.0]])
+    root = sym_pow(m, 0.5)
+    assert np.linalg.norm(root @ root - m, ord="fro") < 1e-10
     with pytest.raises(NotPositiveDefiniteError):
-        psd_sqrt(SymMatrix(np.diag([1.0, -0.5])))
+        sym_pow(np.diag([1.0, -0.5]), 0.5)
+
+
+@pytest.mark.parametrize("n, cond", [(1, 1.0), (5, 30.0), (12, 1e6)])
+def test_sym_pow_inverse_agrees_with_inv_pd(n, cond, rng):
+    m = random_spd(n, rng, cond=cond).mat
+    inv = inv_pd(m)
+    assert np.array_equal(inv, inv.T)
+    assert np.linalg.norm(sym_pow(m, -1.0) - inv, ord="fro") <= \
+        1e-12 * cond * np.linalg.norm(inv, ord="fro")
 
 
 def test_proximity_delta_examples():
-    eye = SymMatrix.identity(3)
+    eye = np.eye(3)
     assert proximity_delta(eye, eye) == pytest.approx(0.0, abs=1e-14)
     # exact inverses have zero proximity
-    assert proximity_delta(SymMatrix.diagonal([2.0]),
-                           SymMatrix.diagonal([0.5])) == \
+    assert proximity_delta(np.diag([2.0]), np.diag([0.5])) == \
         pytest.approx(0.0, abs=1e-14)
-    assert proximity_delta(SymMatrix.diagonal([1.1, 1.0]),
-                           SymMatrix.identity(2)) == \
+    assert proximity_delta(np.diag([1.1, 1.0]), np.eye(2)) == \
         pytest.approx(0.1, rel=1e-12)
+    # ||b^{1/2} a b^{1/2} - I|| by eigendecomposition, for a dense pair
+    a = np.array([[2.0, 0.5], [0.5, 1.0]])
+    b = np.array([[1.0, 0.3], [0.3, 0.5]])
+    bh = sym_pow(b, 0.5)
+    assert proximity_delta(a, b) == pytest.approx(
+        np.linalg.norm(bh @ a @ bh - np.eye(2), ord="fro"), rel=1e-12)
 
 
 def test_proximity_delta_symmetry(rng):
     for _ in range(20):
-        a = random_spd(5, rng, cond=30)
-        b = random_spd(5, rng, cond=10)
+        a = random_spd(5, rng, cond=30).mat
+        b = random_spd(5, rng, cond=10).mat
         assert proximity_delta(a, b) == \
             pytest.approx(proximity_delta(b, a), rel=1e-8, abs=1e-8)
 
 
 def test_proximity_delta_needs_pd_second_argument():
-    with pytest.raises(NotPositiveDefiniteError):
-        proximity_delta(SymMatrix.identity(2),
-                        SymMatrix([[1.0, 2.0], [2.0, 1.0]]))
+    assert proximity_delta(np.eye(2), np.array([[1.0, 2.0], [2.0, 1.0]])) \
+        == np.inf
 
 
 def test_log_det():
-    assert log_det(SymMatrix.identity(4)) == pytest.approx(0.0, abs=1e-14)
-    assert log_det(SymMatrix.diagonal([np.e, np.e])) == \
-        pytest.approx(2.0, rel=1e-12)
-    assert log_det(SymMatrix([[4.0, 2.0], [2.0, 2.0]])) == \
+    def log_det(a):
+        return logdet_from_chol(chol_pd(np.asarray(a, dtype=float)))
+    assert log_det(np.eye(4)) == pytest.approx(0.0, abs=1e-14)
+    assert log_det(np.diag([np.e, np.e])) == pytest.approx(2.0, rel=1e-12)
+    assert log_det([[4.0, 2.0], [2.0, 2.0]]) == \
         pytest.approx(np.log(4.0), rel=1e-12)
-    with pytest.raises(NotPositiveDefiniteError):
-        log_det(SymMatrix([[1.0, 2.0], [2.0, 1.0]]))
 
 
-def test_trace_product(rng):
-    assert trace_product(SymMatrix.identity(3), SymMatrix.identity(3)) == \
-        pytest.approx(3.0)
-    assert trace_product(SymMatrix.diagonal([1.0, 2.0]),
-                         SymMatrix.diagonal([3.0, 4.0])) == \
-        pytest.approx(11.0)
-    a = random_spd(4, rng)
-    b = random_spd(4, rng)
-    direct = sum(a.mat[i, j] * b.mat[j, i]
-                 for i in range(4) for j in range(4))
-    assert trace_product(a, b) == pytest.approx(direct, rel=1e-12)
-    with pytest.raises(ValueError):
-        trace_product(SymMatrix.identity(2), SymMatrix.identity(3))
+def test_solve_pd_falls_back_to_least_squares():
+    x, pd = solve_pd(np.array([[4.0, 2.0], [2.0, 2.0]]), np.array([2.0, 0.0]))
+    assert pd and np.allclose(x, [1.0, -1.0])
+    x, pd = solve_pd(np.diag([2.0, 0.0]), np.array([4.0, 0.0]))
+    assert not pd and np.allclose(x, [2.0, 0.0])
+
+
+def test_max_step_cone():
+    lower = chol_pd(np.diag([1.0, 4.0]))
+    # diag(1, 4) - alpha diag(2, -1) stays PSD up to alpha = 1/2
+    assert max_step_cone(lower, np.diag([2.0, -1.0])) == pytest.approx(0.5)
+    assert max_step_cone(lower, np.diag([-1.0, -1.0])) == np.inf
 
 
 def _openblas_thread_functions():

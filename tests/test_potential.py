@@ -4,11 +4,11 @@ import pytest
 from optiprecond import SymMatrix
 from optiprecond.barrier import compute_center, barrier_value
 from optiprecond.dsdp import build_right, barrier_path_solve
+from optiprecond.linalg import sym_pow
 from optiprecond.potential import (
     MODE_DIAG,
     PRConfig,
     StepTooLargeError,
-    _sym_pow,
     delta_kappa,
     nt_scalings,
     nt_step,
@@ -22,8 +22,6 @@ from conftest import grid_optimal_right, perturbed_center_state, random_spd
 def test_prconfig_validation():
     with pytest.raises(ValueError):
         PRConfig(beta=1.5)
-    with pytest.raises(ValueError):
-        PRConfig(delta_cap=1.0)
 
 
 def test_center_state_invariants(rng):
@@ -161,7 +159,7 @@ def test_nt_step_displacement_bound(rng):
         delta_target = float(local.uniform(0.05, 0.3))
         st, measured = perturbed_center_state(m, kappa, delta_target, local)
         stepped = nt_step(st, st.kappa)
-        d_ih = _sym_pow(st.D, -0.5)
+        d_ih = sym_pow(st.D, -0.5)
         disp = np.linalg.norm(d_ih @ stepped.D @ d_ih - np.eye(n), ord="fro")
         assert disp <= measured / (1 - measured) + 1e-9
 
