@@ -37,7 +37,6 @@ from .heuristics import (
 from .barrier import (
     BarrierPoint,
     FeasibilityResult,
-    PhaseIConfig,
     InfeasiblePointError,
     CenteringError,
     barrier_value,
@@ -59,7 +58,6 @@ from .potential import (
 )
 from .dsdp import (
     DsdpProblem,
-    DsdpConfig,
     build_right,
     build_left,
     barrier_path_solve,

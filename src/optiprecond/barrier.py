@@ -28,6 +28,15 @@ from .matrixio import RectMatrix
 # (1 + |value|): the rounding noise of the barrier value near a center.
 _ACCEPT_RTOL = 1e-12
 
+# Phase-I margin search: at most 30 re-centerings, each a Newton ascent of at
+# most 80 steps to a gradient of 1e-10. Callers count a margin of at least
+# -1e-7 as feasible; d1 is boxed below 1e6 in the two-sided problem.
+_OUTER_STEPS = 30
+_NEWTON_TOL = 1e-10
+_NEWTON_CAP = 80
+_BOUNDARY_TOL = 1e-7
+_BOX_BOUND = 1e6
+
 
 class InfeasiblePointError(ValueError):
     """A point violates strict feasibility of the barrier cones."""
@@ -39,17 +48,6 @@ class CenteringError(RuntimeError):
     def __init__(self, message, grad_norm=None):
         super().__init__(message)
         self.grad_norm = grad_norm
-
-
-@dataclass
-class PhaseIConfig:
-    """Tuning knobs for the feasibility-margin search."""
-
-    outer_steps: int = 30
-    newton_tol: float = 1e-10
-    newton_cap: int = 80
-    boundary_tol: float = 1e-7
-    box_bound: float = 1e6  # upper box on d1 in the two-sided problem
 
 
 @dataclass
@@ -294,10 +292,10 @@ def _one_sided(m_arr, kappa, shift=0.0) -> LmiBarrier:
                       [Bound(d, 1.0, shift)])
 
 
-def _two_sided(a_arr, kappa, shift, box_bound) -> LmiBarrier:
+def _two_sided(a_arr, kappa, shift) -> LmiBarrier:
     """Cones A^T D1 A - D2 - sI, kappa D2 - A^T D1 A - sI over (d1, d2).
 
-    Bounds d1 > 1 + s (first: it bounds the margin), d1 < box_bound and
+    Bounds d1 > 1 + s (first: it bounds the margin), d1 < _BOX_BOUND and
     d2 > 0; the box and positivity stay unshifted, and the box bounds the
     otherwise scale-unbounded region.
     """
@@ -308,7 +306,7 @@ def _two_sided(a_arr, kappa, shift, box_bound) -> LmiBarrier:
         m_rows + n,
         [(f0, (Term(d1, 1.0, rows=a_arr), Term(d2, -1.0))),
          (f0, (Term(d2, kappa), Term(d1, -1.0, rows=a_arr)))],
-        [Bound(d1, 1.0, 1.0 + shift), Bound(d1, -1.0, box_bound),
+        [Bound(d1, 1.0, 1.0 + shift), Bound(d1, -1.0, _BOX_BOUND),
          Bound(d2)])
 
 
@@ -374,7 +372,7 @@ def initial_feasible_point(m: SymMatrix, kappa: float) -> BarrierPoint:
 
 
 @serial_blas()
-def _margin_ascent(make_barrier, x0, config, stop_above=None):
+def _margin_ascent(make_barrier, x0, stop_above=None):
     """Max-margin search by repeated centering at the current best slack.
 
     Centering the s-shifted region from a witness with slack > s lands
@@ -387,16 +385,14 @@ def _margin_ascent(make_barrier, x0, config, stop_above=None):
     sig = _min_slack(base, w)
     converged = False
     fallbacks = 0
-    for _ in range(config.outer_steps):
+    for _ in range(_OUTER_STEPS):
         if stop_above is not None and sig > stop_above:
             converged = True
             break
         pad = 1e-9 * max(1.0, abs(sig))
         try:
-            res = newton_ascent(make_barrier(sig - pad), w,
-                                config.newton_cap,
-                                grad_tol=config.newton_tol,
-                                dec_tol=1e-12)
+            res = newton_ascent(make_barrier(sig - pad), w, _NEWTON_CAP,
+                                grad_tol=_NEWTON_TOL, dec_tol=1e-12)
         except InfeasiblePointError:
             break
         fallbacks += res.fallbacks
@@ -414,14 +410,12 @@ def _margin_ascent(make_barrier, x0, config, stop_above=None):
                              newton_fallbacks=fallbacks)
 
 
-def feasibility_margin(m: SymMatrix, kappa: float,
-                       config: PhaseIConfig | None = None) -> FeasibilityResult:
+def feasibility_margin(m: SymMatrix, kappa: float) -> FeasibilityResult:
     """Largest uniform slack s with M-D >= sI, kD-M >= sI, D >= sI feasible.
 
     The sign of the margin decides SDP feasibility at level kappa; the
     witness attains it (up to the search resolution).
     """
-    config = config or PhaseIConfig()
     m_arr = m.mat
     w = scipy.linalg.eigvalsh(m_arr)
     lamn, lam1 = float(w[0]), float(w[-1])
@@ -429,14 +423,11 @@ def feasibility_margin(m: SymMatrix, kappa: float,
         raise InfeasiblePointError("matrix must be positive definite")
     c = np.sqrt(lam1 * lamn / kappa) if kappa > 0 else np.sqrt(lam1 * lamn)
     return _margin_ascent(lambda s: _one_sided(m_arr, kappa, s),
-                          np.full(m.order, c), config)
+                          np.full(m.order, c))
 
 
-def two_sided_feasibility(a: RectMatrix, kappa: float,
-                          config: PhaseIConfig | None = None
-                          ) -> FeasibilityResult:
+def two_sided_feasibility(a: RectMatrix, kappa: float) -> FeasibilityResult:
     """Phase-I max margin for A^T D1 A >= D2, kD2 >= A^T D1 A, D1 >= I."""
-    config = config or PhaseIConfig()
     x = a.tall()
     m_rows, n = x.shape
     gram = x.T @ x
@@ -450,8 +441,8 @@ def two_sided_feasibility(a: RectMatrix, kappa: float,
     v0 = np.concatenate([d1, np.full(n, c)])
 
     # bisection needs only the margin's sign; stop once it is unambiguous
-    stop_above = max(100 * config.boundary_tol, 1e-3 * lamn)
-    res = _margin_ascent(lambda s: _two_sided(x, kappa, s, config.box_bound),
-                         v0, config, stop_above=stop_above)
+    stop_above = max(100 * _BOUNDARY_TOL, 1e-3 * lamn)
+    res = _margin_ascent(lambda s: _two_sided(x, kappa, s), v0,
+                         stop_above=stop_above)
     res.witness_left, res.witness = res.witness[:m_rows], res.witness[m_rows:]
     return res

@@ -218,44 +218,47 @@ def cmd_concentration(args) -> int:
     return EXIT_OK
 
 
+# Every flag, by name; each subcommand takes the ones its handler reads.
+_FLAGS = {
+    "input": dict(required=True, help="Matrix Market (.mtx) or dense CSV"),
+    "method": dict(default="optimal-right"),
+    "side": dict(choices=("left", "right", "two"), default="right"),
+    "epsilon": dict(type=float, default=1e-2),
+    "cap": dict(type=float, help="regularize the Gram matrix to kappa <= CAP"),
+    "seed": dict(type=int, default=0),
+    "ratios": dict(default="1.0"),
+    "tol": dict(type=float, default=1e-6),
+    "out": dict(),
+    "format": dict(choices=("json", "csv"), default="json"),
+    "emit-scaling": dict(),
+    "apply": dict(help="one-column CSV scaling to apply before measuring"),
+    "n-grid": dict(default="400,4000"),
+    "sigma-diag": dict(default="1,2,3,4,5"),
+    "trials": dict(type=int, default=10),
+}
+
+_SUBCOMMANDS = (
+    ("cond", "condition number of the Gram matrix",
+     "input cap apply out format"),
+    ("precond", "compute a preconditioner",
+     "input method side epsilon cap emit-scaling out format"),
+    ("pcg-bench", "PCG iteration counts per preconditioner",
+     "input cap epsilon tol seed out format"),
+    ("sample-sweep", "row-sampling sweep", "input ratios seed out format"),
+    ("concentration", "condition number concentration experiment",
+     "seed n-grid sigma-diag trials out format"),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="optiprecond",
         description="Optimal and heuristic diagonal preconditioning")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p, needs_input=True):
-        if needs_input:
-            p.add_argument("--input", required=True,
-                           help="Matrix Market (.mtx) or dense CSV file")
-        p.add_argument("--method", default="optimal-right")
-        p.add_argument("--side", choices=("left", "right", "two"),
-                       default="right")
-        p.add_argument("--epsilon", type=float, default=1e-2)
-        p.add_argument("--cap", type=float, default=None,
-                       help="regularize the Gram matrix to kappa <= CAP")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--ratios", default="1.0")
-        p.add_argument("--tol", type=float, default=1e-6)
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--emit-scaling", default=None)
-        p.add_argument("--apply", default=None,
-                       help="one-column CSV scaling to apply before "
-                            "measuring kappa")
-
-    common(sub.add_parser("cond", help="condition number of the Gram matrix"))
-    common(sub.add_parser("precond", help="compute a preconditioner"))
-    common(sub.add_parser("pcg-bench",
-                          help="PCG iteration counts per preconditioner"))
-    sweep = sub.add_parser("sample-sweep", help="row-sampling sweep")
-    common(sweep)
-    conc = sub.add_parser("concentration",
-                          help="condition number concentration experiment")
-    common(conc, needs_input=False)
-    conc.add_argument("--n-grid", default="400,4000")
-    conc.add_argument("--sigma-diag", default="1,2,3,4,5")
-    conc.add_argument("--trials", type=int, default=10)
+    for name, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags.split():
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
     sub.add_parser("version", help="print the package version")
     return parser
 

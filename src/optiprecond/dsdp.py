@@ -33,15 +33,14 @@ class NewtonFailureError(RuntimeError):
         self.residual = residual
 
 
-@dataclass
-class DsdpConfig:
-    """Path-following schedule: mu_0 = 1 shrinks by mu_factor down to mu_min."""
-
-    mu_init: float = 1.0
-    mu_factor: float = 5.0
-    mu_min: float = 1e-9
-    newton_cap: int = 50
-    decrement_tol: float = 1e-10   # relative to 1 + |stage objective|
+# Path-following schedule: mu = 1 shrinks fivefold per stage down to 1e-9
+# (14 stages), each stage a Newton ascent of at most 50 steps that stops on
+# a decrement below 1e-10 relative to 1 + |stage objective|.
+_MU_INIT = 1.0
+_MU_FACTOR = 5.0
+_MU_MIN = 1e-9
+_NEWTON_CAP = 50
+_DECREMENT_TOL = 1e-10
 
 
 @dataclass
@@ -102,23 +101,21 @@ def build_left(a: RectMatrix) -> DsdpProblem:
 
 
 @serial_blas()
-def barrier_path_solve(p: DsdpProblem, config: DsdpConfig | None = None
+def barrier_path_solve(p: DsdpProblem
                        ) -> tuple[float, np.ndarray, SolveReport]:
     """Follow the central path to (tau*, d*); returns kappa = 1/tau* in the report."""
-    config = config or DsdpConfig()
     t0 = time.perf_counter()
     barrier, x = p.barrier, p.start
     if barrier.factor(x) is None:
         raise NewtonFailureError("strictly feasible start recipe failed",
-                                 mu=config.mu_init)
+                                 mu=_MU_INIT)
     objective = np.zeros(x.size)
     objective[0] = 1.0
-    mu = config.mu_init
+    mu = _MU_INIT
     stages = fallbacks = 0
     taus = []   # per-stage central path points; tau is monotone along them
     while True:
-        res = newton_ascent(barrier, x, config.newton_cap,
-                            dec_tol=config.decrement_tol,
+        res = newton_ascent(barrier, x, _NEWTON_CAP, dec_tol=_DECREMENT_TOL,
                             c=objective, mu=mu)
         fallbacks += res.fallbacks
         if res.status == "stalled":
@@ -127,9 +124,9 @@ def barrier_path_solve(p: DsdpProblem, config: DsdpConfig | None = None
         x = res.x
         taus.append(x[0])
         stages += 1
-        if mu <= config.mu_min:
+        if mu <= _MU_MIN:
             break
-        mu /= config.mu_factor
+        mu /= _MU_FACTOR
     report = SolveReport(
         matrix="", method=f"dsdp_{p.side}",
         kappa_before=p.kappa_before, kappa_after=1.0 / x[0],

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .barrier import PhaseIConfig, two_sided_feasibility
-from .dsdp import DsdpConfig, barrier_path_solve, build_left, build_right
+from .barrier import _BOUNDARY_TOL, two_sided_feasibility
+from .dsdp import barrier_path_solve, build_left, build_right
 from .heuristics import (
     DiagScaling,
     SIDE_LEFT,
@@ -28,18 +28,22 @@ from .linalg import (SymMatrix, NotPositiveDefiniteError, blas_backend,
 from .matrixio import RectMatrix, SolveReport
 from .potential import PRConfig, solve_right_pr
 
+# Alternation stops after 20 rounds, or once a round improves kappa by less
+# than 0.1 %.
+_MAX_ROUNDS = 20
+_IMPROVEMENT_TOL = 1e-3
+
 
 @dataclass
 class OptimalRequest:
     """What to solve and how: side, method, tolerance, optional warm start."""
 
     side: str = "right"                   # left | right | two_sided
-    method: str = "auto"                  # bisection | potential_reduction | dsdp | auto
+    # optimal_right reads it: auto | potential_reduction | dsdp
+    method: str = "auto"
     epsilon: float = 1e-2
     warm_start: DiagScaling | None = None
     pr_config: PRConfig | None = None
-    dsdp_config: DsdpConfig | None = None
-    phase1_config: PhaseIConfig | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -69,7 +73,7 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
         scaling, inner = solve_right_pr(m, req.pr_config)
         d = scaling.values
     elif method == "dsdp":
-        _, d, inner = barrier_path_solve(build_right(m), req.dsdp_config)
+        _, d, inner = barrier_path_solve(build_right(m))
     else:
         raise ValueError(f"unsupported right-side method {method!r}")
     d = _normalized(d)
@@ -97,7 +101,7 @@ def optimal_left(a: RectMatrix, req: OptimalRequest | None = None
     rect = RectMatrix(x)
     gram = SymMatrix(x.T @ x)
     kappa_before = condition_number(gram)
-    _, d, inner = barrier_path_solve(build_left(rect), req.dsdp_config)
+    _, d, inner = barrier_path_solve(build_left(rect))
     d = _normalized(d)
     scaling = DiagScaling(d, side=SIDE_LEFT)
     scaled = x.T @ (d[:, None] * x)
@@ -133,7 +137,7 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     bracket until its width drops below epsilon. Returns the last feasible
     witness pair.
     """
-    req = req or OptimalRequest(side="two_sided", method="bisection")
+    req = req or OptimalRequest(side="two_sided")
     t0 = time.perf_counter()
     x = a.tall()
     if max(x.shape) > 300:
@@ -141,7 +145,6 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     rect = RectMatrix(x)
     gram = SymMatrix(x.T @ x)
     kappa_before = condition_number(gram)
-    phase1 = req.phase1_config or PhaseIConfig()
 
     kappa0 = kappa_before
     warm = _warm_kappa(gram, req.warm_start)
@@ -153,8 +156,8 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     best_d1 = np.ones(x.shape[0])
     best_d2 = np.full(x.shape[1], lamn)
 
-    res0 = two_sided_feasibility(rect, kappa0, phase1)
-    if res0.margin >= -phase1.boundary_tol:
+    res0 = two_sided_feasibility(rect, kappa0)
+    if res0.margin >= -_BOUNDARY_TOL:
         best_d1, best_d2 = res0.witness_left, res0.witness
     fallbacks = res0.newton_fallbacks
     lo, hi = 1.0, kappa0
@@ -162,9 +165,9 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     while hi - lo >= req.epsilon:
         iterations += 1
         mid = 0.5 * (lo + hi)
-        res = two_sided_feasibility(rect, mid, phase1)
+        res = two_sided_feasibility(rect, mid)
         fallbacks += res.newton_fallbacks
-        if res.margin >= -phase1.boundary_tol:
+        if res.margin >= -_BOUNDARY_TOL:
             hi = mid
             best_d1, best_d2 = res.witness_left, res.witness
         else:
@@ -188,8 +191,7 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
 
 
 @serial_blas()
-def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None,
-                        max_rounds: int = 20, improvement_tol: float = 1e-3
+def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None
                         ) -> tuple[DiagScaling, SolveReport]:
     """Two-sided preconditioner by alternating one-sided optimal solves.
 
@@ -210,7 +212,7 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None,
     current = x.copy()
     kappa_track = [kappa_before]
     rounds = 0
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         rounds += 1
         left_scaling, _ = optimal_left(RectMatrix(current), req)
         d1_total *= left_scaling.values
@@ -218,15 +220,14 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None,
 
         right_gram = SymMatrix(current.T @ current)
         right_scaling, _ = optimal_right(right_gram, OptimalRequest(
-            side="right", method="dsdp", epsilon=req.epsilon,
-            dsdp_config=req.dsdp_config))
+            method="dsdp", epsilon=req.epsilon))
         d2_total *= right_scaling.values
         current = current / np.sqrt(right_scaling.values)[None, :]
 
         kappa_now = condition_number(current.T @ current)
         kappa_track.append(kappa_now)
-        if kappa_now <= 1 + 1e-9 or \
-                kappa_track[-2] - kappa_now < improvement_tol * kappa_track[-2]:
+        gain = kappa_track[-2] - kappa_now
+        if kappa_now <= 1 + 1e-9 or gain < _IMPROVEMENT_TOL * kappa_track[-2]:
             break
 
     scaling = DiagScaling.pair(_normalized(d1_total), _normalized(d2_total))

@@ -33,6 +33,8 @@ from .matrixio import SolveReport
 MODE_FULL = "full"
 MODE_DIAG = "diag"
 
+_MAX_OUTER = 10000   # outer steps of solve_right_pr
+
 
 class StepTooLargeError(RuntimeError):
     """A kappa shift pushed the slack matrix S out of the PSD cone."""
@@ -52,7 +54,6 @@ class PRConfig:
 
     beta: float = 0.1
     kappa_tol: float = 1e-3
-    max_outer: int = 10000
 
     def __post_init__(self):
         if not 0 < self.beta < 1:
@@ -275,7 +276,7 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
     mode='exact' re-centers fully after each kappa decrease; 'approximate'
     performs exactly one NT Newton step. Starts at kappa = 1.01 kappa(M)
     from the uniform interior point; terminates on three consecutive outer
-    steps with relative progress below kappa_tol.
+    steps with relative progress below kappa_tol, or after 10,000 steps.
     """
     if mode not in ("exact", "approximate"):
         raise ValueError("mode must be 'exact' or 'approximate'")
@@ -296,14 +297,14 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
     clean_steps = 0
     iterations = 0
 
-    while iterations < config.max_outer:
+    while iterations < _MAX_OUTER:
         iterations += 1
         try:
-            s_inv = inv_pd(kappa * np.diag(d) - m_arr)
+            state = _state_at(m_arr, kappa, np.diag(d), MODE_DIAG)
         except NotPositiveDefiniteError:
-            raise StagnationError("slack matrix lost definiteness",
+            raise StagnationError("iterate lost definiteness",
                                   {"kappa": kappa}) from None
-        dk = beta / float(np.sum(d * np.diag(s_inv)))
+        dk = beta / float(np.sum(d * np.diag(state.Y)))
         if kappa - dk <= 1.0:
             dk = 0.5 * (kappa - 1.0)
             if dk <= 1e-15 * kappa:
@@ -316,9 +317,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
                 d_new = compute_center(m, kappa_new, start,
                                        tol=center_tol).d
             else:
-                state = _state_at(m_arr, kappa, np.diag(d), MODE_DIAG)
-                state = nt_step(shift_state(state, dk), kappa_new)
-                d_new = np.diag(state.D).copy()
+                stepped = nt_step(shift_state(state, dk), kappa_new)
+                d_new = np.diag(stepped.D).copy()
                 if np.any(d_new <= 0):
                     raise StepTooLargeError("diagonal left positivity")
         except (StepTooLargeError, CenteringError,

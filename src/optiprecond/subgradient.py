@@ -7,14 +7,10 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
-import scipy.sparse.linalg
 
 from .heuristics import DiagScaling, SIDE_RIGHT
 from .linalg import SymMatrix, NotPositiveDefiniteError, condition_number
 from .matrixio import SolveReport
-
-# dense eigensolver below this order, Lanczos above
-_LANCZOS_CUTOFF = 500
 
 
 @dataclass
@@ -32,17 +28,6 @@ class SubgradConfig:
             raise ValueError("step_rule must be '1/k' or '1/sqrt(k)'")
 
 
-def _extreme_eigpairs(mat):
-    """(lam_min, u, lam_max, v) of a symmetric matrix."""
-    n = mat.shape[0]
-    if n > _LANCZOS_CUTOFF:
-        lmax, vmax = scipy.sparse.linalg.eigsh(mat, k=1, which="LA")
-        lmin, vmin = scipy.sparse.linalg.eigsh(mat, k=1, which="SA")
-        return float(lmin[0]), vmin[:, 0], float(lmax[0]), vmax[:, 0]
-    w, v = scipy.linalg.eigh(mat)
-    return float(w[0]), v[:, 0], float(w[-1]), v[:, -1]
-
-
 def logcond_subgradient(m: SymMatrix, d) -> np.ndarray:
     """A subgradient of d -> log kappa(D M D) at the diagonal d.
 
@@ -54,7 +39,8 @@ def logcond_subgradient(m: SymMatrix, d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     m_arr = m.mat
     dmd = d[:, None] * m_arr * d[None, :]
-    lmin, u, lmax, v = _extreme_eigpairs(0.5 * (dmd + dmd.T))
+    w, vecs = scipy.linalg.eigh(0.5 * (dmd + dmd.T))
+    lmin, u, lmax, v = float(w[0]), vecs[:, 0], float(w[-1]), vecs[:, -1]
     if lmin <= 0:
         raise NotPositiveDefiniteError("D M D is not positive definite")
     mdv = m_arr @ (d * v)

@@ -4,7 +4,6 @@ import pytest
 from optiprecond import (
     BarrierPoint,
     InfeasiblePointError,
-    PhaseIConfig,
     RectMatrix,
     SymMatrix,
     barrier_gradient,
@@ -265,12 +264,6 @@ def test_two_sided_witness_attains_margin(rng):
     assert slack >= res.margin * (1 - 1e-6)
 
 
-def test_phase1_config_defaults():
-    cfg = PhaseIConfig()
-    assert cfg.outer_steps == 30
-    assert cfg.boundary_tol == 1e-7
-
-
 def _phase_one_one_sided(rng):
     m = random_spd(5, rng, cond=20.0)
     kappa = 3.0 * np.linalg.cond(m.mat)
@@ -282,7 +275,7 @@ def _phase_one_two_sided(rng):
     a = RectMatrix(rng.standard_normal((6, 4)))
     kappa = 2.0 * np.linalg.cond(a.mat.T @ a.mat)
     res = two_sided_feasibility(a, kappa)
-    barrier = _two_sided(a.mat, kappa, 0.5 * res.margin, 1e6)
+    barrier = _two_sided(a.mat, kappa, 0.5 * res.margin)
     return barrier, np.concatenate([res.witness_left, res.witness])
 
 

@@ -218,3 +218,17 @@ def test_out_file_written(tmp_path, capsys):
          "--out", str(out_path)], capsys)
     assert code == 0
     assert json.loads(out_path.read_text())[0]["method"] == "jacobi"
+
+
+@pytest.mark.parametrize("argv", [
+    ["cond", "--input", "m.mtx", "--seed", "1"],
+    ["precond", "--input", "m.mtx", "--tol", "1e-8"],
+    ["pcg-bench", "--input", "m.mtx", "--side", "left"],
+    ["sample-sweep", "--input", "m.mtx", "--epsilon", "0.1"],
+    ["concentration", "--cap", "2.0"],
+])
+def test_subcommand_rejects_flag_it_does_not_read(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err

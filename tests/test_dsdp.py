@@ -2,12 +2,7 @@ import numpy as np
 import pytest
 
 from optiprecond import NotPositiveDefiniteError, RectMatrix, SymMatrix
-from optiprecond.dsdp import (
-    DsdpConfig,
-    barrier_path_solve,
-    build_left,
-    build_right,
-)
+from optiprecond.dsdp import barrier_path_solve, build_left, build_right
 from conftest import grid_optimal_right, random_spd, scaled_kappa
 
 
@@ -105,7 +100,7 @@ def test_right_kappa_after_measured(rng):
 
 def test_config_schedule_respected(rng):
     m = random_spd(3, rng)
-    cfg = DsdpConfig(mu_init=1.0, mu_factor=10.0, mu_min=2e-6)
-    tau, d, rep = barrier_path_solve(build_right(m), cfg)
-    assert rep.iterations == 7   # stages at mu = 1, 1e-1, ..., 1e-6
-    assert rep.extra["mu_final"] <= cfg.mu_min
+    tau, d, rep = barrier_path_solve(build_right(m))
+    assert rep.iterations == 14   # stages at mu = 1, 1/5, ..., 5^-13
+    assert len(rep.extra["tau_path"]) == 14
+    assert rep.extra["mu_final"] <= 1e-9
