@@ -37,6 +37,9 @@ _NEWTON_CAP = 80
 _BOUNDARY_TOL = 1e-7
 _BOX_BOUND = 1e6
 
+# compute_center takes at most 200 Newton steps.
+_CENTER_NEWTON_CAP = 200
+
 
 class InfeasiblePointError(ValueError):
     """A point violates strict feasibility of the barrier cones."""
@@ -345,9 +348,9 @@ def barrier_hessian(m: SymMatrix, p: BarrierPoint) -> SymMatrix:
 
 
 def compute_center(m: SymMatrix, kappa: float, start: BarrierPoint,
-                   tol: float = 1e-8, max_iter: int = 200) -> BarrierPoint:
+                   tol: float = 1e-8) -> BarrierPoint:
     """Analytic center of the region at level kappa from a feasible start."""
-    res = newton_ascent(_one_sided(m.mat, kappa), start.d, max_iter,
+    res = newton_ascent(_one_sided(m.mat, kappa), start.d, _CENTER_NEWTON_CAP,
                         grad_tol=tol)
     if res.status != "converged":
         raise CenteringError(

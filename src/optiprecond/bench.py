@@ -127,7 +127,7 @@ def sampling_sweep(a: RectMatrix, ratios, seed: int = 0,
     by m/m_tilde in the reported estimation gap so it estimates the full
     Gram. Rank-deficient samples are flagged, not fatal.
     """
-    req = req or OptimalRequest(side="right", method="dsdp")
+    req = req or OptimalRequest(method="dsdp")
     m_rows = a.rows
     full_gram = gram_matrix(a)
     points = []

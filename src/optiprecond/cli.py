@@ -101,8 +101,9 @@ def cmd_cond(args) -> int:
 
 
 def _solve_precond(method, a, gram, args):
-    req = OptimalRequest(side="right", epsilon=args.epsilon,
-                         method="auto")
+    if args.side is not None and method != "optimal-two-sided":
+        raise ValueError("--side applies to --method optimal-two-sided only")
+    req = OptimalRequest(epsilon=args.epsilon)
     if method == "jacobi":
         scaling = jacobi_scaling(gram)
         return scaling, None
@@ -114,13 +115,11 @@ def _solve_precond(method, a, gram, args):
     if method == "optimal-right":
         return optimal_right(gram, req)
     if method == "optimal-left":
-        return optimal_left(a, OptimalRequest(side="left",
-                                              epsilon=args.epsilon))
+        return optimal_left(a, req)
     if method == "optimal-two-sided":
-        req2 = OptimalRequest(side="two_sided", epsilon=args.epsilon)
         if args.side == "two":
-            return bisect_two_sided(a, req2)
-        return alternate_two_sided(a, req2)
+            return bisect_two_sided(a, req)
+        return alternate_two_sided(a, req)
     if method == "subgrad":
         return projected_subgradient_solve(gram)
     raise ValueError(f"unknown method {method!r}")
@@ -162,8 +161,7 @@ def cmd_pcg_bench(args) -> int:
         "jacobi": jacobi_scaling(gram),
         "ruiz": ruiz_equilibrate(gram),
         "optimal": optimal_right(
-            gram, OptimalRequest(side="right", method="dsdp",
-                                 epsilon=args.epsilon))[0],
+            gram, OptimalRequest(method="dsdp", epsilon=args.epsilon))[0],
     }
     reports = pcg_compare(gram, scalings, tol=args.tol, seed=args.seed)
     for r in reports:
@@ -222,7 +220,7 @@ def cmd_concentration(args) -> int:
 _FLAGS = {
     "input": dict(required=True, help="Matrix Market (.mtx) or dense CSV"),
     "method": dict(default="optimal-right"),
-    "side": dict(choices=("left", "right", "two"), default="right"),
+    "side": dict(choices=("left", "right", "two")),
     "epsilon": dict(type=float, default=1e-2),
     "cap": dict(type=float, help="regularize the Gram matrix to kappa <= CAP"),
     "seed": dict(type=int, default=0),

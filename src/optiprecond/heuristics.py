@@ -1,11 +1,14 @@
-"""Baseline diagonal scalings: Jacobi, column norm, and Ruiz equilibration."""
+"""Diagonal scalings, their measurement, the finishing step of every solver,
+and the Jacobi, column norm and Ruiz baselines."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 
-from .linalg import SymMatrix, condition_number
-from .matrixio import RectMatrix
+from .linalg import SymMatrix, blas_backend, condition_number
+from .matrixio import RectMatrix, SolveReport
 
 SIDE_LEFT = "left"
 SIDE_RIGHT = "right"
@@ -56,9 +59,9 @@ def apply_scaling(m: SymMatrix, scaling: DiagScaling | None) -> SymMatrix:
     """Scaled Gram matrix D^{-1/2} M D^{-1/2} (identity when scaling is None)."""
     if scaling is None:
         return m
-    if scaling.side == SIDE_PAIR:
-        raise ValueError("two-sided pairs scale the rectangular matrix, "
-                         "not the Gram matrix; use apply_pair")
+    if scaling.side != SIDE_RIGHT:
+        raise ValueError(f"a {scaling.side} scaling scales the rectangular "
+                         "matrix; use scaled_condition or apply_pair")
     if scaling.values.size != m.order:
         raise ValueError("scaling length does not match matrix order")
     s = 1.0 / np.sqrt(scaling.values)
@@ -78,9 +81,47 @@ def apply_pair(a: RectMatrix, scaling: DiagScaling) -> SymMatrix:
     return SymMatrix(s[:, None] * (0.5 * (g + g.T)) * s[None, :])
 
 
-def scaled_condition(m: SymMatrix, scaling: DiagScaling | None) -> float:
-    """Condition number of the scaled Gram matrix."""
-    return condition_number(apply_scaling(m, scaling))
+def scaled_condition(source: SymMatrix | RectMatrix,
+                     scaling: DiagScaling | None) -> float:
+    """Condition number of the matrix that a scaling makes from its source.
+
+    A right scaling (or None) scales the Gram matrix ``source`` as
+    D^{-1/2} M D^{-1/2}; a left scaling the rectangular ``source`` as
+    A^T D A; a pair as ``apply_pair``.
+    """
+    if scaling is not None and scaling.side == SIDE_LEFT:
+        # measured as the pair whose right sequence is all ones
+        ones = np.ones(source.tall().shape[1])
+        scaling = DiagScaling.pair(scaling.values, ones)
+    if scaling is not None and scaling.side == SIDE_PAIR:
+        return condition_number(apply_pair(source, scaling))
+    return condition_number(apply_scaling(source, scaling))
+
+
+def finish_solve(method: str, t0: float, source: SymMatrix | RectMatrix,
+                 kappa_before: float, scaling: DiagScaling, iterations: int,
+                 extra: dict) -> tuple[DiagScaling, SolveReport]:
+    """Normalize each sequence of ``scaling`` to max 1, re-measure kappa on
+    ``source`` (the Gram matrix for a right scaling, the rectangular matrix
+    for a left one or a pair), and fall back to all ones when that is worse
+    than ``kappa_before``. The report's wall time runs from ``t0``.
+    """
+    def each_sequence(f):
+        left = scaling.left_values
+        return DiagScaling(f(scaling.values), scaling.side,
+                           None if left is None else f(left))
+
+    finished = each_sequence(lambda v: v / v.max())
+    kappa_after = scaled_condition(source, finished)
+    if kappa_after > kappa_before:
+        finished, kappa_after = each_sequence(np.ones_like), kappa_before
+    report = SolveReport(
+        matrix="", method=method,
+        kappa_before=kappa_before, kappa_after=kappa_after,
+        iterations=iterations,
+        wall_time_seconds=time.perf_counter() - t0,
+        extra={**extra, "blas_backend": blas_backend()})
+    return finished, report
 
 
 def jacobi_scaling(m: SymMatrix) -> DiagScaling:

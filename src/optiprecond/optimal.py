@@ -1,8 +1,9 @@
 """Facade for the three optimal-preconditioning entry points.
 
 Combines the feasibility oracle, the potential-reduction solver, and the
-dual-SDP path follower into right, left, and two-sided solves. Returned
-scalings are normalized so max d_i = 1 (solutions are scale invariant).
+dual-SDP path follower into right, left, and two-sided solves. Each ends in
+``heuristics.finish_solve``: scalings normalized to max 1, kappa re-measured
+and never worse than unscaled.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ from .heuristics import (
     DiagScaling,
     SIDE_LEFT,
     SIDE_RIGHT,
-    apply_pair,
     apply_scaling,
+    finish_solve,
 )
-from .linalg import (SymMatrix, NotPositiveDefiniteError, blas_backend,
-                     condition_number, serial_blas)
+from .linalg import (SymMatrix, NotPositiveDefiniteError, condition_number,
+                     serial_blas)
 from .matrixio import RectMatrix, SolveReport
 from .potential import PRConfig, solve_right_pr
 
@@ -36,9 +37,11 @@ _IMPROVEMENT_TOL = 1e-3
 
 @dataclass
 class OptimalRequest:
-    """What to solve and how: side, method, tolerance, optional warm start."""
+    """How to solve: method, tolerance, optional warm start."""
 
-    side: str = "right"                   # left | right | two_sided
+    # read by no solver; stays only because perfbench/workloads.py::_request
+    # passes it
+    side: str = "right"
     # optimal_right reads it: auto | potential_reduction | dsdp
     method: str = "auto"
     epsilon: float = 1e-2
@@ -50,10 +53,6 @@ class OptimalRequest:
             raise ValueError("epsilon must be positive")
 
 
-def _normalized(values: np.ndarray) -> np.ndarray:
-    return values / values.max()
-
-
 @serial_blas()
 def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
                   ) -> tuple[DiagScaling, SolveReport]:
@@ -63,7 +62,7 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
     solver above that. The result's condition number is re-measured and
     never exceeds kappa(M).
     """
-    req = req or OptimalRequest(side="right")
+    req = req or OptimalRequest()
     t0 = time.perf_counter()
     kappa_before = condition_number(m)
     method = req.method
@@ -71,51 +70,30 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
         method = "potential_reduction" if m.order <= 200 else "dsdp"
     if method == "potential_reduction":
         scaling, inner = solve_right_pr(m, req.pr_config)
-        d = scaling.values
     elif method == "dsdp":
         _, d, inner = barrier_path_solve(build_right(m))
+        scaling = DiagScaling(d, side=SIDE_RIGHT)
     else:
         raise ValueError(f"unsupported right-side method {method!r}")
-    d = _normalized(d)
-    kappa_after = condition_number(
-        apply_scaling(m, DiagScaling(d, side=SIDE_RIGHT)))
-    if kappa_after > kappa_before:
-        d = np.ones(m.order)
-        kappa_after = kappa_before
-    report = SolveReport(
-        matrix="", method=f"optimal_right[{method}]",
-        kappa_before=kappa_before, kappa_after=kappa_after,
-        iterations=inner.iterations,
-        wall_time_seconds=time.perf_counter() - t0,
-        extra=inner.extra)
-    return DiagScaling(d, side=SIDE_RIGHT), report
+    return finish_solve(f"optimal_right[{method}]", t0, m, kappa_before,
+                        scaling, inner.iterations, inner.extra)
 
 
 @serial_blas()
 def optimal_left(a: RectMatrix, req: OptimalRequest | None = None
                  ) -> tuple[DiagScaling, SolveReport]:
-    """Optimal left preconditioner D1 minimizing kappa(A^T D1 A)."""
-    req = req or OptimalRequest(side="left")
+    """Optimal left preconditioner D1 minimizing kappa(A^T D1 A).
+
+    Nothing in ``req`` changes this solve; it is taken for a signature
+    shared with the other entry points.
+    """
     t0 = time.perf_counter()
     x = a.tall()
-    rect = RectMatrix(x)
-    gram = SymMatrix(x.T @ x)
-    kappa_before = condition_number(gram)
-    _, d, inner = barrier_path_solve(build_left(rect))
-    d = _normalized(d)
-    scaling = DiagScaling(d, side=SIDE_LEFT)
-    scaled = x.T @ (d[:, None] * x)
-    kappa_after = condition_number(0.5 * (scaled + scaled.T))
-    if kappa_after > kappa_before:
-        scaling = DiagScaling(np.ones(x.shape[0]), side=SIDE_LEFT)
-        kappa_after = kappa_before
-    report = SolveReport(
-        matrix="", method="optimal_left[dsdp]",
-        kappa_before=kappa_before, kappa_after=kappa_after,
-        iterations=inner.iterations,
-        wall_time_seconds=time.perf_counter() - t0,
-        extra=inner.extra)
-    return scaling, report
+    kappa_before = condition_number(SymMatrix(x.T @ x))
+    _, d, inner = barrier_path_solve(build_left(RectMatrix(x)))
+    return finish_solve("optimal_left[dsdp]", t0, a, kappa_before,
+                        DiagScaling(d, side=SIDE_LEFT), inner.iterations,
+                        inner.extra)
 
 
 def _warm_kappa(m: SymMatrix, warm: DiagScaling | None) -> float | None:
@@ -137,7 +115,7 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     bracket until its width drops below epsilon. Returns the last feasible
     witness pair.
     """
-    req = req or OptimalRequest(side="two_sided")
+    req = req or OptimalRequest()
     t0 = time.perf_counter()
     x = a.tall()
     if max(x.shape) > 300:
@@ -172,22 +150,13 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
             best_d1, best_d2 = res.witness_left, res.witness
         else:
             lo = mid
-    scaling = DiagScaling.pair(_normalized(best_d1), _normalized(best_d2))
-    kappa_after = condition_number(apply_pair(rect, scaling))
-    if kappa_after > kappa_before:
-        scaling = DiagScaling.pair(np.ones(x.shape[0]), np.ones(x.shape[1]))
-        kappa_after = kappa_before
     bound = math.ceil(math.log2(max((kappa0 - 1.0) / req.epsilon, 1.0))) \
         if kappa0 > 1.0 else 0
-    report = SolveReport(
-        matrix="", method="bisect_two_sided",
-        kappa_before=kappa_before, kappa_after=kappa_after,
-        iterations=iterations,
-        wall_time_seconds=time.perf_counter() - t0,
-        extra={"kappa0": kappa0, "bracket": [lo, hi],
-               "iteration_bound": bound, "newton_fallbacks": fallbacks,
-               "blas_backend": blas_backend()})
-    return scaling, report
+    return finish_solve(
+        "bisect_two_sided", t0, a, kappa_before,
+        DiagScaling.pair(best_d1, best_d2), iterations,
+        {"kappa0": kappa0, "bracket": [lo, hi], "iteration_bound": bound,
+         "newton_fallbacks": fallbacks})
 
 
 @serial_blas()
@@ -198,14 +167,11 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     Odd steps solve the left problem on the running scaled matrix, even
     steps the right problem, accumulating the scalings. Any fixed point
     solves the two-sided problem; each one-sided solve can only improve or
-    hold the condition number.
+    hold the condition number. Nothing in ``req`` changes this solve.
     """
-    req = req or OptimalRequest(side="two_sided")
     t0 = time.perf_counter()
     x = a.tall()
-    rect = RectMatrix(x)
-    gram = SymMatrix(x.T @ x)
-    kappa_before = condition_number(gram)
+    kappa_before = condition_number(SymMatrix(x.T @ x))
 
     d1_total = np.ones(x.shape[0])
     d2_total = np.ones(x.shape[1])
@@ -214,13 +180,13 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     rounds = 0
     for _ in range(_MAX_ROUNDS):
         rounds += 1
-        left_scaling, _ = optimal_left(RectMatrix(current), req)
+        left_scaling, _ = optimal_left(RectMatrix(current))
         d1_total *= left_scaling.values
         current = np.sqrt(left_scaling.values)[:, None] * current
 
         right_gram = SymMatrix(current.T @ current)
-        right_scaling, _ = optimal_right(right_gram, OptimalRequest(
-            method="dsdp", epsilon=req.epsilon))
+        right_scaling, _ = optimal_right(right_gram,
+                                         OptimalRequest(method="dsdp"))
         d2_total *= right_scaling.values
         current = current / np.sqrt(right_scaling.values)[None, :]
 
@@ -230,16 +196,6 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None
         if kappa_now <= 1 + 1e-9 or gain < _IMPROVEMENT_TOL * kappa_track[-2]:
             break
 
-    scaling = DiagScaling.pair(_normalized(d1_total), _normalized(d2_total))
-    kappa_after = condition_number(apply_pair(rect, scaling))
-    if kappa_after > kappa_before:
-        scaling = DiagScaling.pair(np.ones(x.shape[0]), np.ones(x.shape[1]))
-        kappa_after = kappa_before
-    report = SolveReport(
-        matrix="", method="alternate_two_sided",
-        kappa_before=kappa_before, kappa_after=kappa_after,
-        iterations=rounds,
-        wall_time_seconds=time.perf_counter() - t0,
-        extra={"kappa_per_round": kappa_track,
-               "blas_backend": blas_backend()})
-    return scaling, report
+    return finish_solve("alternate_two_sided", t0, a, kappa_before,
+                        DiagScaling.pair(d1_total, d2_total), rounds,
+                        {"kappa_per_round": kappa_track})

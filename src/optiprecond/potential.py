@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import (
+    _CENTER_NEWTON_CAP,
     BarrierPoint,
     CenteringError,
     _one_sided,
@@ -23,9 +24,9 @@ from .barrier import (
     initial_feasible_point,
     newton_ascent,
 )
-from .heuristics import DiagScaling, SIDE_RIGHT
-from .linalg import (SymMatrix, NotPositiveDefiniteError, blas_backend,
-                     chol_pd, condition_number, inv_from_chol, inv_pd,
+from .heuristics import DiagScaling, SIDE_RIGHT, finish_solve
+from .linalg import (SymMatrix, NotPositiveDefiniteError, chol_pd,
+                     condition_number, inv_from_chol, inv_pd,
                      logdet_from_chol, max_step_cone, proximity_delta,
                      serial_blas, solve_pd, sym_pow)
 from .matrixio import SolveReport
@@ -34,6 +35,10 @@ MODE_FULL = "full"
 MODE_DIAG = "diag"
 
 _MAX_OUTER = 10000   # outer steps of solve_right_pr
+
+# state_from_center centers to a gradient of 1e-11; validate allows 1e-8.
+_CENTER_TOL = 1e-11
+_VALIDATE_RTOL = 1e-8
 
 
 class StepTooLargeError(RuntimeError):
@@ -115,12 +120,12 @@ class CenterState:
             return float(np.linalg.norm(np.diag(res)) / scale)
         return float(np.linalg.norm(res, ord="fro") / scale)
 
-    def validate(self, rtol: float = 1e-8):
+    def validate(self):
         for name, mat in (("R", self.R), ("S", self.S), ("D", self.D)):
-            if chol_pd(mat + rtol * np.linalg.norm(mat) * np.eye(len(mat))) \
-                    is None:
+            shift = _VALIDATE_RTOL * np.linalg.norm(mat)
+            if chol_pd(mat + shift * np.eye(len(mat))) is None:
                 raise NotPositiveDefiniteError(f"{name} left the PSD cone")
-        if self.identity_residual() > rtol:
+        if self.identity_residual() > _VALIDATE_RTOL:
             raise ValueError("linear identity Z + kappa Y = X violated")
 
 
@@ -157,8 +162,7 @@ class _MatrixCenter:
                    max_step_cone(ld, -delta))
 
 
-def exact_center_full(m: SymMatrix, kappa: float, tol: float = 1e-12,
-                      max_iter: int = 200) -> np.ndarray:
+def exact_center_full(m: SymMatrix, kappa: float) -> np.ndarray:
     """Unrestricted symmetric analytic center: -R^{-1} + kappa S^{-1} + D^{-1} = 0.
 
     Matrix-variable Newton with a vectorized (Kronecker) solve; intended for
@@ -166,7 +170,7 @@ def exact_center_full(m: SymMatrix, kappa: float, tol: float = 1e-12,
     """
     start = np.diag(initial_feasible_point(m, kappa).d)
     res = newton_ascent(_MatrixCenter(m.mat, kappa), start.reshape(-1),
-                        max_iter, grad_tol=tol)
+                        _CENTER_NEWTON_CAP, grad_tol=_CENTER_TOL)
     if res.status != "converged":
         raise CenteringError(f"matrix centering ended {res.status}",
                              grad_norm=res.grad_norm)
@@ -174,14 +178,14 @@ def exact_center_full(m: SymMatrix, kappa: float, tol: float = 1e-12,
     return 0.5 * (d_mat + d_mat.T)
 
 
-def state_from_center(m: SymMatrix, kappa: float, mode: str = MODE_FULL,
-                      center_tol: float = 1e-11) -> CenterState:
+def state_from_center(m: SymMatrix, kappa: float,
+                      mode: str = MODE_FULL) -> CenterState:
     """Exact-center CenterState with X, Y, Z set to the true inverses."""
     if mode == MODE_FULL:
-        d_mat = exact_center_full(m, kappa, tol=center_tol)
+        d_mat = exact_center_full(m, kappa)
     else:
         bp = compute_center(m, kappa, initial_feasible_point(m, kappa),
-                            tol=center_tol)
+                            tol=_CENTER_TOL)
         d_mat = np.diag(bp.d)
     return _state_at(m.mat, float(kappa), d_mat, mode)
 
@@ -347,19 +351,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
         else:
             small_progress = 0
 
-    # the returned scaling never worsens the condition number
-    s = 1.0 / np.sqrt(d)
-    kappa_after = condition_number(s[:, None] * m_arr * s[None, :])
-    if kappa_after > kappa_m:
-        d = np.ones(m.order)
-        kappa_after = kappa_m
-    report = SolveReport(
-        matrix="", method=f"potential_reduction_{mode}",
-        kappa_before=kappa_m, kappa_after=kappa_after,
-        iterations=iterations,
-        wall_time_seconds=time.perf_counter() - t0,
-        extra={"kappa_terminal": kappa,
-               "potential_trajectory": [
-                   [k, p, b] for (k, p, b) in trajectory],
-               "blas_backend": blas_backend()})
-    return DiagScaling(d, side=SIDE_RIGHT), report
+    return finish_solve(
+        f"potential_reduction_{mode}", t0, m, kappa_m,
+        DiagScaling(d, side=SIDE_RIGHT), iterations,
+        {"kappa_terminal": kappa,
+         "potential_trajectory": [[k, p, b] for (k, p, b) in trajectory]})

@@ -8,8 +8,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .heuristics import DiagScaling, SIDE_RIGHT
-from .linalg import SymMatrix, NotPositiveDefiniteError, condition_number
+from .heuristics import DiagScaling, SIDE_RIGHT, finish_solve
+from .linalg import (SymMatrix, NotPositiveDefiniteError, condition_number,
+                     serial_blas)
 from .matrixio import SolveReport
 
 
@@ -48,6 +49,7 @@ def logcond_subgradient(m: SymMatrix, d) -> np.ndarray:
     return 2.0 * v * mdv / lmax - 2.0 * u * mdu / lmin
 
 
+@serial_blas()
 def projected_subgradient_solve(m: SymMatrix,
                                 config: SubgradConfig | None = None
                                 ) -> tuple[DiagScaling, SolveReport]:
@@ -79,13 +81,8 @@ def projected_subgradient_solve(m: SymMatrix,
         if kappa_now < best_kappa:
             best_kappa = kappa_now
             best_d = d.copy()
-    report = SolveReport(
-        matrix="", method=f"subgradient[{config.step_rule}]",
-        kappa_before=kappa_before, kappa_after=best_kappa,
-        iterations=config.max_iters,
-        wall_time_seconds=time.perf_counter() - t0,
-        extra={"upper_bound": config.upper_bound})
     # translate D (applied as D M D) into the shared D^{-1/2} M D^{-1/2} form
-    values = 1.0 / best_d ** 2
-    values = values / values.max()
-    return DiagScaling(values, side=SIDE_RIGHT), report
+    scaling = DiagScaling(1.0 / best_d ** 2, side=SIDE_RIGHT)
+    return finish_solve(f"subgradient[{config.step_rule}]", t0, m,
+                        kappa_before, scaling, config.max_iters,
+                        {"upper_bound": config.upper_bound})

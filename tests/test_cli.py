@@ -1,12 +1,17 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optiprecond
 from optiprecond.cli import main
 from optiprecond.fixtures import fixture_path
+
+SRC = Path(optiprecond.__file__).resolve().parents[1]
 
 
 def run_cli(args, capsys):
@@ -205,8 +210,13 @@ def test_version(capsys):
 
 
 def test_console_script_installed():
+    # the package under test, also from a checkout that is not installed
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-m", "optiprecond.cli",
-                           "version"], capture_output=True, text=True)
+                           "version"], capture_output=True, text=True,
+                          env=env)
     assert proc.returncode == 0
 
 
@@ -218,6 +228,27 @@ def test_out_file_written(tmp_path, capsys):
          "--out", str(out_path)], capsys)
     assert code == 0
     assert json.loads(out_path.read_text())[0]["method"] == "jacobi"
+
+
+def test_precond_side_with_one_sided_method_exit_2(tmp_path, capsys):
+    path = write_mtx(tmp_path, [4.0, 1.0])
+    code, out, err = run_cli(
+        ["precond", "--input", str(path), "--method", "optimal-right",
+         "--side", "left"], capsys)
+    assert code == 2
+    assert "--side" in err
+
+
+def test_precond_side_selects_two_sided_solver(tmp_path, capsys):
+    path = write_mtx(tmp_path, [4.0, 1.0])
+    methods = []
+    for side in ([], ["--side", "two"]):
+        code, out, err = run_cli(
+            ["precond", "--input", str(path), "--method",
+             "optimal-two-sided", *side], capsys)
+        assert code == 0
+        methods.append(json.loads(out)[0]["method"])
+    assert methods == ["alternate_two_sided", "bisect_two_sided"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -5,12 +5,16 @@ from optiprecond import (
     DiagScaling,
     RectMatrix,
     SymMatrix,
+    apply_pair,
     apply_scaling,
     column_norm_scaling,
+    condition_number,
     jacobi_scaling,
     ruiz_equilibrate,
     scaled_condition,
 )
+from optiprecond.heuristics import finish_solve
+from optiprecond.linalg import blas_backend
 
 
 def test_diag_scaling_validation():
@@ -138,3 +142,66 @@ def test_jacobi_can_hurt_on_non_dominant():
 def test_ruiz_rejects_zero_row():
     with pytest.raises(ValueError):
         ruiz_equilibrate(SymMatrix(np.zeros((2, 2))))
+
+
+def test_scaled_condition_of_left_scaling_is_kappa_of_weighted_gram(rng):
+    for shape in ((7, 4), (4, 7), (5, 5)):
+        a_arr = rng.standard_normal(shape)
+        x = a_arr if shape[0] >= shape[1] else a_arr.T
+        d = np.exp(rng.standard_normal(x.shape[0]))
+        left = DiagScaling(d, side="left")
+        expected = condition_number(SymMatrix(x.T @ np.diag(d) @ x))
+        assert scaled_condition(RectMatrix(a_arr), left) == \
+            pytest.approx(expected, rel=1e-10)
+
+
+def test_apply_scaling_rejects_left_scaling(rng):
+    # a square A has as many rows as columns, so only the side can tell
+    a = rng.standard_normal((4, 4))
+    gram = SymMatrix(a.T @ a)
+    left = DiagScaling(np.exp(rng.standard_normal(4)), side="left")
+    with pytest.raises(ValueError):
+        apply_scaling(gram, left)
+    assert scaled_condition(RectMatrix(a), left) != \
+        pytest.approx(scaled_condition(gram, DiagScaling(left.values)))
+
+
+def _finish(source, kappa_before, scaling):
+    return finish_solve("probe", 0.0, source, kappa_before, scaling, 7,
+                        {"note": 1})
+
+
+def test_finish_solve_falls_back_to_ones_when_worse(rng):
+    a = RectMatrix(rng.standard_normal((6, 3)))
+    gram = SymMatrix(a.mat.T @ a.mat)
+    kappa = condition_number(gram)
+    wild = np.array([1e-4, 1.0, 1e4, 3.0, 1e-3, 50.0])
+    cases = [
+        (gram, DiagScaling(wild[:3])),
+        (a, DiagScaling(wild, side="left")),
+        (a, DiagScaling.pair(wild, wild[:3])),
+    ]
+    for source, scaling in cases:
+        assert scaled_condition(source, scaling) > kappa
+        finished, report = _finish(source, kappa, scaling)
+        assert finished.side == scaling.side
+        assert np.array_equal(finished.values,
+                              np.ones(scaling.values.size))
+        if scaling.left_values is not None:
+            assert np.array_equal(finished.left_values, np.ones(6))
+        assert report.kappa_after == report.kappa_before == kappa
+        assert report.iterations == 7 and report.method == "probe"
+        assert report.extra == {"note": 1, "blas_backend": blas_backend()}
+
+
+def test_finish_solve_normalizes_and_remeasures(rng):
+    m = SymMatrix.diagonal([4.0, 1.0])
+    finished, report = _finish(m, 4.0, jacobi_scaling(m))
+    assert np.array_equal(finished.values, [1.0, 0.25])
+    assert report.kappa_after == pytest.approx(1.0, abs=1e-12)
+    a = RectMatrix(rng.standard_normal((6, 3)))
+    pair = DiagScaling.pair(np.full(6, 3.0), np.array([2.0, 4.0, 8.0]))
+    finished, report = _finish(a, np.inf, pair)
+    assert np.array_equal(finished.left_values, np.ones(6))
+    assert np.array_equal(finished.values, [0.25, 0.5, 1.0])
+    assert report.kappa_after == condition_number(apply_pair(a, finished))
