@@ -230,15 +230,15 @@ class NewtonResult(NamedTuple):
     fallbacks: int
 
 
-def newton_ascent(barrier, x0, max_iter, *, grad_tol=None, dec_tol=None,
-                  c=None, mu=1.0) -> NewtonResult:
+def newton_ascent(barrier: LmiBarrier, x0, max_iter, *, grad_tol=None,
+                  dec_tol=None, c=None, mu=1.0) -> NewtonResult:
     """Damped Newton maximization of c.x + mu * barrier from a feasible x0.
 
-    barrier provides factor, value, derivatives and max_step (LmiBarrier's
-    interface). Stops when the gradient's infinity norm is at most grad_tol,
-    or when the Newton decrement g.dx is at most dec_tol * (1 + |value|).
-    Each step tries the full Newton step, then 0.9 of the step to the
-    nearest boundary, then halves (at most 40 trials).
+    barrier is an LmiBarrier: the only barrier any solver in the package
+    builds. Stops when the gradient's infinity norm is at most grad_tol, or
+    when the Newton decrement g.dx is at most dec_tol * (1 + |value|). Each
+    step tries the full Newton step, then 0.9 of the step to the nearest
+    boundary, then halves (at most 40 trials).
     """
     x = np.array(x0, dtype=float)
     state = barrier.factor(x)

@@ -13,7 +13,6 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .barrier import _BOUNDARY_TOL, two_sided_feasibility
 from .dsdp import barrier_path_solve, build_left, build_right
@@ -21,11 +20,10 @@ from .heuristics import (
     DiagScaling,
     SIDE_LEFT,
     SIDE_RIGHT,
-    apply_scaling,
     finish_solve,
+    scaled_condition,
 )
-from .linalg import (SymMatrix, NotPositiveDefiniteError, condition_number,
-                     serial_blas)
+from .linalg import SymMatrix, condition_number, serial_blas
 from .matrixio import RectMatrix, SolveReport
 from .potential import PRConfig, solve_right_pr
 
@@ -63,20 +61,21 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
     never exceeds kappa(M).
     """
     req = req or OptimalRequest()
-    t0 = time.perf_counter()
-    kappa_before = condition_number(m)
     method = req.method
     if method == "auto":
         method = "potential_reduction" if m.order <= 200 else "dsdp"
     if method == "potential_reduction":
-        scaling, inner = solve_right_pr(m, req.pr_config)
-    elif method == "dsdp":
-        _, d, inner = barrier_path_solve(build_right(m))
-        scaling = DiagScaling(d, side=SIDE_RIGHT)
-    else:
+        scaling, report = solve_right_pr(m, req.pr_config)
+        report.method = "optimal_right[potential_reduction]"
+        return scaling, report
+    if method != "dsdp":
         raise ValueError(f"unsupported right-side method {method!r}")
-    return finish_solve(f"optimal_right[{method}]", t0, m, kappa_before,
-                        scaling, inner.iterations, inner.extra)
+    t0 = time.perf_counter()
+    problem = build_right(m)
+    _, d, inner = barrier_path_solve(problem)
+    return finish_solve("optimal_right[dsdp]", t0, m, problem.kappa_before,
+                        DiagScaling(d, side=SIDE_RIGHT), inner.iterations,
+                        inner.extra)
 
 
 @serial_blas()
@@ -88,21 +87,11 @@ def optimal_left(a: RectMatrix, req: OptimalRequest | None = None
     shared with the other entry points.
     """
     t0 = time.perf_counter()
-    x = a.tall()
-    kappa_before = condition_number(SymMatrix(x.T @ x))
-    _, d, inner = barrier_path_solve(build_left(RectMatrix(x)))
-    return finish_solve("optimal_left[dsdp]", t0, a, kappa_before,
+    problem = build_left(RectMatrix(a.tall()))
+    _, d, inner = barrier_path_solve(problem)
+    return finish_solve("optimal_left[dsdp]", t0, a, problem.kappa_before,
                         DiagScaling(d, side=SIDE_LEFT), inner.iterations,
                         inner.extra)
-
-
-def _warm_kappa(m: SymMatrix, warm: DiagScaling | None) -> float | None:
-    if warm is None:
-        return None
-    try:
-        return condition_number(apply_scaling(m, warm))
-    except (ValueError, NotPositiveDefiniteError):
-        return None
 
 
 @serial_blas()
@@ -110,10 +99,12 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
                      ) -> tuple[DiagScaling, SolveReport]:
     """Classic bisection on kappa over the two-sided SDP feasibility oracle.
 
-    Starts from kappa_0 = kappa(A^T A), the choice that is always feasible
-    (improved by a warm-start scaling when provided), and halves the
-    bracket until its width drops below epsilon. Returns the last feasible
-    witness pair.
+    Starts from kappa_0 = kappa(A^T A), which is always feasible with the
+    all-ones pair as witness, and halves the bracket until its width drops
+    below epsilon. Returns the last feasible witness pair. A warm start (a
+    pair, or a left or right scaling with the other side all ones) replaces
+    kappa_0 and the first witness when it scales A better; one whose lengths
+    do not fit A raises ValueError.
     """
     req = req or OptimalRequest()
     t0 = time.perf_counter()
@@ -122,17 +113,18 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
         raise ValueError("two-sided bisection is limited to max(m, n) <= 300")
     rect = RectMatrix(x)
     gram = SymMatrix(x.T @ x)
-    kappa_before = condition_number(gram)
-
-    kappa0 = kappa_before
-    warm = _warm_kappa(gram, req.warm_start)
-    if warm is not None and warm < kappa0:
-        kappa0 = warm
-
-    # the always-feasible witness at kappa_0: D1 = I, D2 = lambda_min(M) I
-    lamn = float(scipy.linalg.eigvalsh(gram.mat)[0])
-    best_d1 = np.ones(x.shape[0])
-    best_d2 = np.full(x.shape[1], lamn)
+    kappa_before = kappa0 = condition_number(gram)
+    best_d1, best_d2 = np.ones(x.shape[0]), np.ones(x.shape[1])
+    warm = req.warm_start
+    if warm is not None:
+        if warm.side == SIDE_RIGHT:
+            warm = DiagScaling.pair(best_d1, warm.values)
+        elif warm.side == SIDE_LEFT:
+            warm = DiagScaling.pair(warm.values, best_d2)
+        kappa_warm = scaled_condition(rect, warm)
+        if kappa_warm < kappa0:
+            kappa0 = kappa_warm
+            best_d1, best_d2 = warm.left_values, warm.values
 
     res0 = two_sided_feasibility(rect, kappa0)
     if res0.margin >= -_BOUNDARY_TOL:

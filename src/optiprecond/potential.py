@@ -3,9 +3,11 @@
 Two modes share the machinery. Full-matrix mode lets the scaling variable be
 any symmetric PD matrix, for which the center identity Z + kappa Y = X and
 the Newton-step proximity contraction hold verbatim; it exists so those
-statements can be tested directly. Diagonal-restricted mode constrains the
-step to diagonal coordinates (projecting the NT operator onto them) and is
-the production path that actually produces diagonal preconditioners.
+statements can be tested directly. Its analytic center has a closed form,
+D = t(kappa) M, so it needs no centering solve. Diagonal-restricted mode
+constrains the step to diagonal coordinates (projecting the NT operator onto
+them), centers with barrier.compute_center, and is the production path that
+actually produces diagonal preconditioners.
 """
 
 from __future__ import annotations
@@ -16,19 +18,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import (
-    _CENTER_NEWTON_CAP,
     BarrierPoint,
     CenteringError,
+    InfeasiblePointError,
     _one_sided,
     compute_center,
     initial_feasible_point,
-    newton_ascent,
 )
 from .heuristics import DiagScaling, SIDE_RIGHT, finish_solve
 from .linalg import (SymMatrix, NotPositiveDefiniteError, chol_pd,
-                     condition_number, inv_from_chol, inv_pd,
-                     logdet_from_chol, max_step_cone, proximity_delta,
-                     serial_blas, solve_pd, sym_pow)
+                     condition_number, inv_pd, proximity_delta, serial_blas,
+                     solve_pd, sym_pow)
 from .matrixio import SolveReport
 
 MODE_FULL = "full"
@@ -36,7 +36,8 @@ MODE_DIAG = "diag"
 
 _MAX_OUTER = 10000   # outer steps of solve_right_pr
 
-# state_from_center centers to a gradient of 1e-11; validate allows 1e-8.
+# state_from_center's diagonal mode centers to a gradient of 1e-11;
+# validate allows 1e-8.
 _CENTER_TOL = 1e-11
 _VALIDATE_RTOL = 1e-8
 
@@ -129,65 +130,26 @@ class CenterState:
             raise ValueError("linear identity Z + kappa Y = X violated")
 
 
-class _MatrixCenter:
-    """log det(M - D) + log det(kappa D - M) + log det D over x = vec(D).
-
-    Supplies newton_ascent's barrier interface for a full symmetric D.
-    """
-
-    def __init__(self, m_arr, kappa):
-        self.m = m_arr
-        self.kappa = kappa
-
-    def factor(self, x):
-        d_mat = x.reshape(self.m.shape)
-        chols = [chol_pd(self.m - d_mat),
-                 chol_pd(self.kappa * d_mat - self.m), chol_pd(d_mat)]
-        return None if any(f is None for f in chols) else chols
-
-    def value(self, chols):
-        return sum(map(logdet_from_chol, chols))
-
-    def derivatives(self, chols):
-        x, y, z = map(inv_from_chol, chols)
-        grad = -x + self.kappa * y + z
-        op = np.kron(x, x) + self.kappa ** 2 * np.kron(y, y) + np.kron(z, z)
-        return grad.reshape(-1), op
-
-    def max_step(self, chols, dx):
-        delta = dx.reshape(self.m.shape)
-        lr, ls, ld = chols
-        return min(max_step_cone(lr, delta),
-                   max_step_cone(ls, -self.kappa * delta),
-                   max_step_cone(ld, -delta))
-
-
-def exact_center_full(m: SymMatrix, kappa: float) -> np.ndarray:
-    """Unrestricted symmetric analytic center: -R^{-1} + kappa S^{-1} + D^{-1} = 0.
-
-    Matrix-variable Newton with a vectorized (Kronecker) solve; intended for
-    the small orders used by the proposition tests.
-    """
-    start = np.diag(initial_feasible_point(m, kappa).d)
-    res = newton_ascent(_MatrixCenter(m.mat, kappa), start.reshape(-1),
-                        _CENTER_NEWTON_CAP, grad_tol=_CENTER_TOL)
-    if res.status != "converged":
-        raise CenteringError(f"matrix centering ended {res.status}",
-                             grad_norm=res.grad_norm)
-    d_mat = res.x.reshape(start.shape)
-    return 0.5 * (d_mat + d_mat.T)
-
-
 def state_from_center(m: SymMatrix, kappa: float,
                       mode: str = MODE_FULL) -> CenterState:
-    """Exact-center CenterState with X, Y, Z set to the true inverses."""
+    """Exact-center CenterState with X, Y, Z set to the true inverses.
+
+    The full-matrix center is D = t M: there the gradient -(M - D)^{-1} +
+    kappa (kappa D - M)^{-1} + D^{-1} is M^{-1} times -1/(1 - t) +
+    kappa/(kappa t - 1) + 1/t, whose one root in (1/kappa, 1) is t below.
+    The full problem is feasible exactly when kappa > 1.
+    """
+    kappa = float(kappa)
     if mode == MODE_FULL:
-        d_mat = exact_center_full(m, kappa)
+        if kappa <= 1.0:
+            raise InfeasiblePointError(f"kappa={kappa:.6g} must exceed 1")
+        t = (kappa + 1 + np.sqrt(kappa ** 2 - kappa + 1)) / (3 * kappa)
+        d_mat = t * m.mat
     else:
         bp = compute_center(m, kappa, initial_feasible_point(m, kappa),
                             tol=_CENTER_TOL)
         d_mat = np.diag(bp.d)
-    return _state_at(m.mat, float(kappa), d_mat, mode)
+    return _state_at(m.mat, kappa, d_mat, mode)
 
 
 def _state_at(m_arr, kappa, d_mat, mode):

@@ -1,6 +1,8 @@
+import ast
 import ctypes
 import importlib
 import logging
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -260,3 +262,27 @@ def test_blas_backend_none_warns(monkeypatch, caplog):
     with caplog.at_level(logging.WARNING, logger="optiprecond.linalg"):
         assert blas_backend.__wrapped__() == "none"
     assert "no BLAS thread control" in caplog.text
+
+
+def _binds_lapack(tree):
+    """Whether a module imports or reaches scipy.linalg.lapack."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        else:
+            continue
+        if any(part in ("lapack", "get_lapack_funcs")
+               for name in names for part in name.split(".")):
+            return True
+    return False
+
+
+def test_only_linalg_binds_lapack():
+    package = Path(linalg.__file__).parent
+    binders = {path.name for path in package.glob("*.py")
+               if _binds_lapack(ast.parse(path.read_text()))}
+    assert binders == {"linalg.py"}

@@ -14,6 +14,7 @@ from optiprecond import (
     read_matrix_market,
 )
 from optiprecond.fixtures import fixture_path
+from optiprecond.heuristics import DiagScaling
 from optiprecond.optimal import (
     OptimalRequest,
     alternate_two_sided,
@@ -21,7 +22,7 @@ from optiprecond.optimal import (
     optimal_left,
     optimal_right,
 )
-from optiprecond import heuristics, optimal, subgradient
+from optiprecond import heuristics, optimal, potential, subgradient
 from optiprecond.dsdp import barrier_path_solve, build_right
 from optiprecond.linalg import _openblas_controls, blas_backend
 from optiprecond.potential import solve_right_pr
@@ -55,6 +56,34 @@ def test_optimal_right_never_worsens(rng):
         m = random_spd(8, rng, cond=300.0)
         sc, rep = optimal_right(m, OptimalRequest(method="dsdp"))
         assert rep.kappa_after <= rep.kappa_before * (1 + 1e-9)
+
+
+def test_one_sided_solves_measure_unscaled_kappa_once(monkeypatch):
+    # potential reduction's report is returned as is, and dsdp reads
+    # kappa(M) from the eigensolve its problem builder already makes; the
+    # only other measurement is of the result
+    calls = []
+
+    def counting_kappa(m):
+        calls.append(m)
+        return condition_number(m)
+
+    for module in (optimal, potential, heuristics):
+        monkeypatch.setattr(module, "condition_number", counting_kappa)
+    rng = np.random.default_rng(9)
+    m = random_spd(5, rng, cond=30.0)
+    a = RectMatrix(rng.standard_normal((8, 4)))
+    solves = [
+        (lambda: optimal_right(m), 2, "optimal_right[potential_reduction]"),
+        (lambda: optimal_right(m, OptimalRequest(method="dsdp")), 1,
+         "optimal_right[dsdp]"),
+        (lambda: optimal_left(a), 1, "optimal_left[dsdp]"),
+    ]
+    for solve, count, method in solves:
+        calls.clear()
+        _, rep = solve()
+        assert len(calls) == count
+        assert rep.method == method
 
 
 def test_optimal_left_identity_and_orthogonal(rng):
@@ -133,6 +162,26 @@ def test_warm_start_never_increases_iterations(rng):
             side="two_sided", epsilon=0.05,
             warm_start=jacobi_scaling(gram)))[1]
         assert warm.iterations <= cold.iterations
+
+
+def test_bisect_starts_from_two_sided_warm_start():
+    # alternation's pair scales trefethen_20b to 6.264, against 921.2 unscaled
+    a = read_matrix_market(fixture_path("trefethen_20b"))
+    pair, alt = alternate_two_sided(a)
+    sc, rep = bisect_two_sided(a, OptimalRequest(warm_start=pair))
+    assert rep.extra["kappa0"] == pytest.approx(alt.kappa_after, rel=1e-9)
+    assert rep.iterations <= 10
+    assert rep.kappa_after <= alt.kappa_after
+    assert rep.kappa_after == pytest.approx(6.245, rel=1e-2)
+
+
+def test_bisect_rejects_warm_start_of_wrong_length():
+    a = RectMatrix(np.random.default_rng(12).standard_normal((5, 3)))
+    for warm in (DiagScaling(np.ones(4)),
+                 DiagScaling(np.ones(4), side="left"),
+                 DiagScaling.pair(np.ones(5), np.ones(4))):
+        with pytest.raises(ValueError):
+            bisect_two_sided(a, OptimalRequest(warm_start=warm))
 
 
 def test_alternate_diagonal_one_round():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from optiprecond import SymMatrix
-from optiprecond.barrier import compute_center, barrier_value
+from optiprecond.barrier import (InfeasiblePointError, barrier_value,
+                                 compute_center)
 from optiprecond.dsdp import build_right, barrier_path_solve
 from optiprecond.linalg import sym_pow
 from optiprecond.potential import (
@@ -32,6 +33,39 @@ def test_center_state_invariants(rng):
     assert np.allclose(st.S, st.kappa * st.D - m.mat)
     assert st.identity_residual() < 1e-12
     assert max(st.deltas()) < 1e-10
+
+
+def test_full_center_closed_form_zeroes_gradient():
+    # D = t(kappa) M is the full-matrix center for every kappa > 1, also
+    # kappa <= kappa(M), where no diagonal D is feasible. Forming M - D
+    # rounds by about eps kappa(M) / (1 - t) relative, which exceeds 1e-12
+    # only as kappa nears 1.
+    eps = np.finfo(float).eps
+    for trial in range(60):
+        local = np.random.default_rng(7000 + trial)
+        n = int(local.integers(1, 9))
+        m = random_spd(n, local, cond=float(local.uniform(1, 300)))
+        cond = float(np.linalg.cond(m.mat))
+        for kappa in (1 + 1e-6, 1 + 1e-3, 1 + float(local.uniform(0.5, cond)),
+                      cond * float(local.uniform(1.01, 4.0))):
+            st = state_from_center(m, kappa, mode="full")
+            t = (kappa + 1 + np.sqrt(kappa ** 2 - kappa + 1)) / (3 * kappa)
+            assert np.allclose(st.D, t * m.mat, rtol=1e-15, atol=0)
+            tol = max(1e-12, 16 * eps * cond / (1 - t))
+            grad = -st.X + st.kappa * st.Y + st.Z
+            scale = sum(np.linalg.norm(term, ord="fro")
+                        for term in (st.X, st.kappa * st.Y, st.Z))
+            assert np.linalg.norm(grad, ord="fro") <= tol * scale
+            assert st.identity_residual() <= tol
+            if kappa > 1.4:
+                assert st.identity_residual() <= 1e-12
+
+
+@pytest.mark.parametrize("kappa", [1.0, 0.5, -2.0])
+def test_full_center_needs_kappa_above_one(kappa):
+    with pytest.raises(InfeasiblePointError):
+        state_from_center(random_spd(3, np.random.default_rng(1)), kappa,
+                          mode="full")
 
 
 def test_nt_scalings_geometric_mean_identity(rng):
