@@ -15,6 +15,16 @@ SIDE_RIGHT = "right"
 SIDE_PAIR = "two_sided_pair"
 
 
+def _positive_sequence(values, name) -> np.ndarray:
+    """values as a 1-D float array; raises unless nonempty, positive, finite."""
+    v = np.asarray(values, dtype=float)
+    if v.ndim != 1 or v.size == 0:
+        raise ValueError(f"{name} must be a nonempty sequence")
+    if not np.all(np.isfinite(v)) or np.any(v <= 0):
+        raise ValueError(f"{name} must be positive and finite")
+    return v
+
+
 class DiagScaling:
     """Positive diagonal preconditioner.
 
@@ -26,25 +36,17 @@ class DiagScaling:
     __slots__ = ("values", "side", "left_values")
 
     def __init__(self, values, side=SIDE_RIGHT, left_values=None):
-        v = np.asarray(values, dtype=float)
-        if v.ndim != 1 or v.size == 0:
-            raise ValueError("scaling values must be a nonempty sequence")
-        if not np.all(np.isfinite(v)) or np.any(v <= 0):
-            raise ValueError("scaling values must be positive and finite")
+        self.values = _positive_sequence(values, "scaling values")
         if side not in (SIDE_LEFT, SIDE_RIGHT, SIDE_PAIR):
             raise ValueError(f"unknown side {side!r}")
         if side == SIDE_PAIR:
             if left_values is None:
                 raise ValueError("a two_sided_pair needs left_values")
-            lv = np.asarray(left_values, dtype=float)
-            if np.any(lv <= 0) or not np.all(np.isfinite(lv)):
-                raise ValueError("left values must be positive and finite")
-            self.left_values = lv
+            self.left_values = _positive_sequence(left_values, "left values")
         else:
             if left_values is not None:
                 raise ValueError("left_values only valid for two_sided_pair")
             self.left_values = None
-        self.values = v
         self.side = side
 
     @classmethod

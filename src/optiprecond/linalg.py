@@ -4,8 +4,8 @@
 kappa helper. The positive-definite kernels below are the only LAPACK
 binding in the package: ``chol_pd`` (dpotrf), ``inv_from_chol`` and
 ``inv_pd`` (dpotri), ``solve_pd`` (dposv, least squares when not PD),
-``logdet_from_chol``, ``max_step_cone``, ``sym_pow`` and
-``proximity_delta``. They take and return plain float64 arrays.
+``logdet_from_chol``, ``max_step_cone``, ``sym_pow``, ``proximity_delta``
+and ``geomean_inv``. They take and return plain float64 arrays.
 ``serial_blas`` runs a solve on one BLAS thread.
 """
 
@@ -211,7 +211,8 @@ def condition_number(m: SymMatrix | np.ndarray) -> float:
 
 # Positive-definite kernels shared by every solver. LAPACK is bound here and
 # nowhere else; Cholesky (dpotrf) factors, inverts (dpotri) and solves
-# (dposv), and eigh runs only for fractional powers and step lengths.
+# (dposv), and eigh runs only for fractional powers, the geometric means of
+# the Nesterov-Todd scalings and step lengths.
 
 
 def chol_pd(a):
@@ -282,3 +283,21 @@ def proximity_delta(a, b):
         return np.inf
     inner = lower.T @ a @ lower
     return float(np.linalg.norm(inner - np.eye(a.shape[0]), ord="fro"))
+
+
+def geomean_inv(a, b):
+    """The geometric mean a # b^{-1} of PD a and b: the PD u with u b u = a.
+
+    Computed as L (L^T b L)^{-1/2} L^T with a = L L^T, by congruence
+    invariance of the mean, so one Cholesky factor and one eigensolve
+    suffice. Swapping the arguments inverts the result: geomean_inv(b, a)
+    is the inverse of geomean_inv(a, b).
+    """
+    lower = chol_pd(a)
+    if lower is None:
+        raise NotPositiveDefiniteError("first argument is not numerically PD")
+    w, v = np.linalg.eigh(lower.T @ b @ lower)
+    if not w[0] > 0:
+        raise NotPositiveDefiniteError("second argument is not PD")
+    f = (lower @ v) * w ** -0.25
+    return f @ f.T

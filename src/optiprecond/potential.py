@@ -27,8 +27,8 @@ from .barrier import (
 )
 from .heuristics import DiagScaling, SIDE_RIGHT, finish_solve
 from .linalg import (SymMatrix, NotPositiveDefiniteError, chol_pd,
-                     condition_number, inv_pd, proximity_delta, serial_blas,
-                     solve_pd, sym_pow)
+                     condition_number, geomean_inv, inv_pd, proximity_delta,
+                     serial_blas, solve_pd)
 from .matrixio import SolveReport
 
 MODE_FULL = "full"
@@ -64,13 +64,6 @@ class PRConfig:
     def __post_init__(self):
         if not 0 < self.beta < 1:
             raise ValueError("beta must lie in (0, 1)")
-
-
-def _geometric_mean(rho, xi):
-    """U = rho^{1/2} (rho^{1/2} xi rho^{1/2})^{-1/2} rho^{1/2}; U xi U = rho."""
-    rh = sym_pow(rho, 0.5)
-    inner = rh @ xi @ rh
-    return rh @ sym_pow(0.5 * (inner + inner.T), -0.5) @ rh
 
 
 @dataclass
@@ -182,9 +175,10 @@ def shift_state(state: CenterState, dk: float) -> CenterState:
 
 
 def nt_scalings(state: CenterState) -> NTScalings:
-    return NTScalings(U=_geometric_mean(state.R, state.X),
-                      V=_geometric_mean(state.S, state.Y),
-                      W=_geometric_mean(state.D, state.Z))
+    """U = R # X^{-1}, V = S # Y^{-1}, W = D # Z^{-1}, so U X U = R etc."""
+    return NTScalings(U=geomean_inv(state.R, state.X),
+                      V=geomean_inv(state.S, state.Y),
+                      W=geomean_inv(state.D, state.Z))
 
 
 def nt_step(state: CenterState, kappa1: float) -> CenterState:
@@ -192,14 +186,17 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
 
     Solves the coupled system for the D increment (with Delta R = -Delta D,
     Delta S = kappa1 Delta D, Delta X = Delta Z + kappa1 Delta Y), projected
-    onto diagonal coordinates in diagonal-restricted mode.
+    onto diagonal coordinates in diagonal-restricted mode. The system needs
+    only the inverse scalings, U^{-1} = X # R^{-1} and likewise for V and W,
+    which geomean_inv forms directly.
     """
     if abs(kappa1 - state.kappa) > 1e-9 * max(1.0, abs(state.kappa)):
         raise ValueError("state must already be feasible at kappa1; "
                          "apply shift_state first")
     n = state.D.shape[0]
-    scal = nt_scalings(state)
-    ui, vi, wi = inv_pd(scal.U), inv_pd(scal.V), inv_pd(scal.W)
+    ui = geomean_inv(state.X, state.R)
+    vi = geomean_inv(state.Y, state.S)
+    wi = geomean_inv(state.Z, state.D)
     z_rhs = inv_pd(state.D) - state.Z
     y_rhs = inv_pd(state.S) - state.Y
     x_rhs = inv_pd(state.R) - state.X

@@ -29,6 +29,16 @@ def test_diag_scaling_validation():
     assert pair.left_values.size == 3
 
 
+@pytest.mark.parametrize("left", [[], 2.0, [[1.0, 2.0]], [1.0, 0.0],
+                                  [1.0, -2.0], [1.0, np.nan], [np.inf]])
+def test_pair_validates_left_values_like_values(left):
+    # the left sequence must be 1-D, nonempty, positive and finite
+    with pytest.raises(ValueError):
+        DiagScaling.pair(left, [1.0, 2.0])
+    with pytest.raises(ValueError):
+        DiagScaling.pair([1.0, 2.0], left)
+
+
 def test_jacobi_examples():
     sc = jacobi_scaling(SymMatrix.diagonal([4.0, 1.0]))
     assert np.allclose(sc.values, [4.0, 1.0])

@@ -12,6 +12,7 @@ from optiprecond import linalg
 from optiprecond.linalg import (
     blas_backend,
     chol_pd,
+    geomean_inv,
     inv_pd,
     logdet_from_chol,
     max_step_cone,
@@ -117,6 +118,45 @@ def test_sym_pow_inverse_agrees_with_inv_pd(n, cond, rng):
     assert np.array_equal(inv, inv.T)
     assert np.linalg.norm(sym_pow(m, -1.0) - inv, ord="fro") <= \
         1e-12 * cond * np.linalg.norm(inv, ord="fro")
+
+
+def _two_power_geomean(a, b):
+    """a # b^{-1} as a^{1/2} (a^{1/2} b a^{1/2})^{-1/2} a^{1/2}."""
+    ah = sym_pow(a, 0.5)
+    inner = ah @ b @ ah
+    return ah @ sym_pow(0.5 * (inner + inner.T), -0.5) @ ah
+
+
+@pytest.mark.parametrize("n", [1, 5, 20])
+def test_geomean_inv_matches_power_formula(n):
+    # one Cholesky factor and one eigensolve give the mean that two
+    # fractional powers give, u b u = a, and swapping the arguments inverts
+    for trial in range(30):
+        local = np.random.default_rng((n, trial))
+        a = random_spd(n, local, cond=10 ** local.uniform(0, 6)).mat
+        b = random_spd(n, local, cond=10 ** local.uniform(0, 6)).mat
+        kappa = max(np.linalg.cond(a), np.linalg.cond(b))
+        u, u_inv = geomean_inv(a, b), geomean_inv(b, a)
+        norm_u = np.linalg.norm(u, ord="fro")
+        assert np.array_equal(u, u.T)
+        assert np.linalg.norm(u - _two_power_geomean(a, b), ord="fro") <= \
+            1e-10 * kappa * norm_u
+        assert np.linalg.norm(u @ b @ u - a, ord="fro") <= \
+            1e-12 * kappa * np.linalg.norm(a, ord="fro")
+        assert np.linalg.norm(u @ u_inv - np.eye(n), ord="fro") <= \
+            1e-12 * kappa
+
+
+@pytest.mark.parametrize("a, b", [
+    (np.diag([1.0, -1.0]), np.eye(2)),
+    (np.diag([1.0, 0.0]), np.eye(2)),
+    (np.eye(2), np.diag([1.0, -1.0])),
+    (np.eye(2), np.diag([1.0, 0.0])),
+    (np.eye(2), np.diag([1.0, np.nan])),
+])
+def test_geomean_inv_rejects_non_pd(a, b):
+    with pytest.raises(NotPositiveDefiniteError):
+        geomean_inv(a, b)
 
 
 def test_proximity_delta_examples():

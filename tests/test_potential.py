@@ -1,5 +1,9 @@
+import collections
+
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 
 from optiprecond import SymMatrix
 from optiprecond.barrier import (InfeasiblePointError, barrier_value,
@@ -77,6 +81,32 @@ def test_nt_scalings_geometric_mean_identity(rng):
                           (sc.W, st.D, st.Z)):
         resid = np.linalg.norm(mean @ xi @ mean - rho, ord="fro")
         assert resid <= 1e-7 * np.linalg.norm(rho, ord="fro")
+
+
+def test_nt_step_makes_three_eigensolves(monkeypatch):
+    # each inverse scaling is one geometric mean, one Cholesky factor and one
+    # eigensolve; dpotri inverts only D, S and R, and the cone check factors
+    # the three new cones
+    m = random_spd(6, np.random.default_rng(3), cond=40.0)
+    st = state_from_center(m, 2.0 * np.linalg.cond(m.mat), mode=MODE_DIAG)
+    st = shift_state(st, delta_kappa(st, 0.1))
+    calls = collections.Counter()
+
+    def count(name, fn):
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return counted
+
+    for home, attr, name in ((np.linalg, "eigh", "eig"),
+                             (np.linalg, "eigvalsh", "eig"),
+                             (scipy.linalg, "eigh", "eig"),
+                             (scipy.linalg, "eigvalsh", "eig"),
+                             (scipy.linalg.lapack, "dpotri", "potri"),
+                             (scipy.linalg.lapack, "dpotrf", "chol")):
+        monkeypatch.setattr(home, attr, count(name, getattr(home, attr)))
+    nt_step(st, st.kappa)
+    assert calls == {"eig": 3, "potri": 3, "chol": 9}
 
 
 def test_delta_kappa_closed_forms(rng):
