@@ -222,11 +222,19 @@ def chol_pd(a):
 
 
 def inv_from_chol(lower):
-    """The symmetric inverse of L L^T from its lower Cholesky factor L."""
+    """The symmetric inverse of L L^T from its lower Cholesky factor L.
+
+    L's strict upper triangle must be zero, as chol_pd leaves it: dpotri
+    writes the lower triangle of the inverse and keeps that zero upper
+    triangle, so inv + inv.T mirrors it exactly and only the doubled
+    diagonal needs restoring.
+    """
     inv, info = scipy.linalg.lapack.dpotri(lower, lower=1)
     if info != 0:
         raise np.linalg.LinAlgError("dpotri failed on the Cholesky factor")
-    return inv + np.tril(inv, -1).T
+    out = inv + inv.T
+    np.fill_diagonal(out, inv.diagonal())
+    return out
 
 
 def inv_pd(a):

@@ -8,6 +8,14 @@ D = t(kappa) M, so it needs no centering solve. Diagonal-restricted mode
 constrains the step to diagonal coordinates (projecting the NT operator onto
 them), centers with barrier.compute_center, and is the production path that
 actually produces diagonal preconditioners.
+
+A state carries the Cholesky factors of its cones R = M - D, S = kappa D - M
+and D, so each matrix is factored once. An approximate step of
+solve_right_pr makes 6 dpotrf calls (the shifted S, the factors of Y and Z
+in two geometric means, and the new R, S and D), 4 dpotri calls (the
+shifted S's inverse, and X, Y, Z of the next iterate) and 2 eigensolves.
+X = R^{-1} holds exactly at every iterate, so U^{-1} = X needs no
+eigensolve. A retried step costs what it made before it failed.
 """
 
 from __future__ import annotations
@@ -21,14 +29,13 @@ from .barrier import (
     BarrierPoint,
     CenteringError,
     InfeasiblePointError,
-    _one_sided,
     compute_center,
     initial_feasible_point,
 )
 from .heuristics import DiagScaling, SIDE_RIGHT, finish_solve
 from .linalg import (SymMatrix, NotPositiveDefiniteError, chol_pd,
-                     condition_number, geomean_inv, inv_pd, proximity_delta,
-                     serial_blas, solve_pd)
+                     condition_number, geomean_inv, inv_from_chol, inv_pd,
+                     logdet_from_chol, proximity_delta, serial_blas, solve_pd)
 from .matrixio import SolveReport
 
 MODE_FULL = "full"
@@ -75,13 +82,37 @@ class NTScalings:
     W: np.ndarray
 
 
+class Factored:
+    """A PD matrix's lower Cholesky factor, and its inverse once formed."""
+
+    __slots__ = ("lower", "_inv")
+
+    def __init__(self, lower):
+        self.lower = lower
+        self._inv = None
+
+    @classmethod
+    def of(cls, a, name="matrix"):
+        lower = chol_pd(a)
+        if lower is None:
+            raise NotPositiveDefiniteError(f"{name} is not numerically PD")
+        return cls(lower)
+
+    @property
+    def inv(self) -> np.ndarray:
+        if self._inv is None:
+            self._inv = inv_from_chol(self.lower)
+        return self._inv
+
+
 @dataclass
 class CenterState:
     """Interior-point state (R, S, D, X, Y, Z, kappa) with proximities.
 
     Maintains S = kappa D - M and the linear identity Z + kappa Y = X; in
     diagonal-restricted mode D stays diagonal and the identity's diagonal
-    projection is the barrier gradient.
+    projection is the barrier gradient. fr, fs and fd are the Factored
+    R, S and D where the state knows them; factors() forms the others.
     """
 
     m: np.ndarray
@@ -91,6 +122,9 @@ class CenterState:
     Y: np.ndarray
     Z: np.ndarray
     mode: str = MODE_FULL
+    fr: Factored | None = None
+    fs: Factored | None = None
+    fd: Factored | None = None
 
     @property
     def R(self) -> np.ndarray:
@@ -99,6 +133,17 @@ class CenterState:
     @property
     def S(self) -> np.ndarray:
         return self.kappa * self.D - self.m
+
+    def factors(self) -> tuple[Factored, Factored, Factored]:
+        """Factored R, S and D; raises NotPositiveDefiniteError if one is
+        not numerically PD. Factors formed here are kept."""
+        if self.fr is None:
+            self.fr = Factored.of(self.R, "R")
+        if self.fs is None:
+            self.fs = Factored.of(self.S, "S")
+        if self.fd is None:
+            self.fd = Factored.of(self.D, "D")
+        return self.fr, self.fs, self.fd
 
     def deltas(self):
         """(delta_RX, delta_SY, delta_DZ)."""
@@ -133,24 +178,33 @@ def state_from_center(m: SymMatrix, kappa: float,
     The full problem is feasible exactly when kappa > 1.
     """
     kappa = float(kappa)
-    if mode == MODE_FULL:
-        if kappa <= 1.0:
-            raise InfeasiblePointError(f"kappa={kappa:.6g} must exceed 1")
-        t = (kappa + 1 + np.sqrt(kappa ** 2 - kappa + 1)) / (3 * kappa)
-        d_mat = t * m.mat
-    else:
-        bp = compute_center(m, kappa, initial_feasible_point(m, kappa),
-                            tol=_CENTER_TOL)
-        d_mat = np.diag(bp.d)
-    return _state_at(m.mat, kappa, d_mat, mode)
+    if mode != MODE_FULL:
+        return _state_from_point(compute_center(
+            m, kappa, initial_feasible_point(m, kappa), tol=_CENTER_TOL), mode)
+    if kappa <= 1.0:
+        raise InfeasiblePointError(f"kappa={kappa:.6g} must exceed 1")
+    t = (kappa + 1 + np.sqrt(kappa ** 2 - kappa + 1)) / (3 * kappa)
+    return _state_at(m.mat, kappa, t * m.mat, mode)
 
 
-def _state_at(m_arr, kappa, d_mat, mode):
-    """CenterState at D with X, Y, Z set to the true inverses."""
-    return CenterState(m=m_arr, kappa=kappa, D=d_mat,
-                       X=inv_pd(m_arr - d_mat),
-                       Y=inv_pd(kappa * d_mat - m_arr),
-                       Z=inv_pd(d_mat), mode=mode)
+def _state_at(m_arr, kappa, d_mat, mode, fr=None, fs=None, fd=None):
+    """CenterState at D with X, Y, Z set to the inverses of R, S and D.
+
+    Each inverse comes from the cone's Factored, which is formed here
+    unless given.
+    """
+    state = CenterState(m=m_arr, kappa=kappa, D=d_mat, X=None, Y=None,
+                        Z=None, mode=mode, fr=fr, fs=fs, fd=fd)
+    fr, fs, fd = state.factors()
+    state.X, state.Y, state.Z = fr.inv, fs.inv, fd.inv
+    return state
+
+
+def _state_from_point(bp: BarrierPoint, mode=MODE_DIAG) -> CenterState:
+    """CenterState at a barrier point, reusing its factors of R and S."""
+    chol_r, chol_s = bp.state[0]
+    return _state_at(bp.m.mat, bp.kappa, np.diag(bp.d), mode,
+                     Factored(chol_r), Factored(chol_s))
 
 
 def delta_kappa(state: CenterState, beta: float) -> float:
@@ -161,17 +215,19 @@ def delta_kappa(state: CenterState, beta: float) -> float:
 def shift_state(state: CenterState, dk: float) -> CenterState:
     """Move to kappa - dk, shifting S directly and Z by dk * Y.
 
-    Keeps R, D, X, Y and the linear identity; raises StepTooLargeError when
-    the shifted S leaves the PSD cone (callers halve beta).
+    Keeps R, D, X, Y, the linear identity and the factors of R and D, and
+    carries the shifted S's factor; raises StepTooLargeError when the
+    shifted S leaves the PSD cone (callers halve beta).
     """
     kappa1 = state.kappa - dk
-    s_shifted = kappa1 * state.D - state.m
-    if chol_pd(s_shifted) is None:
+    s_lower = chol_pd(kappa1 * state.D - state.m)
+    if s_lower is None:
         raise StepTooLargeError(
             f"shift {dk:.3e} makes S indefinite at kappa={kappa1:.6g}")
     return CenterState(m=state.m, kappa=kappa1, D=state.D.copy(),
                        X=state.X.copy(), Y=state.Y.copy(),
-                       Z=state.Z + dk * state.Y, mode=state.mode)
+                       Z=state.Z + dk * state.Y, mode=state.mode,
+                       fr=state.fr, fs=Factored(s_lower), fd=state.fd)
 
 
 def nt_scalings(state: CenterState) -> NTScalings:
@@ -188,19 +244,22 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
     Delta S = kappa1 Delta D, Delta X = Delta Z + kappa1 Delta Y), projected
     onto diagonal coordinates in diagonal-restricted mode. The system needs
     only the inverse scalings, U^{-1} = X # R^{-1} and likewise for V and W,
-    which geomean_inv forms directly.
+    which geomean_inv forms directly; when X is exactly R^{-1}, U^{-1} is X.
+    R^{-1}, S^{-1} and D^{-1} come from the state's factors, and the
+    returned state carries the factors of its own R, S and D.
     """
     if abs(kappa1 - state.kappa) > 1e-9 * max(1.0, abs(state.kappa)):
         raise ValueError("state must already be feasible at kappa1; "
                          "apply shift_state first")
     n = state.D.shape[0]
-    ui = geomean_inv(state.X, state.R)
+    fr, fs, fd = state.factors()
+    z_rhs = fd.inv - state.Z
+    y_rhs = fs.inv - state.Y
+    x_rhs = fr.inv - state.X
+    rhs = z_rhs + kappa1 * y_rhs - x_rhs
+    ui = state.X if not np.any(x_rhs) else geomean_inv(state.X, state.R)
     vi = geomean_inv(state.Y, state.S)
     wi = geomean_inv(state.Z, state.D)
-    z_rhs = inv_pd(state.D) - state.Z
-    y_rhs = inv_pd(state.S) - state.Y
-    x_rhs = inv_pd(state.R) - state.X
-    rhs = z_rhs + kappa1 * y_rhs - x_rhs
 
     if state.mode == MODE_DIAG:
         coeff = ui ** 2 + wi ** 2 + kappa1 ** 2 * vi ** 2
@@ -218,17 +277,13 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
     new = CenterState(m=state.m, kappa=kappa1, D=state.D + delta_d,
                       X=state.X + delta_x, Y=state.Y + delta_y,
                       Z=state.Z + delta_z, mode=state.mode)
-    if chol_pd(new.R) is None or chol_pd(new.S) is None or \
-            chol_pd(new.D) is None:
+    try:
+        new.factors()
+    except NotPositiveDefiniteError:
         raise StepTooLargeError(
-            "NT step left the cone; proximity exceeded the step's basin")
+            "NT step left the cone; proximity exceeded the step's basin"
+        ) from None
     return new
-
-
-def _potential(m_arr, kappa, d):
-    barrier = _one_sided(m_arr, kappa)
-    state = barrier.factor(d)
-    return None if state is None else barrier.value(state)
 
 
 @serial_blas()
@@ -240,6 +295,10 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
     performs exactly one NT Newton step. Starts at kappa = 1.01 kappa(M)
     from the uniform interior point; terminates on three consecutive outer
     steps with relative progress below kappa_tol, or after 10,000 steps.
+    Each iterate carries the factors of its cones from the step or the
+    centering that produced it, and the potential (the barrier value) is
+    read from them. ``iterations`` counts outer steps including retried
+    ones; extra["accepted_steps"] and extra["beta_halvings"] split them.
     """
     if mode not in ("exact", "approximate"):
         raise ValueError("mode must be 'exact' or 'approximate'")
@@ -250,23 +309,25 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
     kappa = kappa_m * 1.01
     center_tol = 1e-9 * max(1.0, float(np.abs(np.diag(m_arr)).max()))
 
-    bp = compute_center(m, kappa, initial_feasible_point(m, kappa),
-                        tol=center_tol)
-    d = bp.d
+    def potential(st):
+        # LmiBarrier.value's sum: log det R, log det S, then sum log d
+        return sum([logdet_from_chol(st.fr.lower),
+                    logdet_from_chol(st.fs.lower),
+                    float(np.sum(np.log(np.diag(st.D))))])
+
+    state = _state_from_point(compute_center(
+        m, kappa, initial_feasible_point(m, kappa), tol=center_tol))
     beta = config.beta
-    trajectory = [(kappa, _potential(m_arr, kappa, d), beta)]
+    trajectory = [(kappa, potential(state), beta)]
     small_progress = 0
     failed_attempts = 0
     clean_steps = 0
     iterations = 0
+    halvings = 0
 
     while iterations < _MAX_OUTER:
         iterations += 1
-        try:
-            state = _state_at(m_arr, kappa, np.diag(d), MODE_DIAG)
-        except NotPositiveDefiniteError:
-            raise StagnationError("iterate lost definiteness",
-                                  {"kappa": kappa}) from None
+        d = np.diag(state.D)
         dk = beta / float(np.sum(d * np.diag(state.Y)))
         if kappa - dk <= 1.0:
             dk = 0.5 * (kappa - 1.0)
@@ -277,16 +338,16 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
         try:
             if mode == "exact":
                 start = BarrierPoint(m, kappa_new, d)
-                d_new = compute_center(m, kappa_new, start,
-                                       tol=center_tol).d
+                new = _state_from_point(compute_center(
+                    m, kappa_new, start, tol=center_tol))
             else:
                 stepped = nt_step(shift_state(state, dk), kappa_new)
-                d_new = np.diag(stepped.D).copy()
-                if np.any(d_new <= 0):
-                    raise StepTooLargeError("diagonal left positivity")
+                new = _state_at(m_arr, kappa_new, stepped.D, MODE_DIAG,
+                                *stepped.factors())
         except (StepTooLargeError, CenteringError,
                 NotPositiveDefiniteError, ValueError):
             beta *= 0.5
+            halvings += 1
             clean_steps = 0
             failed_attempts += 1
             if beta < 1e-12 or failed_attempts >= 50:
@@ -297,8 +358,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
             continue
 
         failed_attempts = 0
-        kappa, d = kappa_new, d_new
-        trajectory.append((kappa, _potential(m_arr, kappa, d), beta))
+        kappa, state = kappa_new, new
+        trajectory.append((kappa, potential(state), beta))
         clean_steps += 1
         if clean_steps >= 5:
             beta = min(2 * beta, config.beta)
@@ -312,6 +373,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
 
     return finish_solve(
         f"potential_reduction_{mode}", t0, m, kappa_m,
-        DiagScaling(d, side=SIDE_RIGHT), iterations,
+        DiagScaling(np.diag(state.D).copy(), side=SIDE_RIGHT), iterations,
         {"kappa_terminal": kappa,
+         "accepted_steps": len(trajectory) - 1,
+         "beta_halvings": halvings,
          "potential_trajectory": [[k, p, b] for (k, p, b) in trajectory]})

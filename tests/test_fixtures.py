@@ -113,6 +113,32 @@ def test_two_sided_alternation_on_trefethen_150():
     assert rep.kappa_after == pytest.approx(w[-1] / w[0], rel=1e-8)
     assert rep.iterations <= 20
 
+
+# optimal_right's auto route (potential reduction) on the benchmark's eight
+# right inputs: outer steps and kappa_after of the approximate NT path
+PINNED_RIGHT_PR = {
+    "trefethen_20b": (1014, 8.919179244),
+    "trefethen_20": (1128, 30.3044306),
+    "trefethen_150": (3, 142.2774988),
+    "trefethen_200b": (3, 61.79698651),
+    "gauss_cov_s0": (170, 363.1996583),
+    "gauss_cov_s1": (151, 560.8114621),
+    "gauss_cov_s2": (225, 365.1434723),
+    "gauss_cov_s3": (206, 580.8727004),
+}
+
+
+def test_potential_reduction_right_solves_are_pinned():
+    from optiprecond.optimal import optimal_right
+
+    for name, (steps, kappa) in PINNED_RIGHT_PR.items():
+        gram = gram_matrix(read_matrix_market(fixture_path(name)))
+        _, rep = optimal_right(gram)
+        assert rep.method == "optimal_right[potential_reduction]", name
+        assert rep.iterations == steps, name
+        assert rep.kappa_after == pytest.approx(kappa, rel=1e-9), name
+
+
 def test_gauss_cov_design_deterministic():
     assert np.array_equal(gauss_cov_design(3), gauss_cov_design(3))
     assert gauss_cov_design(0).shape == (400, 40)

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from optiprecond import NotPositiveDefiniteError, SymMatrix, condition_number
 from optiprecond import linalg
@@ -13,6 +14,7 @@ from optiprecond.linalg import (
     blas_backend,
     chol_pd,
     geomean_inv,
+    inv_from_chol,
     inv_pd,
     logdet_from_chol,
     max_step_cone,
@@ -91,6 +93,21 @@ def test_psd_inverse_examples():
     assert np.allclose(inv_pd(np.eye(3)), np.eye(3))
     assert np.allclose(inv_pd(np.array([[4.0, 2.0], [2.0, 2.0]])),
                        [[0.5, -0.5], [-0.5, 1.0]])
+
+
+@pytest.mark.parametrize("n", [1, 20, 150])
+def test_inv_from_chol_mirrors_lower_triangle_exactly(n):
+    # chol_pd zeroes the upper triangle, so inv + inv.T with the diagonal
+    # restored equals mirroring dpotri's strict lower triangle, bit for bit
+    m = random_spd(n, np.random.default_rng(n), cond=1e4)
+    lower = chol_pd(m.mat)
+    inv = inv_from_chol(lower)
+    raw, info = scipy.linalg.lapack.dpotri(lower, lower=1)
+    assert info == 0
+    assert np.array_equal(inv, raw + np.tril(raw, -1).T)
+    assert np.array_equal(inv, inv.T)
+    resid = np.linalg.norm(m.mat @ inv - np.eye(n), ord="fro")
+    assert resid <= 1e-10 * condition_number(m)
 
 
 def test_psd_inverse_residual(rng):

@@ -1,15 +1,17 @@
 import collections
+import dataclasses
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
-from optiprecond import SymMatrix
+from optiprecond import SymMatrix, gram_matrix, potential, read_matrix_market
 from optiprecond.barrier import (InfeasiblePointError, barrier_value,
                                  compute_center)
 from optiprecond.dsdp import build_right, barrier_path_solve
-from optiprecond.linalg import sym_pow
+from optiprecond.fixtures import fixture_path
+from optiprecond.linalg import chol_pd, geomean_inv, inv_pd, sym_pow
 from optiprecond.potential import (
     MODE_DIAG,
     PRConfig,
@@ -83,13 +85,8 @@ def test_nt_scalings_geometric_mean_identity(rng):
         assert resid <= 1e-7 * np.linalg.norm(rho, ord="fro")
 
 
-def test_nt_step_makes_three_eigensolves(monkeypatch):
-    # each inverse scaling is one geometric mean, one Cholesky factor and one
-    # eigensolve; dpotri inverts only D, S and R, and the cone check factors
-    # the three new cones
-    m = random_spd(6, np.random.default_rng(3), cond=40.0)
-    st = state_from_center(m, 2.0 * np.linalg.cond(m.mat), mode=MODE_DIAG)
-    st = shift_state(st, delta_kappa(st, 0.1))
+def _count_lapack(monkeypatch):
+    """Counter of eigensolves, dpotri and dpotrf calls from here on."""
     calls = collections.Counter()
 
     def count(name, fn):
@@ -105,8 +102,99 @@ def test_nt_step_makes_three_eigensolves(monkeypatch):
                              (scipy.linalg.lapack, "dpotri", "potri"),
                              (scipy.linalg.lapack, "dpotrf", "chol")):
         monkeypatch.setattr(home, attr, count(name, getattr(home, attr)))
-    nt_step(st, st.kappa)
-    assert calls == {"eig": 3, "potri": 3, "chol": 9}
+    return calls
+
+
+def _shifted_diag_state():
+    m = random_spd(6, np.random.default_rng(3), cond=40.0)
+    st = state_from_center(m, 2.0 * np.linalg.cond(m.mat), mode=MODE_DIAG)
+    return shift_state(st, delta_kappa(st, 0.1))
+
+
+def _reference_step_d(st):
+    """D after a diagonal-mode NT step with every inverse scaling from
+    geomean_inv and every cone inverse from inv_pd."""
+    ui = geomean_inv(st.X, st.R)
+    vi = geomean_inv(st.Y, st.S)
+    wi = geomean_inv(st.Z, st.D)
+    rhs = ((inv_pd(st.D) - st.Z) + st.kappa * (inv_pd(st.S) - st.Y)
+           - (inv_pd(st.R) - st.X))
+    coeff = ui ** 2 + wi ** 2 + st.kappa ** 2 * vi ** 2
+    return st.D + np.diag(np.linalg.solve(coeff, np.diag(rhs)))
+
+
+def _assert_matches_reference(stepped, st):
+    ref = _reference_step_d(st)
+    assert np.linalg.norm(stepped.D - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_nt_step_makes_three_eigensolves(monkeypatch):
+    # with X away from R^{-1}, each inverse scaling is one geometric mean:
+    # one Cholesky factor and one eigensolve. The cone inverses come from
+    # the state's factors, so dpotri runs once, for the shifted S, and the
+    # closing check factors the three new cones
+    st = _shifted_diag_state()
+    st = dataclasses.replace(st, X=st.X + 0.05 * np.diag(np.diag(st.X)))
+    calls = _count_lapack(monkeypatch)
+    stepped = nt_step(st, st.kappa)
+    assert calls == {"eig": 3, "potri": 1, "chol": 6}
+    _assert_matches_reference(stepped, st)
+
+
+def test_nt_step_takes_u_inverse_from_x_when_x_is_r_inverse(monkeypatch):
+    # X = R^{-1} exactly after a shift from a center, and then
+    # U^{-1} = X # R^{-1} = X needs no geometric mean
+    st = _shifted_diag_state()
+    assert not np.any(st.fr.inv - st.X)
+    calls = _count_lapack(monkeypatch)
+    stepped = nt_step(st, st.kappa)
+    assert calls == {"eig": 2, "potri": 1, "chol": 5}
+    _assert_matches_reference(stepped, st)
+    fr, fs, fd = stepped.fr, stepped.fs, stepped.fd
+    for f, cone in ((fr, stepped.R), (fs, stepped.S), (fd, stepped.D)):
+        assert np.array_equal(f.lower, chol_pd(cone))
+
+
+def test_solve_right_pr_call_budget_per_step(monkeypatch):
+    # per accepted step at most 6 dpotrf, 4 dpotri and 2 eigensolves;
+    # kappa(M), the first centering and the finishing kappa come once
+    m = gram_matrix(read_matrix_market(fixture_path("trefethen_20b")))
+    calls = _count_lapack(monkeypatch)
+    marks = {}
+    shift, finish = potential.shift_state, potential.finish_solve
+
+    def first_shift(*args):
+        marks.setdefault("loop", calls.copy())
+        return shift(*args)
+
+    def at_finish(*args):
+        marks["end"] = calls.copy()
+        return finish(*args)
+
+    monkeypatch.setattr(potential, "shift_state", first_shift)
+    monkeypatch.setattr(potential, "finish_solve", at_finish)
+    _, report = solve_right_pr(m)
+    accepted = report.extra["accepted_steps"]
+    assert accepted == report.iterations == 1014
+    assert report.extra["beta_halvings"] == 0
+    loop = marks["end"] - marks["loop"]
+    assert loop["chol"] <= 6 * accepted
+    assert loop["potri"] <= 4 * accepted
+    assert loop["eig"] <= 2 * accepted
+    once = calls - loop
+    assert once["eig"] == 3
+    assert once["chol"] < 0.1 * accepted and once["potri"] < 0.1 * accepted
+
+
+def test_solve_right_pr_counts_beta_halvings():
+    # steps of beta = 0.99 leave the NT step's basin twice here
+    m = random_spd(3, np.random.default_rng(1), cond=1e3)
+    _, report = solve_right_pr(m, PRConfig(beta=0.99))
+    halvings = report.extra["beta_halvings"]
+    assert halvings == 2
+    assert report.extra["accepted_steps"] + halvings == report.iterations
+    assert len(report.extra["potential_trajectory"]) == \
+        report.extra["accepted_steps"] + 1
 
 
 def test_delta_kappa_closed_forms(rng):
