@@ -44,7 +44,6 @@ from .barrier import (
     barrier_hessian,
     compute_center,
     initial_feasible_point,
-    feasibility_margin,
     two_sided_feasibility,
 )
 from .potential import (

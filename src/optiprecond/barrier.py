@@ -1,15 +1,21 @@
-"""Log-det barrier over linear matrix inequalities, and its Newton ascent.
+"""Log-det barrier over linear matrix inequalities, and its path follower.
 
 Every interior-point solver in the package maximizes c.x + mu * phi(x), where
 phi is the log-det barrier of LMIs F(x) = F0 + sum_j x_j F_j > 0 plus
-elementwise bounds on x. The coefficients F_j come in three kinds: diagonal
-e_j e_j^T, rank-one rows a_j a_j^T, or one dense matrix on a single variable.
+sum log x_j over a block of x kept positive. The coefficients F_j come in
+three kinds: diagonal e_j e_j^T, rank-one rows a_j a_j^T, or one dense
+matrix on a single variable.
+``newton_ascent`` is the one damped-Newton loop; ``follow_path``, the one
+central path of x_0 + mu * phi(x), serves dsdp and the two-sided level test.
 
 For a PD matrix M and a level kappa, the scaling region is
 {d > 0 : M - D > 0, kappa D - M > 0} with D = diag(d). The barrier over this
-region has the analytic center as its unique maximizer; a phase-I variant
-with uniformly shifted cones yields the feasibility margin that the two-sided
-bisection consumes.
+region has the analytic center as its unique maximizer.
+
+``two_sided_feasibility`` decides whether D2 < A^T D1 A < kappa D2 has a
+solution: it maximizes s over A^T D1 A - D2 > sI, kappa D2 - A^T D1 A > sI
+and stops at a witness (s > 0) or at a Farkas certificate of infeasibility
+(Vandenberghe & Boyd, Semidefinite Programming, SIAM Rev. 1996, section 3).
 """
 
 from __future__ import annotations
@@ -20,7 +26,8 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .linalg import (SymMatrix, chol_pd, inv_from_chol, logdet_from_chol,
+from .linalg import (SymMatrix, chol_pd, condition_number,
+                     extreme_eigenvalues, inv_from_chol, logdet_from_chol,
                      max_step_cone, serial_blas, solve_pd)
 from .matrixio import RectMatrix
 
@@ -28,17 +35,20 @@ from .matrixio import RectMatrix
 # (1 + |value|): the rounding noise of the barrier value near a center.
 _ACCEPT_RTOL = 1e-12
 
-# Phase-I margin search: at most 30 re-centerings, each a Newton ascent of at
-# most 80 steps to a gradient of 1e-10. Callers count a margin of at least
-# -1e-7 as feasible; d1 is boxed below 1e6 in the two-sided problem.
-_OUTER_STEPS = 30
-_NEWTON_TOL = 1e-10
-_NEWTON_CAP = 80
-_BOUNDARY_TOL = 1e-7
-_BOX_BOUND = 1e6
+# Central-path schedule: mu = 1 shrinks fivefold per stage down to 1e-9
+# (14 stages), each stage a Newton ascent of at most 50 steps that stops on
+# a decrement below 1e-10 relative to 1 + |stage objective|.
+_MU_INIT = 1.0
+_MU_FACTOR = 5.0
+_MU_MIN = 1e-9
+_PATH_NEWTON_CAP = 50
+_DECREMENT_TOL = 1e-10
 
 # compute_center takes at most 200 Newton steps.
 _CENTER_NEWTON_CAP = 200
+
+# The level test keeps the scale of d2 in the band n < sum(d2) < 100 n.
+_SCALE_CAP = 100.0
 
 
 class InfeasiblePointError(ValueError):
@@ -55,19 +65,25 @@ class CenteringError(RuntimeError):
 
 @dataclass
 class FeasibilityResult:
-    """Max-margin outcome: s*, its witness, and a convergence flag.
+    """One level's verdict: 'feasible', 'infeasible' or 'undecided'.
 
-    margin > tol means strictly feasible, margin < -tol infeasible, and
-    |margin| <= tol is boundary (treated as feasible by callers). For the
-    two-sided problem the witness is d2 and witness_left is d1.
-    newton_fallbacks counts Newton systems solved by least squares.
+    A feasible level carries its witness pair (witness_left = d1, witness =
+    d2) and the pair's kappa, at most the level; an infeasible one carries
+    the checked certificate (X, Y) of _certificate. Both are given in the
+    coordinates of the input A.
     """
 
-    margin: float
-    witness: np.ndarray
-    converged: bool
+    verdict: str
     witness_left: np.ndarray | None = None
+    witness: np.ndarray | None = None
+    kappa: float = float("nan")
+    certificate: tuple[np.ndarray, np.ndarray] | None = None
+    newton_steps: int = 0
     newton_fallbacks: int = 0
+
+    @property
+    def feasible(self) -> bool:
+        return self.verdict == "feasible"
 
 
 @dataclass(frozen=True)
@@ -122,42 +138,30 @@ def _linear(terms, x):
     return sum(t.matrix(x[t.sl]) for t in terms)
 
 
-@dataclass(frozen=True)
-class Bound:
-    """Elementwise slack sign * (x[sl] - ref) > 0."""
-
-    sl: slice
-    sign: float = 1.0
-    ref: float = 0.0
-
-    def slack(self, x):
-        return self.sign * (x[self.sl] - self.ref)
-
-
 class LmiBarrier:
-    """sum of log det F(x) over the cones + sum log of the bound slacks.
+    """sum of log det F(x) over the cones + sum log x_j over x[positive].
 
     Each cone is a pair (F0, terms) with F(x) = F0 + sum_j x_j F_j. With
     P = F^{-1}, d phi/dx_j = tr(P F_j) and d2 phi/dx_j dx_k = -tr(P F_j P F_k)
     (Vandenberghe & Boyd, Semidefinite Programming, SIAM Rev. 1996). A
-    factored point, or state, is (Cholesky factors, bound slacks).
+    factored point, or state, is (Cholesky factors, x[positive]).
     """
 
-    def __init__(self, nvar, cones, bounds):
+    def __init__(self, nvar, cones, positive: slice):
         self.nvar = nvar
         self.cones = cones
-        self.bounds = bounds
+        self.positive = positive
 
     @property
     def dim(self) -> int:
         """Barrier parameter: total cone order plus bound count."""
         return (sum(f0.shape[0] for f0, _ in self.cones)
-                + sum(b.sl.stop - b.sl.start for b in self.bounds))
+                + self.positive.stop - self.positive.start)
 
     def factor(self, x):
         """State at x, or None when x is not strictly feasible."""
-        slacks = [b.slack(x) for b in self.bounds]
-        if any(s.min() <= 0 for s in slacks):
+        slack = x[self.positive]
+        if slack.min() <= 0:
             return None
         # numpy and scipy each run their own BLAS thread pool; grouping the
         # calls of each library avoids paying for a hand-over per cone
@@ -167,16 +171,16 @@ class LmiBarrier:
             chols.append(chol_pd(mat))
             if chols[-1] is None:
                 return None
-        return chols, slacks
+        return chols, slack
 
     def value(self, state):
-        chols, slacks = state
+        chols, slack = state
         return sum([*map(logdet_from_chol, chols),
-                    *(float(np.sum(np.log(s))) for s in slacks)])
+                    float(np.sum(np.log(slack)))])
 
     def derivatives(self, state):
         """Gradient and negated (positive definite) Hessian."""
-        chols, slacks = state
+        chols, slack = state
         g = np.zeros(self.nvar)
         nh = np.zeros((self.nvar, self.nvar))
         for (_, terms), p in zip(self.cones, list(map(inv_from_chol, chols))):
@@ -188,56 +192,45 @@ class LmiBarrier:
                     nh[ti.sl, tj.sl] += k
                     if tj is not ti:
                         nh[tj.sl, ti.sl] += k.T
-        for b, s in zip(self.bounds, slacks):
-            g[b.sl] += b.sign / s
-            idx = np.arange(b.sl.start, b.sl.stop)
-            nh[idx, idx] += 1.0 / s ** 2
+        g[self.positive] += 1.0 / slack
+        idx = np.arange(self.positive.start, self.positive.stop)
+        nh[idx, idx] += 1.0 / slack ** 2
         return g, nh
 
     def max_step(self, state, dx):
         """Largest alpha keeping x + alpha dx feasible (inf if unbounded)."""
-        chols, slacks = state
+        chols, slack = state
         deltas = [-_linear(terms, dx) for _, terms in self.cones]
         alpha = min(map(max_step_cone, chols, deltas))
-        for b, s in zip(self.bounds, slacks):
-            rate = b.sign * dx[b.sl]
-            neg = rate < 0
-            if np.any(neg):
-                alpha = min(alpha, float(np.min(s[neg] / -rate[neg])))
+        rate = dx[self.positive]
+        neg = rate < 0
+        if np.any(neg):
+            alpha = min(alpha, float(np.min(slack[neg] / -rate[neg])))
         return alpha
 
 
-def _min_slack(barrier, x):
-    """Smallest eigenvalue over the cones and smallest bound slack at x.
-
-    Only the first bound counts: phase-I barriers shift it with the cones
-    and keep their other bounds unshifted.
-    """
-    return float(min(
-        min(scipy.linalg.eigvalsh(_linear(t, x) + f0)[0]
-            for f0, t in barrier.cones),
-        barrier.bounds[0].slack(x).min()))
-
-
 class NewtonResult(NamedTuple):
-    """newton_ascent's last iterate; status is 'converged', 'max_iter' or
-    'stalled' (no trial passed the line search), and fallbacks counts Newton
-    systems that were not numerically PD and were solved by least squares."""
+    """newton_ascent's last iterate; status is 'converged', 'max_iter',
+    'stopped' (the stop test held) or 'stalled' (no trial passed the line
+    search). steps counts Newton systems solved, and fallbacks those that
+    were not numerically PD and were solved by least squares."""
 
     x: np.ndarray
     status: str
     grad_norm: float
     fallbacks: int
+    steps: int
 
 
 def newton_ascent(barrier: LmiBarrier, x0, max_iter, *, grad_tol=None,
-                  dec_tol=None, c=None, mu=1.0) -> NewtonResult:
+                  dec_tol=None, c=None, mu=1.0, stop=None) -> NewtonResult:
     """Damped Newton maximization of c.x + mu * barrier from a feasible x0.
 
     barrier is an LmiBarrier: the only barrier any solver in the package
     builds. Stops when the gradient's infinity norm is at most grad_tol, or
-    when the Newton decrement g.dx is at most dec_tol * (1 + |value|). Each
-    step tries the full Newton step, then 0.9 of the step to the nearest
+    when the Newton decrement g.dx is at most dec_tol * (1 + |value|), or
+    when stop(x, state) holds at x0 or after an accepted step. Each step
+    tries the full Newton step, then 0.9 of the step to the nearest
     boundary, then halves (at most 40 trials).
     """
     x = np.array(x0, dtype=float)
@@ -250,21 +243,24 @@ def newton_ascent(barrier: LmiBarrier, x0, max_iter, *, grad_tol=None,
         return v if c is None else float(c @ x) + v
 
     val = objective(x, state)
-    fallbacks = 0
+    fallbacks = steps = 0
     gnorm = np.inf
     for _ in range(max_iter):
+        if stop is not None and stop(x, state):
+            return NewtonResult(x, "stopped", gnorm, fallbacks, steps)
         g, nh = barrier.derivatives(state)
         g, nh = mu * g, mu * nh
         if c is not None:
             g += c
         gnorm = float(np.abs(g).max())
         if grad_tol is not None and gnorm <= grad_tol:
-            return NewtonResult(x, "converged", gnorm, fallbacks)
+            return NewtonResult(x, "converged", gnorm, fallbacks, steps)
         step, pd = solve_pd(nh, g)
+        steps += 1
         fallbacks += not pd
         if dec_tol is not None and \
                 float(g @ step) <= dec_tol * (1.0 + abs(val)):
-            return NewtonResult(x, "converged", gnorm, fallbacks)
+            return NewtonResult(x, "converged", gnorm, fallbacks, steps)
         # try the full step before paying for the exact boundary computation
         alpha = 1.0
         for attempt in range(40):
@@ -281,36 +277,64 @@ def newton_ascent(barrier: LmiBarrier, x0, max_iter, *, grad_tol=None,
             else:
                 alpha *= 0.5
         else:
-            return NewtonResult(x, "stalled", gnorm, fallbacks)
-    return NewtonResult(x, "max_iter", gnorm, fallbacks)
+            return NewtonResult(x, "stalled", gnorm, fallbacks, steps)
+    if stop is not None and stop(x, state):
+        return NewtonResult(x, "stopped", gnorm, fallbacks, steps)
+    return NewtonResult(x, "max_iter", gnorm, fallbacks, steps)
 
 
-def _one_sided(m_arr, kappa, shift=0.0) -> LmiBarrier:
-    """Cones (M - sI) - D, kappa D - (M + sI) and bound d > s, over d."""
+def follow_path(barrier: LmiBarrier, x0, stop=None):
+    """Central path of x_0 + mu * barrier from a strictly feasible x0.
+
+    Each stage is a newton_ascent (stop passed on) warm-started at the
+    previous stage's point; mu then shrinks fivefold, down to 1e-9. Returns
+    the last stage's NewtonResult with steps and fallbacks summed over the
+    stages, its mu, and x_0 at the end of each finished stage.
+    """
+    objective = np.zeros(len(x0))
+    objective[0] = 1.0
+    x, mu, path = x0, _MU_INIT, []
+    steps = fallbacks = 0
+    while True:
+        res = newton_ascent(barrier, x, _PATH_NEWTON_CAP,
+                            dec_tol=_DECREMENT_TOL, c=objective, mu=mu,
+                            stop=stop)
+        steps += res.steps
+        fallbacks += res.fallbacks
+        if res.status == "stalled":
+            break
+        x = res.x
+        path.append(x[0])
+        if res.status == "stopped" or mu <= _MU_MIN:
+            break
+        mu /= _MU_FACTOR
+    return res._replace(steps=steps, fallbacks=fallbacks), mu, path
+
+
+def _one_sided(m_arr, kappa) -> LmiBarrier:
+    """Cones M - D, kappa D - M and bound d > 0, over d."""
     n = m_arr.shape[0]
     d = slice(0, n)
-    shift_eye = shift * np.eye(n)
-    return LmiBarrier(n, [(m_arr - shift_eye, (Term(d, -1.0),)),
-                          (-(m_arr + shift_eye), (Term(d, kappa),))],
-                      [Bound(d, 1.0, shift)])
+    return LmiBarrier(n, [(m_arr, (Term(d, -1.0),)),
+                          (-m_arr, (Term(d, kappa),))], d)
 
 
-def _two_sided(a_arr, kappa, shift) -> LmiBarrier:
-    """Cones A^T D1 A - D2 - sI, kappa D2 - A^T D1 A - sI over (d1, d2).
-
-    Bounds d1 > 1 + s (first: it bounds the margin), d1 < _BOX_BOUND and
-    d2 > 0; the box and positivity stay unshifted, and the box bounds the
-    otherwise scale-unbounded region.
-    """
+def _level_barrier(a_arr, kappa) -> LmiBarrier:
+    """Cones A^T D1 A - D2 - sI, kappa D2 - A^T D1 A - sI and the band
+    n < sum(d2) < 100 n (two 1x1 cones) over x = (s, d1 > 0, d2 > 0)."""
     m_rows, n = a_arr.shape
-    d1, d2 = slice(0, m_rows), slice(m_rows, m_rows + n)
-    f0 = -shift * np.eye(n)
+    s, d1, d2 = slice(0, 1), slice(1, m_rows + 1), \
+        slice(m_rows + 1, m_rows + n + 1)
+    zero, minus_eye, ones = np.zeros((n, n)), -np.eye(n), np.ones((n, 1))
     return LmiBarrier(
-        m_rows + n,
-        [(f0, (Term(d1, 1.0, rows=a_arr), Term(d2, -1.0))),
-         (f0, (Term(d2, kappa), Term(d1, -1.0, rows=a_arr)))],
-        [Bound(d1, 1.0, 1.0 + shift), Bound(d1, -1.0, _BOX_BOUND),
-         Bound(d2)])
+        m_rows + n + 1,
+        [(zero, (Term(d1, 1.0, rows=a_arr), Term(d2, -1.0),
+                 Term(s, 1.0, dense=minus_eye))),
+         (zero, (Term(d2, kappa), Term(d1, -1.0, rows=a_arr),
+                 Term(s, 1.0, dense=minus_eye))),
+         (np.array([[-float(n)]]), (Term(d2, 1.0, rows=ones),)),
+         (np.array([[_SCALE_CAP * n]]), (Term(d2, -1.0, rows=ones),))],
+        slice(1, m_rows + n + 1))
 
 
 class BarrierPoint:
@@ -360,12 +384,11 @@ def compute_center(m: SymMatrix, kappa: float, start: BarrierPoint,
     return BarrierPoint(m, kappa, res.x)
 
 
-def initial_feasible_point(m: SymMatrix, kappa: float) -> BarrierPoint:
-    """Uniform strictly feasible start d = c * ones, c = sqrt(lam1*lamn/kappa)."""
-    w = scipy.linalg.eigvalsh(m.mat)
-    lamn, lam1 = float(w[0]), float(w[-1])
-    if lamn <= 0:
-        raise InfeasiblePointError("matrix must be positive definite")
+def initial_feasible_point(m: SymMatrix, kappa: float,
+                           spectrum=None) -> BarrierPoint:
+    """Uniform strictly feasible start d = c * ones, c = sqrt(lam1*lamn/kappa);
+    spectrum is (lamn, lam1) of M when the caller already has it."""
+    lamn, lam1 = spectrum or extreme_eigenvalues(m)
     if kappa <= lam1 / lamn:
         raise InfeasiblePointError(
             f"kappa={kappa:.6g} is not above the condition number "
@@ -374,78 +397,76 @@ def initial_feasible_point(m: SymMatrix, kappa: float) -> BarrierPoint:
     return BarrierPoint(m, kappa, np.full(m.order, c))
 
 
+def _certificate(a_arr, kappa, state):
+    """The cones' inverses (X, Y) at a level-test state if they certify
+    infeasibility: u_i = a_i^T (X - Y) a_i <= 0, v_j = kappa Y_jj - X_jj < 0
+    and, by an eigensolve apart from the factors, X, Y > 0. Then
+    sum d1_i u_i + sum d2_j v_j = <X, A^T D1 A - D2> + <Y, kappa D2 -
+    A^T D1 A> would be positive for any feasible (d1, d2)."""
+    x_inv, y_inv = (inv_from_chol(lower) for lower in state[0][:2])
+    u = np.einsum("ij,ij->i", a_arr @ (x_inv - y_inv), a_arr)
+    v = kappa * np.diag(y_inv) - np.diag(x_inv)
+    if u.max() <= 0 and v.max() < 0 and min(
+            scipy.linalg.eigvalsh(x_inv)[0],
+            scipy.linalg.eigvalsh(y_inv)[0]) > 0:
+        return x_inv, y_inv
+    return None
+
+
 @serial_blas()
-def _margin_ascent(make_barrier, x0, stop_above=None):
-    """Max-margin search by repeated centering at the current best slack.
+def two_sided_feasibility(a: RectMatrix, kappa: float,
+                          witness=None) -> FeasibilityResult:
+    """Decide whether some d1, d2 > 0 give D2 < A^T D1 A < kappa D2.
 
-    Centering the s-shifted region from a witness with slack > s lands
-    roughly halfway between s and the max margin, so iterating the achieved
-    slack converges geometrically. stop_above ends the climb early once the
-    margin's sign is unambiguous (all a bisection caller needs).
+    Works on A' = W1^{1/2} A W2^{-1/2} for a witness pair (w1, w2), all
+    ones by default, with w1 scaled to center the spectrum of A'^T A' on
+    [1.01, 1.01 kappa]. Follows the path of max s from d1 = 1, d2 = 1.01
+    to the first iterate with s > 0 (feasible, proven by the point's
+    Cholesky factors) or with a checked certificate (infeasible); a path
+    that ends with neither leaves the level undecided.
     """
-    base = make_barrier(0.0)
-    w = np.asarray(x0, dtype=float).copy()
-    sig = _min_slack(base, w)
-    converged = False
-    fallbacks = 0
-    for _ in range(_OUTER_STEPS):
-        if stop_above is not None and sig > stop_above:
-            converged = True
-            break
-        pad = 1e-9 * max(1.0, abs(sig))
-        try:
-            res = newton_ascent(make_barrier(sig - pad), w, _NEWTON_CAP,
-                                grad_tol=_NEWTON_TOL, dec_tol=1e-12)
-        except InfeasiblePointError:
-            break
-        fallbacks += res.fallbacks
-        sig_new = _min_slack(base, res.x)
-        if sig_new > sig:
-            w, climb = res.x, sig_new - sig
-            sig = sig_new
-            if climb <= 10 * pad:
-                converged = True
-                break
-        else:
-            converged = True
-            break
-    return FeasibilityResult(margin=sig, witness=w, converged=converged,
-                             newton_fallbacks=fallbacks)
-
-
-def feasibility_margin(m: SymMatrix, kappa: float) -> FeasibilityResult:
-    """Largest uniform slack s with M-D >= sI, kD-M >= sI, D >= sI feasible.
-
-    The sign of the margin decides SDP feasibility at level kappa; the
-    witness attains it (up to the search resolution).
-    """
-    m_arr = m.mat
-    w = scipy.linalg.eigvalsh(m_arr)
-    lamn, lam1 = float(w[0]), float(w[-1])
-    if lamn <= 0:
-        raise InfeasiblePointError("matrix must be positive definite")
-    c = np.sqrt(lam1 * lamn / kappa) if kappa > 0 else np.sqrt(lam1 * lamn)
-    return _margin_ascent(lambda s: _one_sided(m_arr, kappa, s),
-                          np.full(m.order, c))
-
-
-def two_sided_feasibility(a: RectMatrix, kappa: float) -> FeasibilityResult:
-    """Phase-I max margin for A^T D1 A >= D2, kD2 >= A^T D1 A, D1 >= I."""
+    if not kappa > 0:
+        raise ValueError("kappa must be positive")
     x = a.tall()
     m_rows, n = x.shape
-    gram = x.T @ x
-    w = scipy.linalg.eigvalsh(0.5 * (gram + gram.T))
-    lamn, lam1 = float(w[0]), float(w[-1])
+    w1, w2 = witness or (np.ones(m_rows), np.ones(n))
+    scaled = (np.sqrt(w1)[:, None] * x) / np.sqrt(w2)[None, :]
+    lam = scipy.linalg.eigvalsh(scaled.T @ scaled)
+    lamn, lam1 = float(lam[0]), float(lam[-1])
     if lamn <= 1e-12 * max(lam1, 0.0):
         raise ValueError("matrix must have full rank")
-    d1 = np.full(m_rows, 2.0)
-    c = 2.0 * (np.sqrt(lam1 * lamn / kappa) if kappa > 0
-               else np.sqrt(lam1 * lamn))
-    v0 = np.concatenate([d1, np.full(n, c)])
+    t = 1.01 * np.sqrt(kappa / (lamn * lam1))
+    scaled *= np.sqrt(t)
+    w1 = t * w1
+    # s starts just below the smaller cone eigenvalue at (d1, d2)
+    s0 = min(t * lamn - 1.01, 1.01 * kappa - t * lam1)
+    x0 = np.concatenate([[s0 - 1e-3 * max(1.0, abs(s0))], np.ones(m_rows),
+                         np.full(n, 1.01)])
 
-    # bisection needs only the margin's sign; stop once it is unambiguous
-    stop_above = max(100 * _BOUNDARY_TOL, 1e-3 * lamn)
-    res = _margin_ascent(lambda s: _two_sided(x, kappa, s), v0,
-                         stop_above=stop_above)
-    res.witness_left, res.witness = res.witness[:m_rows], res.witness[m_rows:]
-    return res
+    certificate = []
+
+    def stop(point, state):
+        if point[0] > 0:
+            return True
+        found = _certificate(scaled, kappa, state)
+        if found is not None:
+            certificate.extend(found)
+        return found is not None
+
+    res, _, _ = follow_path(_level_barrier(scaled, kappa), x0, stop=stop)
+    counts = {"newton_steps": res.steps, "newton_fallbacks": res.fallbacks}
+    if res.x[0] > 0:    # the stop test held at this factored point
+        d1, d2 = res.x[1:m_rows + 1], res.x[m_rows + 1:]
+        r2 = 1.0 / np.sqrt(d2)
+        gram = scaled.T @ (d1[:, None] * scaled)
+        return FeasibilityResult(
+            "feasible", witness_left=w1 * d1, witness=w2 * d2,
+            kappa=condition_number(r2[:, None] * gram * r2[None, :]),
+            **counts)
+    if certificate:
+        r2 = 1.0 / np.sqrt(w2)
+        return FeasibilityResult(
+            "infeasible", certificate=tuple(
+                r2[:, None] * c * r2[None, :] for c in certificate),
+            **counts)
+    return FeasibilityResult("undecided", **counts)

@@ -6,8 +6,9 @@ tau over linear matrix inequalities in (tau, d):
   right:  D <= M,          tau M <= D,  d >= 0   (d in R^n, D = diag(d))
   left:   sum_i A_i A_i^T d_i >= tau I, <= I,  d >= 0   (d in R^m, rows A_i)
 
-The solver follows the central path of tau + mu * (sum of cone log-dets),
-shrinking mu geometrically and warm-starting each stage.
+The solver follows the central path of tau + mu * (sum of cone log-dets)
+with ``barrier.follow_path``, shrinking mu geometrically and warm-starting
+each stage.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .barrier import Bound, LmiBarrier, Term, newton_ascent
+from .barrier import InfeasiblePointError, LmiBarrier, Term, follow_path
 from .linalg import (SymMatrix, NotPositiveDefiniteError, blas_backend,
                      serial_blas)
 from .matrixio import RectMatrix, SolveReport
@@ -31,16 +32,6 @@ class NewtonFailureError(RuntimeError):
         super().__init__(message)
         self.mu = mu
         self.residual = residual
-
-
-# Path-following schedule: mu = 1 shrinks fivefold per stage down to 1e-9
-# (14 stages), each stage a Newton ascent of at most 50 steps that stops on
-# a decrement below 1e-10 relative to 1 + |stage objective|.
-_MU_INIT = 1.0
-_MU_FACTOR = 5.0
-_MU_MIN = 1e-9
-_NEWTON_CAP = 50
-_DECREMENT_TOL = 1e-10
 
 
 @dataclass
@@ -67,7 +58,7 @@ def build_right(m: SymMatrix) -> DsdpProblem:
         n + 1, [(m_arr, (Term(d, -1.0),)),
                 (np.zeros((n, n)),
                  (Term(d, 1.0), Term(tau, 1.0, dense=-m_arr)))],
-        [Bound(d)])
+        d)
     kappa0 = 2.0 * lam1 / lamn
     c = np.sqrt(lam1 * lamn / kappa0)
     return DsdpProblem("right", barrier,
@@ -93,7 +84,7 @@ def build_left(a: RectMatrix) -> DsdpProblem:
         [(np.zeros((n, n)),
           (Term(d, 1.0, rows=x), Term(tau, 1.0, dense=-eye))),
          (eye, (Term(d, -1.0, rows=x),))],
-        [Bound(d)])
+        d)
     return DsdpProblem("left", barrier,
                        np.concatenate([[lamn / (4.0 * lam1)],
                                        np.full(m_rows, 1.0 / (2.0 * lam1))]),
@@ -105,34 +96,20 @@ def barrier_path_solve(p: DsdpProblem
                        ) -> tuple[float, np.ndarray, SolveReport]:
     """Follow the central path to (tau*, d*); returns kappa = 1/tau* in the report."""
     t0 = time.perf_counter()
-    barrier, x = p.barrier, p.start
-    if barrier.factor(x) is None:
+    try:
+        res, mu, path = follow_path(p.barrier, p.start)
+    except InfeasiblePointError:
         raise NewtonFailureError("strictly feasible start recipe failed",
-                                 mu=_MU_INIT)
-    objective = np.zeros(x.size)
-    objective[0] = 1.0
-    mu = _MU_INIT
-    stages = fallbacks = 0
-    taus = []   # per-stage central path points; tau is monotone along them
-    while True:
-        res = newton_ascent(barrier, x, _NEWTON_CAP, dec_tol=_DECREMENT_TOL,
-                            c=objective, mu=mu)
-        fallbacks += res.fallbacks
-        if res.status == "stalled":
-            raise NewtonFailureError("line search failed", mu=mu,
-                                     residual=res.grad_norm)
-        x = res.x
-        taus.append(x[0])
-        stages += 1
-        if mu <= _MU_MIN:
-            break
-        mu /= _MU_FACTOR
+                                 mu=1.0) from None
+    if res.status == "stalled":
+        raise NewtonFailureError("line search failed", mu=mu,
+                                 residual=res.grad_norm)
+    x = res.x
     report = SolveReport(
         matrix="", method=f"dsdp_{p.side}",
         kappa_before=p.kappa_before, kappa_after=1.0 / x[0],
-        iterations=stages, wall_time_seconds=time.perf_counter() - t0,
-        extra={"mu_final": mu,
-               "duality_gap_proxy": mu * barrier.dim,
-               "tau_path": taus, "newton_fallbacks": fallbacks,
+        iterations=len(path), wall_time_seconds=time.perf_counter() - t0,
+        extra={"mu_final": mu, "duality_gap_proxy": mu * p.barrier.dim,
+               "tau_path": path, "newton_fallbacks": res.fallbacks,
                "blas_backend": blas_backend()})
     return float(x[0]), x[1:].copy(), report

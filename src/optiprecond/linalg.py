@@ -189,11 +189,9 @@ def _as_array(m) -> np.ndarray:
     return m.mat if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
 
 
-def condition_number(m: SymMatrix | np.ndarray) -> float:
-    """lambda_max / lambda_min of a symmetric positive definite matrix.
-
-    An array is read as symmetric from its lower triangle, unvalidated.
-    """
+def extreme_eigenvalues(m: SymMatrix | np.ndarray) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a symmetric positive definite matrix,
+    from one eigensolve; raises as condition_number does."""
     a = _as_array(m)
     try:
         w = scipy.linalg.eigvalsh(a)
@@ -204,9 +202,16 @@ def condition_number(m: SymMatrix | np.ndarray) -> float:
     if w[0] <= 0:
         raise NotPositiveDefiniteError(
             f"smallest eigenvalue {w[0]:.3e} is not positive")
-    return float(w[-1] / w[0])
+    return float(w[0]), float(w[-1])
 
 
+def condition_number(m: SymMatrix | np.ndarray) -> float:
+    """lambda_max / lambda_min of a symmetric positive definite matrix.
+
+    An array is read as symmetric from its lower triangle, unvalidated.
+    """
+    lamn, lam1 = extreme_eigenvalues(m)
+    return lam1 / lamn
 
 
 # Positive-definite kernels shared by every solver. LAPACK is bound here and

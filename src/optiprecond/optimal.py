@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import _BOUNDARY_TOL, two_sided_feasibility
+from .barrier import two_sided_feasibility
 from .dsdp import barrier_path_solve, build_left, build_right
 from .heuristics import (
     DiagScaling,
@@ -97,14 +97,17 @@ def optimal_left(a: RectMatrix, req: OptimalRequest | None = None
 @serial_blas()
 def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
                      ) -> tuple[DiagScaling, SolveReport]:
-    """Classic bisection on kappa over the two-sided SDP feasibility oracle.
+    """Bisection on kappa over the two-sided SDP feasibility oracle.
 
     Starts from kappa_0 = kappa(A^T A), which is always feasible with the
     all-ones pair as witness, and halves the bracket until its width drops
-    below epsilon. Returns the last feasible witness pair. A warm start (a
-    pair, or a left or right scaling with the other side all ones) replaces
-    kappa_0 and the first witness when it scales A better; one whose lengths
-    do not fit A raises ValueError.
+    below epsilon; a feasible level lowers the upper end to its witness's
+    kappa, and the next level works on A rescaled by that witness. Returns
+    the last witness pair. A warm start (a pair, or a left or right scaling
+    with the other side all ones) replaces kappa_0 and the first witness
+    when it scales A better; one whose lengths do not fit A raises
+    ValueError. An undecided level moves the lower end without proof and
+    makes extra["certified"] False.
     """
     req = req or OptimalRequest()
     t0 = time.perf_counter()
@@ -126,29 +129,33 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
             kappa0 = kappa_warm
             best_d1, best_d2 = warm.left_values, warm.values
 
-    res0 = two_sided_feasibility(rect, kappa0)
-    if res0.margin >= -_BOUNDARY_TOL:
-        best_d1, best_d2 = res0.witness_left, res0.witness
-    fallbacks = res0.newton_fallbacks
     lo, hi = 1.0, kappa0
-    iterations = 0
+    kappa_lb = 1.0
+    iterations = steps = fallbacks = undecided = 0
     while hi - lo >= req.epsilon:
         iterations += 1
         mid = 0.5 * (lo + hi)
-        res = two_sided_feasibility(rect, mid)
+        res = two_sided_feasibility(rect, mid, (best_d1, best_d2))
+        steps += res.newton_steps
         fallbacks += res.newton_fallbacks
-        if res.margin >= -_BOUNDARY_TOL:
-            hi = mid
+        if res.feasible:
+            hi = min(mid, res.kappa)
             best_d1, best_d2 = res.witness_left, res.witness
         else:
             lo = mid
+            if res.certificate is not None:
+                kappa_lb = mid
+            else:
+                undecided += 1
     bound = math.ceil(math.log2(max((kappa0 - 1.0) / req.epsilon, 1.0))) \
         if kappa0 > 1.0 else 0
     return finish_solve(
         "bisect_two_sided", t0, a, kappa_before,
         DiagScaling.pair(best_d1, best_d2), iterations,
         {"kappa0": kappa0, "bracket": [lo, hi], "iteration_bound": bound,
-         "newton_fallbacks": fallbacks})
+         "kappa_lower_bound": kappa_lb, "certified_gap": hi / kappa_lb - 1,
+         "certified": undecided == 0, "undecided_levels": undecided,
+         "newton_steps": steps, "newton_fallbacks": fallbacks})
 
 
 @serial_blas()

@@ -10,10 +10,10 @@ them), centers with barrier.compute_center, and is the production path that
 actually produces diagonal preconditioners.
 
 A state carries the Cholesky factors of its cones R = M - D, S = kappa D - M
-and D, so each matrix is factored once. An approximate step of
-solve_right_pr makes 6 dpotrf calls (the shifted S, the factors of Y and Z
-in two geometric means, and the new R, S and D), 4 dpotri calls (the
-shifted S's inverse, and X, Y, Z of the next iterate) and 2 eigensolves.
+and D (in diagonal mode diag(sqrt d), without LAPACK). An approximate step
+of solve_right_pr makes 5 dpotrf calls (the shifted S, Y and Z in two
+geometric means, the new R and S), 3 dpotri calls (the shifted S, the next
+X and Y) and 2 eigensolves.
 X = R^{-1} holds exactly at every iterate, so U^{-1} = X needs no
 eigensolve. A retried step costs what it made before it failed.
 """
@@ -34,7 +34,7 @@ from .barrier import (
 )
 from .heuristics import DiagScaling, SIDE_RIGHT, finish_solve
 from .linalg import (SymMatrix, NotPositiveDefiniteError, chol_pd,
-                     condition_number, geomean_inv, inv_from_chol, inv_pd,
+                     extreme_eigenvalues, geomean_inv, inv_from_chol, inv_pd,
                      logdet_from_chol, proximity_delta, serial_blas, solve_pd)
 from .matrixio import SolveReport
 
@@ -87,9 +87,9 @@ class Factored:
 
     __slots__ = ("lower", "_inv")
 
-    def __init__(self, lower):
+    def __init__(self, lower, inv=None):
         self.lower = lower
-        self._inv = None
+        self._inv = inv
 
     @classmethod
     def of(cls, a, name="matrix"):
@@ -97,6 +97,14 @@ class Factored:
         if lower is None:
             raise NotPositiveDefiniteError(f"{name} is not numerically PD")
         return cls(lower)
+
+    @classmethod
+    def diagonal(cls, d):
+        """diag(d) as diag(sqrt d) with inverse diag((1/sqrt d)^2): without
+        LAPACK, and bit-equal to chol_pd and inv_from_chol."""
+        if not np.all(d > 0):
+            raise NotPositiveDefiniteError("D is not numerically PD")
+        return cls(np.diag(np.sqrt(d)), np.diag((1.0 / np.sqrt(d)) ** 2))
 
     @property
     def inv(self) -> np.ndarray:
@@ -142,7 +150,8 @@ class CenterState:
         if self.fs is None:
             self.fs = Factored.of(self.S, "S")
         if self.fd is None:
-            self.fd = Factored.of(self.D, "D")
+            self.fd = (Factored.diagonal(np.diag(self.D))
+                       if self.mode == MODE_DIAG else Factored.of(self.D, "D"))
         return self.fr, self.fs, self.fd
 
     def deltas(self):
@@ -305,7 +314,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
     config = config or PRConfig()
     t0 = time.perf_counter()
     m_arr = m.mat
-    kappa_m = condition_number(m)
+    spectrum = extreme_eigenvalues(m)
+    kappa_m = spectrum[1] / spectrum[0]
     kappa = kappa_m * 1.01
     center_tol = 1e-9 * max(1.0, float(np.abs(np.diag(m_arr)).max()))
 
@@ -316,7 +326,7 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
                     float(np.sum(np.log(np.diag(st.D))))])
 
     state = _state_from_point(compute_center(
-        m, kappa, initial_feasible_point(m, kappa), tol=center_tol))
+        m, kappa, initial_feasible_point(m, kappa, spectrum), tol=center_tol))
     beta = config.beta
     trajectory = [(kappa, potential(state), beta)]
     small_progress = 0

@@ -10,12 +10,14 @@ from optiprecond import (
     barrier_hessian,
     barrier_value,
     compute_center,
-    feasibility_margin,
     initial_feasible_point,
+    read_matrix_market,
     two_sided_feasibility,
 )
-from optiprecond.barrier import _one_sided, _two_sided
+from optiprecond.barrier import _level_barrier
 from optiprecond.dsdp import build_left, build_right
+from optiprecond.fixtures import fixture_path
+from optiprecond.optimal import alternate_two_sided
 from conftest import grid_optimal_two_sided_3x3, random_spd
 
 # root of -12 d^2 + 10 d - 1 inside (1/4, 1): the 1x1, kappa=4 center
@@ -191,39 +193,31 @@ def test_initial_feasible_point_examples():
         initial_feasible_point(SymMatrix.diagonal([4.0, 1.0]), 4.0)
 
 
-def test_feasibility_margin_identity():
-    res = feasibility_margin(SymMatrix.identity(3), 2.0)
-    assert res.margin == pytest.approx(1.0 / 3.0, abs=1e-6)
-    assert np.allclose(res.witness, 2.0 / 3.0, atol=1e-4)
-    assert res.converged
+def _assert_witness(a_arr, kappa, res):
+    """A feasible verdict's pair, checked by eigvalsh at the level."""
+    assert res.verdict == "feasible" and res.certificate is None
+    d1, d2 = res.witness_left, res.witness
+    assert d1.min() > 0 and d2.min() > 0
+    g = a_arr.T @ (d1[:, None] * a_arr)
+    assert np.linalg.eigvalsh(g - np.diag(d2))[0] > 0
+    assert np.linalg.eigvalsh(kappa * np.diag(d2) - g)[0] > 0
+    r = 1.0 / np.sqrt(d2)
+    w = np.linalg.eigvalsh(r[:, None] * g * r[None, :])
+    assert res.kappa == pytest.approx(w[-1] / w[0], rel=1e-9)
+    assert res.kappa <= kappa
 
 
-def test_feasibility_margin_boundary_and_infeasible():
-    boundary = feasibility_margin(SymMatrix.identity(2), 1.0)
-    assert abs(boundary.margin) <= 1e-7
-    neg = feasibility_margin(SymMatrix.identity(2), 0.5)
-    assert neg.margin < -1e-7
-    assert neg.margin == pytest.approx(-1.0 / 3.0, abs=1e-4)
-
-
-def test_feasibility_margin_monotone_in_kappa(rng):
-    for _ in range(5):
-        m = random_spd(4, rng, cond=12.0)
-        kappas = np.linspace(1.1, 40.0, 8)
-        margins = [feasibility_margin(m, k).margin for k in kappas]
-        diffs = np.diff(margins)
-        assert np.all(diffs >= -1e-6 * max(1.0, np.abs(margins).max()))
-
-
-def test_feasibility_margin_witness_slack():
-    m = SymMatrix.identity(4)
-    res = feasibility_margin(m, 3.0)
-    assert res.margin > 0
-    d = res.witness
-    s1 = np.linalg.eigvalsh(m.mat - np.diag(d))[0]
-    s2 = np.linalg.eigvalsh(3.0 * np.diag(d) - m.mat)[0]
-    slack = min(s1, s2, d.min())
-    assert slack >= res.margin * (1 - 1e-6)
+def _assert_certificate(a_arr, kappa, res):
+    """An infeasible verdict's (X, Y), checked on the unscaled A: X, Y > 0,
+    a_i^T (X - Y) a_i <= 0 and kappa Y_jj - X_jj < 0, so that
+    <X, A^T D1 A - D2> + <Y, kappa D2 - A^T D1 A> <= 0 for every d >= 0."""
+    assert res.verdict == "infeasible" and res.witness is None
+    x_inv, y_inv = res.certificate
+    assert np.linalg.eigvalsh(x_inv)[0] > 0
+    assert np.linalg.eigvalsh(y_inv)[0] > 0
+    u = np.einsum("ij,jk,ik->i", a_arr, x_inv - y_inv, a_arr)
+    assert u.max() <= 0
+    assert (kappa * np.diag(y_inv) - np.diag(x_inv)).max() < 0
 
 
 def test_two_sided_feasibility_always_works_level(rng):
@@ -231,52 +225,64 @@ def test_two_sided_feasibility_always_works_level(rng):
     gram = a.mat.T @ a.mat
     kappa0 = float(np.linalg.cond(gram))
     res = two_sided_feasibility(a, kappa0 * 1.0000001)
-    assert res.margin >= -1e-7
-    assert res.witness_left is not None
+    _assert_witness(a.mat, kappa0 * 1.0000001, res)
 
 
 def test_two_sided_feasibility_diagonal():
     a = RectMatrix(np.diag([2.0, 1.0]))
-    assert two_sided_feasibility(a, 1.05).margin > 1e-7
-    assert two_sided_feasibility(a, 0.9).margin < -1e-7
+    _assert_witness(a.mat, 1.05, two_sided_feasibility(a, 1.05))
+    _assert_certificate(a.mat, 0.9, two_sided_feasibility(a, 0.9))
+    with pytest.raises(ValueError):
+        two_sided_feasibility(a, 0.0)
 
 
 def test_two_sided_feasibility_below_optimum(rng):
     a_arr = np.random.default_rng(5).standard_normal((3, 3))
     best = grid_optimal_two_sided_3x3(a_arr, levels=15, rounds=4)
-    res = two_sided_feasibility(RectMatrix(a_arr), best * 0.9)
-    assert res.margin < -1e-7
-    res_above = two_sided_feasibility(RectMatrix(a_arr), best * 1.1)
-    assert res_above.margin > -1e-7
+    _assert_certificate(a_arr, best * 0.9,
+                        two_sided_feasibility(RectMatrix(a_arr), best * 0.9))
+    _assert_witness(a_arr, best * 1.1,
+                    two_sided_feasibility(RectMatrix(a_arr), best * 1.1))
 
 
 def test_two_sided_witness_attains_margin(rng):
+    # the witness proves the level from any starting pair, and a level
+    # above the starting pair's kappa is decided without a Newton step
     a = RectMatrix(rng.standard_normal((4, 2)))
     kappa = float(np.linalg.cond(a.mat.T @ a.mat)) * 2
     res = two_sided_feasibility(a, kappa)
-    assert res.margin > 0
-    d1, d2 = res.witness_left, res.witness
-    g = a.mat.T @ (d1[:, None] * a.mat)
-    slack = min(
-        np.linalg.eigvalsh(g - np.diag(d2))[0],
-        np.linalg.eigvalsh(kappa * np.diag(d2) - g)[0],
-        d1.min() - 1.0)
-    assert slack >= res.margin * (1 - 1e-6)
+    _assert_witness(a.mat, kappa, res)
+    again = two_sided_feasibility(a, kappa, (res.witness_left, res.witness))
+    _assert_witness(a.mat, kappa, again)
+    assert again.newton_steps == 0
+    skewed = (np.geomspace(1.0, 1e3, 4), np.array([1e-2, 10.0]))
+    _assert_witness(a.mat, kappa, two_sided_feasibility(a, kappa, skewed))
 
 
-def _phase_one_one_sided(rng):
-    m = random_spd(5, rng, cond=20.0)
-    kappa = 3.0 * np.linalg.cond(m.mat)
-    res = feasibility_margin(m, kappa)
-    return _one_sided(m.mat, kappa, 0.5 * res.margin), res.witness
+def test_two_sided_found_levels_are_decided():
+    # the max-margin oracle that the level test replaced rejected
+    # trefethen_20 at 17.15, which alternation's 17.136 shows feasible
+    for name, kappa, verdict in (("trefethen_20", 17.15, "feasible"),
+                                 ("trefethen_20b", 6.24, "infeasible")):
+        a = read_matrix_market(fixture_path(name))
+        pair, _ = alternate_two_sided(a)
+        for witness in (None, (pair.left_values, pair.values)):
+            res = two_sided_feasibility(a, kappa, witness)
+            check = _assert_witness if verdict == "feasible" \
+                else _assert_certificate
+            check(a.mat, kappa, res)
+            assert res.newton_fallbacks == 0
 
 
 def _phase_one_two_sided(rng):
-    a = RectMatrix(rng.standard_normal((6, 4)))
-    kappa = 2.0 * np.linalg.cond(a.mat.T @ a.mat)
-    res = two_sided_feasibility(a, kappa)
-    barrier = _two_sided(a.mat, kappa, 0.5 * res.margin)
-    return barrier, np.concatenate([res.witness_left, res.witness])
+    a_arr = rng.standard_normal((6, 4))
+    kappa = 2.0 * np.linalg.cond(a_arr.T @ a_arr)
+    gram = a_arr.T @ a_arr
+    d2 = np.full(4, 1.01)
+    slack = min(np.linalg.eigvalsh(gram - np.diag(d2))[0],
+                np.linalg.eigvalsh(kappa * np.diag(d2) - gram)[0])
+    return (_level_barrier(a_arr, kappa),
+            np.concatenate([[slack - 1.0], np.ones(6), d2]))
 
 
 def _dsdp_right(rng):
@@ -289,8 +295,8 @@ def _dsdp_left(rng):
     return p.barrier, p.start
 
 
-@pytest.mark.parametrize("make", [_phase_one_one_sided, _phase_one_two_sided,
-                                  _dsdp_right, _dsdp_left])
+@pytest.mark.parametrize("make", [_phase_one_two_sided, _dsdp_right,
+                                  _dsdp_left])
 def test_lmi_barrier_derivatives_match_finite_differences(make, rng):
     barrier, x0 = make(rng)
     x0 = x0 * (1 + 1e-3 * rng.uniform(-1, 1, x0.size))

@@ -59,17 +59,23 @@ def test_optimal_right_never_worsens(rng):
 
 
 def test_one_sided_solves_measure_unscaled_kappa_once(monkeypatch):
-    # potential reduction's report is returned as is, and dsdp reads
+    # potential reduction's report is returned as is, and it reads kappa(M)
+    # and its first point from one extreme_eigenvalues call; dsdp reads
     # kappa(M) from the eigensolve its problem builder already makes; the
     # only other measurement is of the result
     calls = []
 
-    def counting_kappa(m):
-        calls.append(m)
-        return condition_number(m)
+    def counting(measure):
+        def counted(m):
+            calls.append(m)
+            return measure(m)
+        return counted
 
-    for module in (optimal, potential, heuristics):
-        monkeypatch.setattr(module, "condition_number", counting_kappa)
+    for module in (optimal, heuristics):
+        monkeypatch.setattr(module, "condition_number",
+                            counting(condition_number))
+    monkeypatch.setattr(potential, "extreme_eigenvalues",
+                        counting(potential.extreme_eigenvalues))
     rng = np.random.default_rng(9)
     m = random_spd(5, rng, cond=30.0)
     a = RectMatrix(rng.standard_normal((8, 4)))
@@ -244,17 +250,59 @@ def _trefethen_20b():
 
 
 def test_newton_fallbacks_are_reported():
-    # the phase-I oracle meets singular Newton systems near the boundary
+    # the level barrier's scale band keeps every Newton system PD; the
+    # max-margin oracle it replaced solved 1,616 of 10,217 by lstsq here
     _, rep = bisect_two_sided(_trefethen_20b())
-    assert rep.extra["newton_fallbacks"] > 0
+    assert rep.extra["newton_fallbacks"] == 0
     _, _, rep = barrier_path_solve(
         build_right(random_spd(8, np.random.default_rng(3), cond=20.0)))
     assert rep.extra["newton_fallbacks"] == 0
 
 
+# published two-sided optimum, alternation's kappa, and a third of the
+# Newton steps the max-margin oracle took per bisection (10,232 and 11,256)
+TWO_SIDED = {"trefethen_20b": (6.245, 6.2643, 3410),
+             "trefethen_20": (17.11, 17.136, 3752)}
+
+
+def test_bisect_decides_every_level_with_proof():
+    for name, (published, alternation, steps) in TWO_SIDED.items():
+        _, rep = bisect_two_sided(read_matrix_market(fixture_path(name)))
+        extra = rep.extra
+        assert extra["newton_steps"] <= steps, name
+        assert extra["newton_fallbacks"] == 0, name
+        assert extra["undecided_levels"] == 0 and extra["certified"], name
+        assert published - 5e-4 <= rep.kappa_after <= published * 1.01
+        assert rep.kappa_after <= alternation, name
+        lo, hi = extra["bracket"]
+        assert extra["kappa_lower_bound"] == lo <= rep.kappa_after
+        assert hi - lo < 1e-2
+        assert hi == pytest.approx(rep.kappa_after, rel=1e-9)
+        assert extra["certified_gap"] == hi / lo - 1
+
+
+def test_bisect_reports_undecided_levels(monkeypatch):
+    # a level without proof moves the lower end but is never certified
+    real = optimal.two_sided_feasibility
+
+    def undecided_below_three(a, kappa, witness=None):
+        res = real(a, kappa, witness)
+        if kappa < 3.0 and not res.feasible:
+            res.verdict, res.certificate = "undecided", None
+        return res
+
+    monkeypatch.setattr(optimal, "two_sided_feasibility",
+                        undecided_below_three)
+    a = RectMatrix(np.random.default_rng(13).standard_normal((5, 3)))
+    _, rep = bisect_two_sided(a, OptimalRequest(epsilon=0.05))
+    assert rep.extra["undecided_levels"] > 0
+    assert not rep.extra["certified"]
+    assert rep.extra["kappa_lower_bound"] < rep.extra["bracket"][0]
+
+
 def test_bisect_two_sided_retains_no_memory():
-    # scipy.linalg.solve kept ~0.7 KB per non-PD Newton system, and one
-    # bisection meets about 1,600 of them
+    # scipy.linalg.solve kept ~0.7 KB per non-PD Newton system, and the
+    # max-margin oracle met about 1,600 of them per bisection
     a = _trefethen_20b()
     req = OptimalRequest(side="two_sided", epsilon=1e-2)
     bisect_two_sided(a, req)             # warm up lazy imports and caches

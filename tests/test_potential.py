@@ -11,7 +11,8 @@ from optiprecond.barrier import (InfeasiblePointError, barrier_value,
                                  compute_center)
 from optiprecond.dsdp import build_right, barrier_path_solve
 from optiprecond.fixtures import fixture_path
-from optiprecond.linalg import chol_pd, geomean_inv, inv_pd, sym_pow
+from optiprecond.linalg import (NotPositiveDefiniteError, chol_pd, geomean_inv,
+                               inv_from_chol, inv_pd, sym_pow)
 from optiprecond.potential import (
     MODE_DIAG,
     PRConfig,
@@ -132,12 +133,12 @@ def test_nt_step_makes_three_eigensolves(monkeypatch):
     # with X away from R^{-1}, each inverse scaling is one geometric mean:
     # one Cholesky factor and one eigensolve. The cone inverses come from
     # the state's factors, so dpotri runs once, for the shifted S, and the
-    # closing check factors the three new cones
+    # closing check factors the new R and S (D's factor is its diagonal)
     st = _shifted_diag_state()
     st = dataclasses.replace(st, X=st.X + 0.05 * np.diag(np.diag(st.X)))
     calls = _count_lapack(monkeypatch)
     stepped = nt_step(st, st.kappa)
-    assert calls == {"eig": 3, "potri": 1, "chol": 6}
+    assert calls == {"eig": 3, "potri": 1, "chol": 5}
     _assert_matches_reference(stepped, st)
 
 
@@ -148,16 +149,29 @@ def test_nt_step_takes_u_inverse_from_x_when_x_is_r_inverse(monkeypatch):
     assert not np.any(st.fr.inv - st.X)
     calls = _count_lapack(monkeypatch)
     stepped = nt_step(st, st.kappa)
-    assert calls == {"eig": 2, "potri": 1, "chol": 5}
+    assert calls == {"eig": 2, "potri": 1, "chol": 4}
     _assert_matches_reference(stepped, st)
     fr, fs, fd = stepped.fr, stepped.fs, stepped.fd
     for f, cone in ((fr, stepped.R), (fs, stepped.S), (fd, stepped.D)):
         assert np.array_equal(f.lower, chol_pd(cone))
 
 
+def test_diagonal_factor_is_bit_equal_to_lapack():
+    rng = np.random.default_rng(17)
+    for n in (1, 20, 150, 200):
+        d = rng.uniform(1e-3, 1e3, n)
+        fd = potential.Factored.diagonal(d)
+        lower = chol_pd(np.diag(d))
+        assert np.array_equal(fd.lower, lower)
+        assert np.array_equal(fd.inv, inv_from_chol(lower))
+    with pytest.raises(NotPositiveDefiniteError):
+        potential.Factored.diagonal(np.array([1.0, 0.0]))
+
+
 def test_solve_right_pr_call_budget_per_step(monkeypatch):
-    # per accepted step at most 6 dpotrf, 4 dpotri and 2 eigensolves;
-    # kappa(M), the first centering and the finishing kappa come once
+    # per accepted step at most 5 dpotrf, 3 dpotri and 2 eigensolves;
+    # one eigensolve of M gives kappa(M) and the first point, and the
+    # finishing kappa makes the other
     m = gram_matrix(read_matrix_market(fixture_path("trefethen_20b")))
     calls = _count_lapack(monkeypatch)
     marks = {}
@@ -178,11 +192,11 @@ def test_solve_right_pr_call_budget_per_step(monkeypatch):
     assert accepted == report.iterations == 1014
     assert report.extra["beta_halvings"] == 0
     loop = marks["end"] - marks["loop"]
-    assert loop["chol"] <= 6 * accepted
-    assert loop["potri"] <= 4 * accepted
+    assert loop["chol"] <= 5 * accepted
+    assert loop["potri"] <= 3 * accepted
     assert loop["eig"] <= 2 * accepted
     once = calls - loop
-    assert once["eig"] == 3
+    assert once["eig"] == 2
     assert once["chol"] < 0.1 * accepted and once["potri"] < 0.1 * accepted
 
 
