@@ -7,6 +7,11 @@ three kinds: diagonal e_j e_j^T, rank-one rows a_j a_j^T, or one dense
 matrix on a single variable.
 ``newton_ascent`` is the one damped-Newton loop; ``follow_path``, the one
 central path of x_0 + mu * phi(x), serves dsdp and the two-sided level test.
+A factored point holds each cone as a linalg.Factored, so the level test's
+stop rule and the gradient share one dpotri per cone. Each LmiBarrier
+assembles its Newton system in place, in a workspace allocated on the first
+derivatives call, with the arithmetic of a fresh assembly: the Hessian it
+returns is valid only until its next derivatives call.
 
 For a PD matrix M and a level kappa, the scaling region is
 {d > 0 : M - D > 0, kappa D - M > 0} with D = diag(d). The barrier over this
@@ -26,9 +31,9 @@ from typing import NamedTuple
 import numpy as np
 import scipy.linalg
 
-from .linalg import (SymMatrix, chol_pd, condition_number,
-                     extreme_eigenvalues, inv_from_chol, logdet_from_chol,
-                     max_step_cone, serial_blas, solve_pd)
+from .linalg import (Factored, SymMatrix, chol_pd, condition_number,
+                     extreme_eigenvalues, logdet_from_chol, max_step_cone,
+                     serial_blas, solve_pd)
 from .matrixio import RectMatrix
 
 # A line-search trial is accepted when it loses at most this fraction of
@@ -120,17 +125,19 @@ class Term:
         return np.einsum("ij,ij->i", img, self.rows), img
 
 
-def _cross(ti, pi, tj, pj):
-    """tr(P F_a P F_b) for F_a of term ti and F_b of tj, as a 2-d block."""
+def _cross(ti, pi, tj, pj, scratch):
+    """tr(P F_a P F_b) for F_a of term ti and F_b of tj, as a 2-d block;
+    a block between two non-dense terms is formed in scratch(shape)."""
     if ti.dense is not None and tj.dense is not None:
         return np.array([[np.sum(pi * pj.T)]])
     if ti.dense is not None:
-        return _cross(tj, pj, ti, pi).T
+        return _cross(tj, pj, ti, pi, scratch).T
     if tj.dense is not None:
         upb = pj if ti.rows is None else ti.rows @ pj
         return np.einsum("ij,ij->i", upb, pi)[:, None]
-    w = pi if tj.rows is None else pi @ tj.rows.T
-    return w * w
+    w = pi if tj.rows is None else np.matmul(
+        pi, tj.rows.T, out=scratch((len(pi), len(tj.rows))))
+    return np.multiply(w, w, out=scratch(w.shape))
 
 
 def _linear(terms, x):
@@ -144,13 +151,22 @@ class LmiBarrier:
     Each cone is a pair (F0, terms) with F(x) = F0 + sum_j x_j F_j. With
     P = F^{-1}, d phi/dx_j = tr(P F_j) and d2 phi/dx_j dx_k = -tr(P F_j P F_k)
     (Vandenberghe & Boyd, Semidefinite Programming, SIAM Rev. 1996). A
-    factored point, or state, is (Cholesky factors, x[positive]).
+    factored point, or state, is (one Factored per cone, x[positive]).
     """
 
     def __init__(self, nvar, cones, positive: slice):
         self.nvar = nvar
         self.cones = cones
         self.positive = positive
+        self._hessian = None
+        self._blocks = {}
+
+    def _scratch(self, shape):
+        """The workspace's scratch array of this shape."""
+        buf = self._blocks.get(shape)
+        if buf is None:
+            buf = self._blocks[shape] = np.empty(shape)
+        return buf
 
     @property
     def dim(self) -> int:
@@ -166,29 +182,36 @@ class LmiBarrier:
         # numpy and scipy each run their own BLAS thread pool; grouping the
         # calls of each library avoids paying for a hand-over per cone
         mats = [_linear(terms, x) + f0 for f0, terms in self.cones]
-        chols = []
+        factors = []
         for mat in mats:
-            chols.append(chol_pd(mat))
-            if chols[-1] is None:
+            lower = chol_pd(mat)
+            if lower is None:
                 return None
-        return chols, slack
+            factors.append(Factored(lower))
+        return factors, slack
 
     def value(self, state):
-        chols, slack = state
-        return sum([*map(logdet_from_chol, chols),
+        factors, slack = state
+        return sum([*(logdet_from_chol(f.lower) for f in factors),
                     float(np.sum(np.log(slack)))])
 
     def derivatives(self, state):
-        """Gradient and negated (positive definite) Hessian."""
-        chols, slack = state
+        """Gradient and negated (positive definite) Hessian; the Hessian is
+        the workspace's, valid until the next call on this barrier."""
+        factors, slack = state
         g = np.zeros(self.nvar)
-        nh = np.zeros((self.nvar, self.nvar))
-        for (_, terms), p in zip(self.cones, list(map(inv_from_chol, chols))):
+        if self._hessian is None:
+            self._hessian = np.empty((self.nvar, self.nvar))
+        nh = self._hessian
+        nh.fill(0.0)
+        for (_, terms), p in zip(self.cones, [f.inv for f in factors]):
             ker = [t.kernels(p) for t in terms]
             for i, (ti, (tr, pi)) in enumerate(zip(terms, ker)):
                 g[ti.sl] += ti.coef * tr
                 for tj, (_, pj) in zip(terms[i:], ker[i:]):
-                    k = (ti.coef * tj.coef) * _cross(ti, pi, tj, pj)
+                    k = _cross(ti, pi, tj, pj, self._scratch)
+                    if ti.coef * tj.coef != 1.0:
+                        k *= ti.coef * tj.coef
                     nh[ti.sl, tj.sl] += k
                     if tj is not ti:
                         nh[tj.sl, ti.sl] += k.T
@@ -199,9 +222,10 @@ class LmiBarrier:
 
     def max_step(self, state, dx):
         """Largest alpha keeping x + alpha dx feasible (inf if unbounded)."""
-        chols, slack = state
+        factors, slack = state
         deltas = [-_linear(terms, dx) for _, terms in self.cones]
-        alpha = min(map(max_step_cone, chols, deltas))
+        alpha = min(max_step_cone(f.lower, delta)
+                    for f, delta in zip(factors, deltas))
         rate = dx[self.positive]
         neg = rate < 0
         if np.any(neg):
@@ -249,7 +273,8 @@ def newton_ascent(barrier: LmiBarrier, x0, max_iter, *, grad_tol=None,
         if stop is not None and stop(x, state):
             return NewtonResult(x, "stopped", gnorm, fallbacks, steps)
         g, nh = barrier.derivatives(state)
-        g, nh = mu * g, mu * nh
+        g *= mu
+        nh *= mu
         if c is not None:
             g += c
         gnorm = float(np.abs(g).max())
@@ -403,7 +428,7 @@ def _certificate(a_arr, kappa, state):
     and, by an eigensolve apart from the factors, X, Y > 0. Then
     sum d1_i u_i + sum d2_j v_j = <X, A^T D1 A - D2> + <Y, kappa D2 -
     A^T D1 A> would be positive for any feasible (d1, d2)."""
-    x_inv, y_inv = (inv_from_chol(lower) for lower in state[0][:2])
+    x_inv, y_inv = (f.inv for f in state[0][:2])
     u = np.einsum("ij,ij->i", a_arr @ (x_inv - y_inv), a_arr)
     v = kappa * np.diag(y_inv) - np.diag(x_inv)
     if u.max() <= 0 and v.max() < 0 and min(

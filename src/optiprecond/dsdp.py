@@ -110,6 +110,7 @@ def barrier_path_solve(p: DsdpProblem
         kappa_before=p.kappa_before, kappa_after=1.0 / x[0],
         iterations=len(path), wall_time_seconds=time.perf_counter() - t0,
         extra={"mu_final": mu, "duality_gap_proxy": mu * p.barrier.dim,
-               "tau_path": path, "newton_fallbacks": res.fallbacks,
+               "tau_path": path, "newton_steps": res.steps,
+               "newton_fallbacks": res.fallbacks,
                "blas_backend": blas_backend()})
     return float(x[0]), x[1:].copy(), report

@@ -5,7 +5,8 @@ kappa helper. The positive-definite kernels below are the only LAPACK
 binding in the package: ``chol_pd`` (dpotrf), ``inv_from_chol`` and
 ``inv_pd`` (dpotri), ``solve_pd`` (dposv, least squares when not PD),
 ``logdet_from_chol``, ``max_step_cone``, ``sym_pow``, ``proximity_delta``
-and ``geomean_inv``. They take and return plain float64 arrays.
+and ``geomean_inv``. They take and return plain float64 arrays;
+``Factored`` holds one factor with its inverse, formed at most once.
 ``serial_blas`` runs a solve on one BLAS thread.
 """
 
@@ -240,6 +241,38 @@ def inv_from_chol(lower):
     out = inv + inv.T
     np.fill_diagonal(out, inv.diagonal())
     return out
+
+
+class Factored:
+    """A PD matrix's lower Cholesky factor, and its inverse, formed by
+    inv_from_chol on first use and kept: callers share one dpotri."""
+
+    __slots__ = ("lower", "_inv")
+
+    def __init__(self, lower, inv=None):
+        self.lower = lower
+        self._inv = inv
+
+    @classmethod
+    def of(cls, a, name="matrix"):
+        lower = chol_pd(a)
+        if lower is None:
+            raise NotPositiveDefiniteError(f"{name} is not numerically PD")
+        return cls(lower)
+
+    @classmethod
+    def diagonal(cls, d):
+        """diag(d) as diag(sqrt d) with inverse diag((1/sqrt d)^2): without
+        LAPACK, and bit-equal to chol_pd and inv_from_chol."""
+        if not np.all(d > 0):
+            raise NotPositiveDefiniteError("D is not numerically PD")
+        return cls(np.diag(np.sqrt(d)), np.diag((1.0 / np.sqrt(d)) ** 2))
+
+    @property
+    def inv(self) -> np.ndarray:
+        if self._inv is None:
+            self._inv = inv_from_chol(self.lower)
+        return self._inv
 
 
 def inv_pd(a):

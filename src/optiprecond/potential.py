@@ -33,8 +33,8 @@ from .barrier import (
     initial_feasible_point,
 )
 from .heuristics import DiagScaling, SIDE_RIGHT, finish_solve
-from .linalg import (SymMatrix, NotPositiveDefiniteError, chol_pd,
-                     extreme_eigenvalues, geomean_inv, inv_from_chol, inv_pd,
+from .linalg import (Factored, SymMatrix, NotPositiveDefiniteError, chol_pd,
+                     extreme_eigenvalues, geomean_inv, inv_pd,
                      logdet_from_chol, proximity_delta, serial_blas, solve_pd)
 from .matrixio import SolveReport
 
@@ -80,37 +80,6 @@ class NTScalings:
     U: np.ndarray
     V: np.ndarray
     W: np.ndarray
-
-
-class Factored:
-    """A PD matrix's lower Cholesky factor, and its inverse once formed."""
-
-    __slots__ = ("lower", "_inv")
-
-    def __init__(self, lower, inv=None):
-        self.lower = lower
-        self._inv = inv
-
-    @classmethod
-    def of(cls, a, name="matrix"):
-        lower = chol_pd(a)
-        if lower is None:
-            raise NotPositiveDefiniteError(f"{name} is not numerically PD")
-        return cls(lower)
-
-    @classmethod
-    def diagonal(cls, d):
-        """diag(d) as diag(sqrt d) with inverse diag((1/sqrt d)^2): without
-        LAPACK, and bit-equal to chol_pd and inv_from_chol."""
-        if not np.all(d > 0):
-            raise NotPositiveDefiniteError("D is not numerically PD")
-        return cls(np.diag(np.sqrt(d)), np.diag((1.0 / np.sqrt(d)) ** 2))
-
-    @property
-    def inv(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = inv_from_chol(self.lower)
-        return self._inv
 
 
 @dataclass
@@ -210,10 +179,8 @@ def _state_at(m_arr, kappa, d_mat, mode, fr=None, fs=None, fd=None):
 
 
 def _state_from_point(bp: BarrierPoint, mode=MODE_DIAG) -> CenterState:
-    """CenterState at a barrier point, reusing its factors of R and S."""
-    chol_r, chol_s = bp.state[0]
-    return _state_at(bp.m.mat, bp.kappa, np.diag(bp.d), mode,
-                     Factored(chol_r), Factored(chol_s))
+    """CenterState at a barrier point, reusing its Factored R and S."""
+    return _state_at(bp.m.mat, bp.kappa, np.diag(bp.d), mode, *bp.state[0])
 
 
 def delta_kappa(state: CenterState, beta: float) -> float:

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from optiprecond import (
     BarrierPoint,
@@ -14,9 +17,10 @@ from optiprecond import (
     read_matrix_market,
     two_sided_feasibility,
 )
-from optiprecond.barrier import _level_barrier
+from optiprecond.barrier import _level_barrier, _one_sided
 from optiprecond.dsdp import build_left, build_right
 from optiprecond.fixtures import fixture_path
+from optiprecond.linalg import inv_from_chol
 from optiprecond.optimal import alternate_two_sided
 from conftest import grid_optimal_two_sided_3x3, random_spd
 
@@ -303,6 +307,7 @@ def test_lmi_barrier_derivatives_match_finite_differences(make, rng):
     state = barrier.factor(x0)
     assert state is not None
     g, neg_h = barrier.derivatives(state)
+    neg_h = neg_h.copy()    # the next derivatives call overwrites it
     for i in range(x0.size):
         e = np.zeros(x0.size)
         e[i] = 1e-6 * abs(x0[i])
@@ -313,3 +318,106 @@ def test_lmi_barrier_derivatives_match_finite_differences(make, rng):
                 - barrier.derivatives(minus)[0]) / (2 * e[i])
         assert np.allclose(-neg_h[:, i], fd_h, rtol=1e-4,
                            atol=1e-6 * np.abs(neg_h).max()), i
+
+
+def _fresh_derivatives(barrier, state):
+    """Gradient and negated Hessian assembled in fresh arrays, block by
+    block in the order of LmiBarrier.derivatives: the reference for its
+    in-place workspace."""
+    factors, slack = state
+    g = np.zeros(barrier.nvar)
+    nh = np.zeros((barrier.nvar, barrier.nvar))
+
+    def cross(ti, pi, tj, pj):
+        if ti.dense is not None and tj.dense is not None:
+            return np.array([[np.sum(pi * pj.T)]])
+        if ti.dense is not None:
+            return cross(tj, pj, ti, pi).T
+        if tj.dense is not None:
+            upb = pj if ti.rows is None else ti.rows @ pj
+            return np.einsum("ij,ij->i", upb, pi)[:, None]
+        w = pi if tj.rows is None else pi @ tj.rows.T
+        return w * w
+
+    for (_, terms), f in zip(barrier.cones, factors):
+        p = inv_from_chol(f.lower)
+        ker = [t.kernels(p) for t in terms]
+        for i, (ti, (tr, pi)) in enumerate(zip(terms, ker)):
+            g[ti.sl] += ti.coef * tr
+            for tj, (_, pj) in zip(terms[i:], ker[i:]):
+                k = (ti.coef * tj.coef) * cross(ti, pi, tj, pj)
+                nh[ti.sl, tj.sl] += k
+                if tj is not ti:
+                    nh[tj.sl, ti.sl] += k.T
+    g[barrier.positive] += 1.0 / slack
+    idx = np.arange(barrier.positive.start, barrier.positive.stop)
+    nh[idx, idx] += 1.0 / slack ** 2
+    return g, nh
+
+
+def _one_sided_start(rng):
+    m = random_spd(5, rng, cond=20.0)
+    kappa = 3.0 * np.linalg.cond(m.mat)
+    return _one_sided(m.mat, kappa), initial_feasible_point(m, kappa).d
+
+
+@pytest.mark.parametrize("make", [_phase_one_two_sided, _dsdp_right,
+                                  _dsdp_left, _one_sided_start])
+def test_workspace_derivatives_are_bit_equal_to_fresh_assembly(make, rng):
+    barrier, x0 = make(rng)
+    for _ in range(3):    # later calls reuse the workspace of the first
+        x = x0 * (1 + 1e-3 * rng.uniform(-1, 1, x0.size))
+        g, neg_h = barrier.derivatives(barrier.factor(x))
+        ref_g, ref_h = _fresh_derivatives(barrier, barrier.factor(x))
+        assert np.array_equal(g, ref_g)
+        assert np.array_equal(neg_h, ref_h)
+
+
+def test_barrier_gradient_and_hessian_do_not_alias(rng):
+    m = random_spd(5, rng, cond=20.0)
+    kappa = 3.0 * np.linalg.cond(m.mat)
+    p1 = initial_feasible_point(m, kappa)
+    p2 = BarrierPoint(m, kappa, 1.01 * p1.d)
+    g1, h1 = barrier_gradient(m, p1), barrier_hessian(m, p1).mat
+    g1_copy, h1_copy = g1.copy(), h1.copy()
+    g2, h2 = barrier_gradient(m, p2), barrier_hessian(m, p2).mat
+    assert not np.shares_memory(g1, g2)
+    assert not np.shares_memory(h1, h2)
+    assert np.array_equal(g1, g1_copy) and np.array_equal(h1, h1_copy)
+    assert not np.array_equal(h1, h2)
+
+
+def test_derivatives_allocate_less_than_one_hessian():
+    design = RectMatrix(np.random.default_rng(7).standard_normal((400, 40)))
+    p = build_left(design)
+    p.barrier.derivatives(p.barrier.factor(p.start))
+    state = p.barrier.factor(p.start)
+    tracemalloc.start()
+    try:
+        p.barrier.derivatives(state)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 400 * 400 * 8
+
+
+def test_level_test_inverts_each_cone_once_per_point(monkeypatch):
+    orders = []
+    dpotri = scipy.linalg.lapack.dpotri
+
+    def counted(factor, *args, **kwargs):
+        orders.append(factor.shape[0])
+        return dpotri(factor, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotri", counted)
+    a = read_matrix_market(fixture_path("trefethen_20b"))
+    res = two_sided_feasibility(a, 6.24)
+    assert res.verdict == "infeasible" and res.newton_steps > 40
+    # each Newton step inverts the two order-n cones and the two 1x1 band
+    # cones once, the stop test reusing the first two; only the points
+    # where a stage starts or the path stops are inverted by the stop test
+    # alone
+    steps = res.newton_steps
+    assert orders.count(1) == 2 * steps
+    cones = len(orders) - orders.count(1)
+    assert 2 * steps <= cones <= 2 * steps + 2 * 15

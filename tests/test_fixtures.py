@@ -139,6 +139,27 @@ def test_potential_reduction_right_solves_are_pinned():
         assert rep.kappa_after == pytest.approx(kappa, rel=1e-9), name
 
 
+# optimal_left (dsdp) on the benchmark's five left inputs: Newton steps over
+# the 14 stages and kappa_after
+PINNED_LEFT = {
+    "gauss_cov_s0": (113, 104.6352373),
+    "gauss_cov_s1": (106, 152.9634793),
+    "gauss_cov_s2": (106, 117.0463500),
+    "gauss_cov_s3": (106, 209.2420036),
+    "trefethen_150": (127, 38.92755954),
+}
+
+
+def test_left_solves_are_pinned():
+    from optiprecond.optimal import optimal_left
+
+    for name, (steps, kappa) in PINNED_LEFT.items():
+        _, rep = optimal_left(read_matrix_market(fixture_path(name)))
+        assert rep.method == "optimal_left[dsdp]", name
+        assert rep.extra["newton_steps"] == steps, name
+        assert rep.kappa_after == pytest.approx(kappa, rel=1e-9), name
+
+
 def test_gauss_cov_design_deterministic():
     assert np.array_equal(gauss_cov_design(3), gauss_cov_design(3))
     assert gauss_cov_design(0).shape == (400, 40)

@@ -259,6 +259,15 @@ def test_newton_fallbacks_are_reported():
     assert rep.extra["newton_fallbacks"] == 0
 
 
+def test_dsdp_right_route_reports_newton_steps():
+    a = _trefethen_20b()
+    _, rep = optimal_right(SymMatrix(a.mat.T @ a.mat),
+                           OptimalRequest(method="dsdp"))
+    assert rep.method == "optimal_right[dsdp]"
+    assert rep.extra["newton_steps"] == 94
+    assert rep.iterations == len(rep.extra["tau_path"]) == 14
+
+
 # published two-sided optimum, alternation's kappa, and a third of the
 # Newton steps the max-margin oracle took per bisection (10,232 and 11,256)
 TWO_SIDED = {"trefethen_20b": (6.245, 6.2643, 3410),
