@@ -2,9 +2,9 @@
 
 The package minimizes the condition number kappa(D1^{1/2} A D2^{-1/2}) over
 positive diagonal scalings, via bisection over SDP feasibility, potential
-reduction interior point methods with Nesterov-Todd steps, dual-SDP barrier
-path following, and projected subgradient descent, and benchmarks the effect
-on preconditioned conjugate gradient convergence.
+reduction interior point methods with Nesterov-Todd steps, and dual-SDP
+barrier path following, and benchmarks the effect on preconditioned
+conjugate gradient convergence.
 """
 
 from .linalg import (
@@ -68,11 +68,7 @@ from .optimal import (
     bisect_two_sided,
     alternate_two_sided,
 )
-from .subgradient import (
-    SubgradConfig,
-    logcond_subgradient,
-    projected_subgradient_solve,
-)
+from .subgradient import logcond_subgradient
 from .bench import (
     PcgResult,
     SamplingPoint,

@@ -37,6 +37,13 @@ def pcg(m: SymMatrix, rhs=None, precond: DiagScaling | None = None,
     The preconditioner is applied by explicit congruence, solving
     D^{-1/2} M D^{-1/2} y = D^{-1/2} b; convergence means the scaled
     relative residual drops to tol.
+
+    In exact arithmetic CG stops within n iterations. In floating point the
+    search directions lose conjugacy, so an ill-conditioned system can take
+    more than n (53-59 at order 40 on the right-scaled gauss_cov Grams at
+    tol 1e-6); max_iters therefore defaults to 10n. The count moves with
+    rounding too: a scaling changed in its last digits can shift it by a
+    few iterations.
     """
     scaled = apply_scaling(m, precond).mat
     n = scaled.shape[0]

@@ -17,6 +17,7 @@ from .barrier import CenteringError, InfeasiblePointError
 from .bench import PcgBreakdownError, concentration_experiment, pcg_compare, sampling_sweep
 from .dsdp import NewtonFailureError
 from .heuristics import (
+    SIDE_RIGHT,
     DiagScaling,
     apply_scaling,
     jacobi_scaling,
@@ -42,7 +43,6 @@ from .optimal import (
     optimal_right,
 )
 from .potential import StagnationError
-from .subgradient import projected_subgradient_solve
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -55,8 +55,18 @@ _SOLVER_ERRORS = (NotPositiveDefiniteError, InfeasiblePointError,
                   CenteringError, StagnationError, NewtonFailureError,
                   PcgBreakdownError)
 
-_PRECOND_METHODS = ("jacobi", "colnorm", "ruiz", "optimal-right",
-                    "optimal-left", "optimal-two-sided", "subgrad")
+# Each precond method: (A, its Gram matrix, request) -> (scaling, report),
+# where a baseline's report is None and cmd_precond measures it.
+_PRECOND_METHODS = {
+    "jacobi": lambda a, gram, req: (jacobi_scaling(gram), None),
+    "colnorm": lambda a, gram, req: (
+        column_norm_scaling(RectMatrix(a.tall())), None),
+    "ruiz": lambda a, gram, req: (ruiz_equilibrate(gram), None),
+    "optimal-right": lambda a, gram, req: optimal_right(gram, req),
+    "optimal-left": lambda a, gram, req: optimal_left(a, req),
+    "optimal-two-sided": lambda a, gram, req: alternate_two_sided(a, req),
+    "optimal-two-sided-bisect": lambda a, gram, req: bisect_two_sided(a, req),
+}
 
 
 def _load_matrix(path) -> RectMatrix:
@@ -100,39 +110,15 @@ def cmd_cond(args) -> int:
     return EXIT_OK
 
 
-def _solve_precond(method, a, gram, args):
-    if args.side is not None and method != "optimal-two-sided":
-        raise ValueError("--side applies to --method optimal-two-sided only")
-    req = OptimalRequest(epsilon=args.epsilon)
-    if method == "jacobi":
-        scaling = jacobi_scaling(gram)
-        return scaling, None
-    if method == "colnorm":
-        scaling = column_norm_scaling(RectMatrix(a.tall()))
-        return scaling, None
-    if method == "ruiz":
-        return ruiz_equilibrate(gram), None
-    if method == "optimal-right":
-        return optimal_right(gram, req)
-    if method == "optimal-left":
-        return optimal_left(a, req)
-    if method == "optimal-two-sided":
-        if args.side == "two":
-            return bisect_two_sided(a, req)
-        return alternate_two_sided(a, req)
-    if method == "subgrad":
-        return projected_subgradient_solve(gram)
-    raise ValueError(f"unknown method {method!r}")
-
-
 def cmd_precond(args) -> int:
-    if args.method not in _PRECOND_METHODS:
+    solve = _PRECOND_METHODS.get(args.method)
+    if solve is None:
         raise ValueError(
             f"method must be one of {', '.join(_PRECOND_METHODS)}")
     a = _load_matrix(args.input)
     gram, eps = _gram_with_cap(a, args.cap)
     t0 = time.perf_counter()
-    scaling, report = _solve_precond(args.method, a, gram, args)
+    scaling, report = solve(a, gram, OptimalRequest(epsilon=args.epsilon))
     if report is None:
         kappa_before = condition_number(gram)
         kappa_after = condition_number(apply_scaling(gram, scaling))
@@ -146,9 +132,10 @@ def cmd_precond(args) -> int:
     if eps:
         report.extra["epsilon"] = eps
     if args.emit_scaling:
-        if scaling.side == "two_sided_pair":
-            raise ValueError("--emit-scaling supports one-sided scalings "
-                             "only; two-sided pairs have two sequences")
+        if scaling.side != SIDE_RIGHT:
+            raise ValueError("--emit-scaling writes right scalings only, "
+                             "the side that cond --apply reads; "
+                             f"{args.method} gives a {scaling.side} scaling")
         np.savetxt(args.emit_scaling, scaling.values, delimiter=",")
     _emit(args, [report])
     return EXIT_OK
@@ -219,8 +206,8 @@ def cmd_concentration(args) -> int:
 # Every flag, by name; each subcommand takes the ones its handler reads.
 _FLAGS = {
     "input": dict(required=True, help="Matrix Market (.mtx) or dense CSV"),
-    "method": dict(default="optimal-right"),
-    "side": dict(choices=("left", "right", "two")),
+    "method": dict(default="optimal-right",
+                   help=f"one of {', '.join(_PRECOND_METHODS)}"),
     "epsilon": dict(type=float, default=1e-2),
     "cap": dict(type=float, help="regularize the Gram matrix to kappa <= CAP"),
     "seed": dict(type=int, default=0),
@@ -239,7 +226,7 @@ _SUBCOMMANDS = (
     ("cond", "condition number of the Gram matrix",
      "input cap apply out format"),
     ("precond", "compute a preconditioner",
-     "input method side epsilon cap emit-scaling out format"),
+     "input method epsilon cap emit-scaling out format"),
     ("pcg-bench", "PCG iteration counts per preconditioner",
      "input cap epsilon tol seed out format"),
     ("sample-sweep", "row-sampling sweep", "input ratios seed out format"),

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,10 +9,11 @@ import numpy as np
 import pytest
 
 import optiprecond
-from optiprecond.cli import main
+from optiprecond.cli import _PRECOND_METHODS, main
 from optiprecond.fixtures import fixture_path
 
 SRC = Path(optiprecond.__file__).resolve().parents[1]
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run_cli(args, capsys):
@@ -78,10 +80,11 @@ def test_precond_jacobi_diagonal(tmp_path, capsys):
     assert record["kappa_after"] == pytest.approx(1.0, abs=1e-9)
 
 
-def test_precond_unknown_method_exit_2(tmp_path, capsys):
+@pytest.mark.parametrize("method", ["sorcery", "subgrad"])
+def test_precond_unknown_method_exit_2(method, tmp_path, capsys):
     path = write_mtx(tmp_path, [1.0])
     code, out, err = run_cli(
-        ["precond", "--input", str(path), "--method", "sorcery"], capsys)
+        ["precond", "--input", str(path), "--method", method], capsys)
     assert code == 2
 
 
@@ -230,25 +233,60 @@ def test_out_file_written(tmp_path, capsys):
     assert json.loads(out_path.read_text())[0]["method"] == "jacobi"
 
 
-def test_precond_side_with_one_sided_method_exit_2(tmp_path, capsys):
-    path = write_mtx(tmp_path, [4.0, 1.0])
-    code, out, err = run_cli(
-        ["precond", "--input", str(path), "--method", "optimal-right",
-         "--side", "left"], capsys)
-    assert code == 2
-    assert "--side" in err
-
-
 def test_precond_side_selects_two_sided_solver(tmp_path, capsys):
     path = write_mtx(tmp_path, [4.0, 1.0])
     methods = []
-    for side in ([], ["--side", "two"]):
+    for method in ("optimal-two-sided", "optimal-two-sided-bisect"):
         code, out, err = run_cli(
-            ["precond", "--input", str(path), "--method",
-             "optimal-two-sided", *side], capsys)
+            ["precond", "--input", str(path), "--method", method], capsys)
         assert code == 0
         methods.append(json.loads(out)[0]["method"])
     assert methods == ["alternate_two_sided", "bisect_two_sided"]
+
+
+_REPORTED_METHOD = {
+    "jacobi": "jacobi",
+    "colnorm": "colnorm",
+    "ruiz": "ruiz",
+    "optimal-right": "optimal_right[potential_reduction]",
+    "optimal-left": "optimal_left[dsdp]",
+    "optimal-two-sided": "alternate_two_sided",
+    "optimal-two-sided-bisect": "bisect_two_sided",
+}
+
+
+@pytest.mark.parametrize("method", list(_PRECOND_METHODS))
+def test_precond_method_table_runs_each_solver(method, tmp_path, capsys):
+    path = write_mtx(tmp_path, [4.0, 1.0])
+    code, out, err = run_cli(
+        ["precond", "--input", str(path), "--method", method], capsys)
+    assert code == 0
+    assert json.loads(out)[0]["method"] == _REPORTED_METHOD[method]
+
+
+@pytest.mark.parametrize("method", ["optimal-left", "optimal-two-sided"])
+def test_precond_emit_scaling_refuses_other_sides(method, tmp_path, capsys):
+    # cond --apply reads an emitted file as a right scaling; a left scaling
+    # read that way gives kappa 2.03e7 here against optimal-left's 89.45
+    a = np.random.default_rng(3).standard_normal((6, 6)) + 3.0 * np.eye(6)
+    a[0] *= 20.0
+    path = tmp_path / "a.csv"
+    np.savetxt(path, a, delimiter=",")
+    scaling_path = tmp_path / "scaling.csv"
+    code, out, err = run_cli(
+        ["precond", "--input", str(path), "--method", method,
+         "--emit-scaling", str(scaling_path)], capsys)
+    assert code == 2
+    assert "--emit-scaling" in err
+    assert not scaling_path.exists()
+
+
+def test_readme_lists_the_precond_method_table():
+    text = README.read_text(encoding="utf-8")
+    listing = re.search(r"`precond` computes a scaling \(([^)]*)\)", text)
+    assert listing is not None
+    assert re.findall(r"`([^`]+)`", listing.group(1)) == \
+        list(_PRECOND_METHODS)
 
 
 @pytest.mark.parametrize("argv", [
@@ -257,6 +295,7 @@ def test_precond_side_selects_two_sided_solver(tmp_path, capsys):
     ["pcg-bench", "--input", "m.mtx", "--side", "left"],
     ["sample-sweep", "--input", "m.mtx", "--epsilon", "0.1"],
     ["concentration", "--cap", "2.0"],
+    ["precond", "--input", "m.mtx", "--side", "two"],
 ])
 def test_subcommand_rejects_flag_it_does_not_read(argv, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -22,11 +22,10 @@ from optiprecond.optimal import (
     optimal_left,
     optimal_right,
 )
-from optiprecond import heuristics, optimal, potential, subgradient
+from optiprecond import heuristics, optimal, potential
 from optiprecond.dsdp import barrier_path_solve, build_right
 from optiprecond.linalg import _openblas_controls, blas_backend
 from optiprecond.potential import solve_right_pr
-from optiprecond.subgradient import SubgradConfig, projected_subgradient_solve
 from conftest import grid_optimal_right, grid_optimal_two_sided_3x3, random_spd
 
 
@@ -339,9 +338,8 @@ def test_entry_points_report_blas_backend():
         alternate_two_sided(a)[1],
         barrier_path_solve(build_right(m))[2],
         solve_right_pr(m)[1],
-        projected_subgradient_solve(m, SubgradConfig(max_iters=20))[1],
     ]
-    assert [r.extra["blas_backend"] for r in reports] == [blas_backend()] * 8
+    assert [r.extra["blas_backend"] for r in reports] == [blas_backend()] * 7
 
 
 def test_entry_point_checks_run_on_one_blas_thread(monkeypatch):
@@ -357,11 +355,8 @@ def test_entry_point_checks_run_on_one_blas_thread(monkeypatch):
     monkeypatch.setattr(optimal, "condition_number", kappa_recording_threads)
     monkeypatch.setattr(heuristics, "condition_number",
                         kappa_recording_threads)
-    monkeypatch.setattr(subgradient, "condition_number",
-                        kappa_recording_threads)
     m = random_spd(5, np.random.default_rng(8), cond=30.0)
     optimal_right(m)
-    projected_subgradient_solve(m, SubgradConfig(max_iters=5))
     assert seen and set(seen) == {(1,) * len(_openblas_controls())}
 
 
@@ -376,7 +371,6 @@ def test_solvers_return_max_one_sequences():
         bisect_two_sided(a, OptimalRequest(epsilon=0.1))[0],
         alternate_two_sided(a)[0],
         solve_right_pr(m)[0],
-        projected_subgradient_solve(m, SubgradConfig(max_iters=20))[0],
     ]
     for sc in scalings:
         assert sc.values.max() == 1.0

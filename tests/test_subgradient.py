@@ -2,25 +2,14 @@ import numpy as np
 import pytest
 
 from optiprecond import NotPositiveDefiniteError, SymMatrix
-from optiprecond.subgradient import (
-    SubgradConfig,
-    logcond_subgradient,
-    projected_subgradient_solve,
-)
-from conftest import grid_optimal_right, random_spd
+from optiprecond.subgradient import logcond_subgradient
+from conftest import random_spd
 
 
 def kappa_dmd(m_arr, d):
     dmd = d[:, None] * m_arr * d[None, :]
     w = np.linalg.eigvalsh(dmd)
     return w[-1] / w[0]
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SubgradConfig(upper_bound=1.0)
-    with pytest.raises(ValueError):
-        SubgradConfig(step_rule="fixed")
 
 
 def test_subgradient_diagonal_structure():
@@ -105,41 +94,3 @@ def test_subgradient_vanishes_at_interior_optimum():
     assert abs(float(g @ best[1])) <= 1e-8
     assert np.abs(g).max() <= 1e-2
 
-
-def test_solve_diagonal_reaches_near_one():
-    m = SymMatrix.diagonal([4.0, 1.0])
-    sc, rep = projected_subgradient_solve(
-        m, SubgradConfig(upper_bound=4.0, max_iters=2000))
-    assert rep.kappa_after <= 1.05
-
-
-def test_solve_identity_stays_at_one():
-    m = SymMatrix.identity(3)
-    sc, rep = projected_subgradient_solve(
-        m, SubgradConfig(upper_bound=3.0, max_iters=50))
-    assert rep.kappa_after == pytest.approx(1.0, abs=1e-10)
-
-
-def test_solve_2x2_within_five_percent_of_grid():
-    m = SymMatrix([[1.0, 0.5], [0.5, 2.0]])
-    oracle = grid_optimal_right(m.mat)
-    sc, rep = projected_subgradient_solve(
-        m, SubgradConfig(upper_bound=10.0, max_iters=5000))
-    assert rep.kappa_after <= oracle * 1.05
-
-
-def test_best_so_far_never_exceeds_start(rng):
-    m = random_spd(6, rng, cond=100.0)
-    base = np.linalg.cond(m.mat)
-    sc, rep = projected_subgradient_solve(
-        m, SubgradConfig(upper_bound=5.0, max_iters=300))
-    assert rep.kappa_after <= base * (1 + 1e-12)
-
-
-def test_step_rules_both_run(rng):
-    m = random_spd(4, rng, cond=30.0)
-    for rule in ("1/k", "1/sqrt(k)"):
-        sc, rep = projected_subgradient_solve(
-            m, SubgradConfig(upper_bound=8.0, max_iters=200,
-                             step_rule=rule))
-        assert rep.kappa_after <= rep.kappa_before * (1 + 1e-12)
