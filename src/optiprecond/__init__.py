@@ -48,7 +48,6 @@ from .barrier import (
 )
 from .potential import (
     CenterState,
-    NTScalings,
     PRConfig,
     delta_kappa,
     shift_state,

@@ -4,7 +4,7 @@ experiment behind the benchmark tables."""
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -25,7 +25,6 @@ class PcgResult:
     iterations: int
     converged: bool
     final_relative_residual: float
-    residual_history: list = field(default_factory=list)
 
 
 @serial_blas()
@@ -36,7 +35,9 @@ def pcg(m: SymMatrix, rhs=None, precond: DiagScaling | None = None,
 
     The preconditioner is applied by explicit congruence, solving
     D^{-1/2} M D^{-1/2} y = D^{-1/2} b; convergence means the scaled
-    relative residual drops to tol.
+    relative residual drops to tol. Returns the iteration count, whether
+    it converged (a Python bool) and the last scaled relative residual; the
+    iterate itself is not formed.
 
     In exact arithmetic CG stops within n iterations. In floating point the
     search directions lose conjugacy, so an ill-conditioned system can take
@@ -57,14 +58,13 @@ def pcg(m: SymMatrix, rhs=None, precond: DiagScaling | None = None,
 
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0:
-        return PcgResult(0, True, 0.0, [0.0])
-    x = np.zeros(n)
+        return PcgResult(0, True, 0.0)
     r = b.copy()
     p = r.copy()
     rs = float(r @ r)
-    history = [np.sqrt(rs) / bnorm]
+    rel = np.sqrt(rs) / bnorm
     iterations = 0
-    converged = history[0] <= tol
+    converged = bool(rel <= tol)
     while not converged and iterations < max_iters:
         ap = scaled @ p
         curvature = float(p @ ap)
@@ -72,20 +72,17 @@ def pcg(m: SymMatrix, rhs=None, precond: DiagScaling | None = None,
             raise PcgBreakdownError(
                 f"nonpositive curvature {curvature:.3e}; matrix not PD")
         alpha = rs / curvature
-        x += alpha * p
         r -= alpha * ap
         rs_new = float(r @ r)
         iterations += 1
         rel = np.sqrt(rs_new) / bnorm
-        history.append(rel)
         if rel <= tol:
             converged = True
             break
         p = r + (rs_new / rs) * p
         rs = rs_new
     return PcgResult(iterations=iterations, converged=converged,
-                     final_relative_residual=history[-1],
-                     residual_history=history)
+                     final_relative_residual=rel)
 
 
 def pcg_compare(m: SymMatrix, scalings: dict, tol: float = 1e-6,
@@ -124,8 +121,8 @@ class SamplingPoint:
     rank_deficient: bool = False
 
 
-def sampling_sweep(a: RectMatrix, ratios, seed: int = 0,
-                   req: OptimalRequest | None = None) -> list[SamplingPoint]:
+def sampling_sweep(a: RectMatrix, ratios, seed: int = 0
+                   ) -> list[SamplingPoint]:
     """Solve the right problem on sampled rows, evaluate on the full Gram.
 
     For each ratio, samples round(ratio*m) rows without replacement, solves
@@ -134,7 +131,7 @@ def sampling_sweep(a: RectMatrix, ratios, seed: int = 0,
     by m/m_tilde in the reported estimation gap so it estimates the full
     Gram. Rank-deficient samples are flagged, not fatal.
     """
-    req = req or OptimalRequest(method="dsdp")
+    req = OptimalRequest(method="dsdp")
     m_rows = a.rows
     full_gram = gram_matrix(a)
     points = []

@@ -15,8 +15,9 @@ import numpy as np
 from . import __version__
 from .barrier import CenteringError, InfeasiblePointError
 from .bench import PcgBreakdownError, concentration_experiment, pcg_compare, sampling_sweep
-from .dsdp import NewtonFailureError
 from .heuristics import (
+    SIDE_LEFT,
+    SIDE_PAIR,
     SIDE_RIGHT,
     DiagScaling,
     apply_scaling,
@@ -52,20 +53,23 @@ EXIT_INTERNAL = 4
 _INPUT_ERRORS = (MatrixMarketError, FileNotFoundError, IsADirectoryError,
                  PermissionError, ValueError, KeyError)
 _SOLVER_ERRORS = (NotPositiveDefiniteError, InfeasiblePointError,
-                  CenteringError, StagnationError, NewtonFailureError,
-                  PcgBreakdownError)
+                  CenteringError, StagnationError, PcgBreakdownError)
 
-# Each precond method: (A, its Gram matrix, request) -> (scaling, report),
-# where a baseline's report is None and cmd_precond measures it.
+# Each precond method: the side of the scaling it returns, and its solver
+# (A, its Gram matrix, request) -> (scaling, report), where a baseline's
+# report is None and cmd_precond measures it.
 _PRECOND_METHODS = {
-    "jacobi": lambda a, gram, req: (jacobi_scaling(gram), None),
-    "colnorm": lambda a, gram, req: (
-        column_norm_scaling(RectMatrix(a.tall())), None),
-    "ruiz": lambda a, gram, req: (ruiz_equilibrate(gram), None),
-    "optimal-right": lambda a, gram, req: optimal_right(gram, req),
-    "optimal-left": lambda a, gram, req: optimal_left(a, req),
-    "optimal-two-sided": lambda a, gram, req: alternate_two_sided(a, req),
-    "optimal-two-sided-bisect": lambda a, gram, req: bisect_two_sided(a, req),
+    "jacobi": (SIDE_RIGHT, lambda a, gram, req: (jacobi_scaling(gram), None)),
+    "colnorm": (SIDE_RIGHT, lambda a, gram, req: (
+        column_norm_scaling(RectMatrix(a.tall())), None)),
+    "ruiz": (SIDE_RIGHT, lambda a, gram, req: (ruiz_equilibrate(gram), None)),
+    "optimal-right": (SIDE_RIGHT,
+                      lambda a, gram, req: optimal_right(gram, req)),
+    "optimal-left": (SIDE_LEFT, lambda a, gram, req: optimal_left(a, req)),
+    "optimal-two-sided": (SIDE_PAIR,
+                          lambda a, gram, req: alternate_two_sided(a, req)),
+    "optimal-two-sided-bisect": (
+        SIDE_PAIR, lambda a, gram, req: bisect_two_sided(a, req)),
 }
 
 
@@ -111,10 +115,14 @@ def cmd_cond(args) -> int:
 
 
 def cmd_precond(args) -> int:
-    solve = _PRECOND_METHODS.get(args.method)
-    if solve is None:
+    if args.method not in _PRECOND_METHODS:
         raise ValueError(
             f"method must be one of {', '.join(_PRECOND_METHODS)}")
+    side, solve = _PRECOND_METHODS[args.method]
+    if args.emit_scaling and side != SIDE_RIGHT:
+        raise ValueError("--emit-scaling writes right scalings only, "
+                         "the side that cond --apply reads; "
+                         f"{args.method} gives a {side} scaling")
     a = _load_matrix(args.input)
     gram, eps = _gram_with_cap(a, args.cap)
     t0 = time.perf_counter()
@@ -132,10 +140,6 @@ def cmd_precond(args) -> int:
     if eps:
         report.extra["epsilon"] = eps
     if args.emit_scaling:
-        if scaling.side != SIDE_RIGHT:
-            raise ValueError("--emit-scaling writes right scalings only, "
-                             "the side that cond --apply reads; "
-                             f"{args.method} gives a {scaling.side} scaling")
         np.savetxt(args.emit_scaling, scaling.values, delimiter=",")
     _emit(args, [report])
     return EXIT_OK
@@ -147,8 +151,7 @@ def cmd_pcg_bench(args) -> int:
     scalings = {
         "jacobi": jacobi_scaling(gram),
         "ruiz": ruiz_equilibrate(gram),
-        "optimal": optimal_right(
-            gram, OptimalRequest(method="dsdp", epsilon=args.epsilon))[0],
+        "optimal": optimal_right(gram, OptimalRequest(method="dsdp"))[0],
     }
     reports = pcg_compare(gram, scalings, tol=args.tol, seed=args.seed)
     for r in reports:
@@ -222,17 +225,20 @@ _FLAGS = {
     "trials": dict(type=int, default=10),
 }
 
-_SUBCOMMANDS = (
-    ("cond", "condition number of the Gram matrix",
-     "input cap apply out format"),
-    ("precond", "compute a preconditioner",
-     "input method epsilon cap emit-scaling out format"),
-    ("pcg-bench", "PCG iteration counts per preconditioner",
-     "input cap epsilon tol seed out format"),
-    ("sample-sweep", "row-sampling sweep", "input ratios seed out format"),
-    ("concentration", "condition number concentration experiment",
-     "seed n-grid sigma-diag trials out format"),
-)
+# Each subcommand: its handler, help text and the flags it reads.
+_SUBCOMMANDS = {
+    "cond": (cmd_cond, "condition number of the Gram matrix",
+             "input cap apply out format"),
+    "precond": (cmd_precond, "compute a preconditioner",
+                "input method epsilon cap emit-scaling out format"),
+    "pcg-bench": (cmd_pcg_bench, "PCG iteration counts per preconditioner",
+                  "input cap tol seed out format"),
+    "sample-sweep": (cmd_sample_sweep, "row-sampling sweep",
+                     "input ratios seed out format"),
+    "concentration": (cmd_concentration,
+                      "condition number concentration experiment",
+                      "seed n-grid sigma-diag trials out format"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -240,21 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="optiprecond",
         description="Optimal and heuristic diagonal preconditioning")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    for name, help_text, flags in _SUBCOMMANDS:
+    for name, (_, help_text, flags) in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         for flag in flags.split():
             p.add_argument(f"--{flag}", **_FLAGS[flag])
     sub.add_parser("version", help="print the package version")
     return parser
-
-
-_HANDLERS = {
-    "cond": cmd_cond,
-    "precond": cmd_precond,
-    "pcg-bench": cmd_pcg_bench,
-    "sample-sweep": cmd_sample_sweep,
-    "concentration": cmd_concentration,
-}
 
 
 def main(argv=None) -> int:
@@ -263,7 +260,7 @@ def main(argv=None) -> int:
     if args.subcommand == "version":
         sys.stdout.write(__version__ + "\n")
         return EXIT_OK
-    handler = _HANDLERS[args.subcommand]
+    handler = _SUBCOMMANDS[args.subcommand][0]
     try:
         return handler(args)
     except _SOLVER_ERRORS as exc:

@@ -19,19 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .barrier import InfeasiblePointError, LmiBarrier, Term, follow_path
+from .barrier import (CenteringError, InfeasiblePointError, LmiBarrier, Term,
+                      follow_path)
 from .linalg import (SymMatrix, NotPositiveDefiniteError, blas_backend,
                      serial_blas)
 from .matrixio import RectMatrix, SolveReport
-
-
-class NewtonFailureError(RuntimeError):
-    """Inner Newton maximization failed; carries mu and residual info."""
-
-    def __init__(self, message, mu=None, residual=None):
-        super().__init__(message)
-        self.mu = mu
-        self.residual = residual
 
 
 @dataclass
@@ -99,11 +91,11 @@ def barrier_path_solve(p: DsdpProblem
     try:
         res, mu, path = follow_path(p.barrier, p.start)
     except InfeasiblePointError:
-        raise NewtonFailureError("strictly feasible start recipe failed",
-                                 mu=1.0) from None
+        raise CenteringError("strictly feasible start recipe failed at "
+                             "mu=1") from None
     if res.status == "stalled":
-        raise NewtonFailureError("line search failed", mu=mu,
-                                 residual=res.grad_norm)
+        raise CenteringError(f"line search failed at mu={mu:.3g}",
+                             grad_norm=res.grad_norm)
     x = res.x
     report = SolveReport(
         matrix="", method=f"dsdp_{p.side}",

@@ -119,24 +119,3 @@ def generate(name: str) -> np.ndarray:
         return gauss_cov_design(int(name.removeprefix("gauss_cov_s")))
     raise KeyError(f"unknown fixture {name!r}")
 
-
-def write_fixture_files(directory) -> None:
-    """Emit every bundled fixture as a Matrix Market file."""
-    import os
-
-    for name in FIXTURE_NAMES:
-        a = generate(name)
-        rows, cols = a.shape
-        symmetric = rows == cols and np.array_equal(a, a.T)
-        lines = []
-        if symmetric:
-            lines.append("%%MatrixMarket matrix coordinate real symmetric")
-            ii, jj = np.nonzero(np.tril(a))
-        else:
-            lines.append("%%MatrixMarket matrix coordinate real general")
-            ii, jj = np.nonzero(a)
-        lines.append(f"{rows} {cols} {len(ii)}")
-        for i, j in zip(ii, jj):
-            lines.append(f"{i + 1} {j + 1} {float(a[i, j])!r}")
-        with open(os.path.join(directory, f"{name}.mtx"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")

@@ -7,7 +7,7 @@ import io
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy.linalg
@@ -60,7 +60,6 @@ class GramSpec:
 
     gram: SymMatrix
     epsilon: float
-    kappa_cap: float
 
 
 @dataclass
@@ -211,7 +210,7 @@ def regularize_cap(m: SymMatrix, kappa_cap: float) -> GramSpec:
         raise ValueError("matrix must have a positive largest eigenvalue")
     eps = max(0.0, (lam1 - kappa_cap * lamn) / (kappa_cap - 1.0))
     gram = SymMatrix(m.mat + eps * np.eye(m.order)) if eps > 0 else m
-    return GramSpec(gram=gram, epsilon=eps, kappa_cap=float(kappa_cap))
+    return GramSpec(gram=gram, epsilon=eps)
 
 
 def sample_rows(a: RectMatrix, count: int, seed: int) -> RectMatrix:
@@ -226,15 +225,13 @@ def sample_rows(a: RectMatrix, count: int, seed: int) -> RectMatrix:
     return RectMatrix(a.mat[idx])
 
 
-_REPORT_KEYS = ("matrix", "method", "kappa_before", "kappa_after",
-                "iterations", "wall_time_seconds", "extra")
-
-
 def _jsonable(value):
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
     if isinstance(value, (np.floating, float)):
         return float(value)
+    if isinstance(value, (bool, np.bool_)):
+        return bool(value)
     if isinstance(value, (np.integer, int)):
         return int(value)
     if isinstance(value, (list, tuple)):
@@ -244,34 +241,18 @@ def _jsonable(value):
     return value
 
 
-def _report_record(r: SolveReport) -> dict:
-    return {
-        "matrix": r.matrix,
-        "method": r.method,
-        "kappa_before": float(r.kappa_before),
-        "kappa_after": float(r.kappa_after),
-        "iterations": int(r.iterations),
-        "wall_time_seconds": float(r.wall_time_seconds),
-        "extra": _jsonable(r.extra),
-    }
-
-
 def render_reports(reports, format: str = "json") -> str:
     """Serialize reports to a JSON array or a CSV table with fixed columns."""
-    records = [_report_record(r) for r in reports]
+    records = [_jsonable(asdict(r)) for r in reports]
     if format == "json":
         return json.dumps(records, indent=2)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(_REPORT_KEYS)
+        writer.writerow(f.name for f in fields(SolveReport))
         for rec in records:
-            writer.writerow([
-                rec["matrix"], rec["method"],
-                repr(rec["kappa_before"]), repr(rec["kappa_after"]),
-                rec["iterations"], repr(rec["wall_time_seconds"]),
-                json.dumps(rec["extra"]),
-            ])
+            writer.writerow(json.dumps(v) if isinstance(v, dict) else v
+                            for v in rec.values())
         return buf.getvalue()
     raise ValueError(f"unknown report format {format!r}")
 

@@ -74,15 +74,6 @@ class PRConfig:
 
 
 @dataclass
-class NTScalings:
-    """Geometric-mean scaling points for the three cone pairs."""
-
-    U: np.ndarray
-    V: np.ndarray
-    W: np.ndarray
-
-
-@dataclass
 class CenterState:
     """Interior-point state (R, S, D, X, Y, Z, kappa) with proximities.
 
@@ -206,21 +197,15 @@ def shift_state(state: CenterState, dk: float) -> CenterState:
                        fr=state.fr, fs=Factored(s_lower), fd=state.fd)
 
 
-def nt_scalings(state: CenterState) -> NTScalings:
-    """U = R # X^{-1}, V = S # Y^{-1}, W = D # Z^{-1}, so U X U = R etc."""
-    return NTScalings(U=geomean_inv(state.R, state.X),
-                      V=geomean_inv(state.S, state.Y),
-                      W=geomean_inv(state.D, state.Z))
-
-
 def nt_step(state: CenterState, kappa1: float) -> CenterState:
     """One Newton step with Nesterov-Todd scalings toward the kappa1 center.
 
     Solves the coupled system for the D increment (with Delta R = -Delta D,
     Delta S = kappa1 Delta D, Delta X = Delta Z + kappa1 Delta Y), projected
-    onto diagonal coordinates in diagonal-restricted mode. The system needs
-    only the inverse scalings, U^{-1} = X # R^{-1} and likewise for V and W,
-    which geomean_inv forms directly; when X is exactly R^{-1}, U^{-1} is X.
+    onto diagonal coordinates in diagonal-restricted mode. The NT scalings
+    U = R # X^{-1}, V = S # Y^{-1} and W = D # Z^{-1} (so U X U = R) enter
+    only through their inverses, U^{-1} = X # R^{-1} and likewise, which
+    geomean_inv forms directly; when X is exactly R^{-1}, U^{-1} is X.
     R^{-1}, S^{-1} and D^{-1} come from the state's factors, and the
     returned state carries the factors of its own R, S and D.
     """

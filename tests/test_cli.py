@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import optiprecond
-from optiprecond.cli import _PRECOND_METHODS, main
+from optiprecond import cli
+from optiprecond.cli import _PRECOND_METHODS, _SUBCOMMANDS, main
 from optiprecond.fixtures import fixture_path
 
 SRC = Path(optiprecond.__file__).resolve().parents[1]
@@ -132,6 +133,16 @@ def test_pcg_bench_identity(tmp_path, capsys):
     assert {r["method"] for r in records} == \
         {"pcg[none]", "pcg[jacobi]", "pcg[ruiz]", "pcg[optimal]"}
     assert all(r["iterations"] == 1 for r in records)
+
+
+def test_pcg_bench_without_convergence_exits_0(capsys):
+    # tol 0 is never met, so pcg stops at max_iters with converged False
+    code, out, err = run_cli(
+        ["pcg-bench", "--input", str(fixture_path("trefethen_20b")),
+         "--tol", "0"], capsys)
+    assert code == 0, err
+    records = json.loads(out)
+    assert all(type(r["extra"]["converged"]) is bool for r in records)
 
 
 def test_pcg_bench_diagonal_fast(tmp_path, capsys):
@@ -257,6 +268,11 @@ _REPORTED_METHOD = {
 
 @pytest.mark.parametrize("method", list(_PRECOND_METHODS))
 def test_precond_method_table_runs_each_solver(method, tmp_path, capsys):
+    side, solve = _PRECOND_METHODS[method]
+    a = optiprecond.RectMatrix(np.diag([4.0, 1.0]))
+    scaling, _ = solve(a, optiprecond.gram_matrix(a),
+                       optiprecond.OptimalRequest())
+    assert scaling.side == side
     path = write_mtx(tmp_path, [4.0, 1.0])
     code, out, err = run_cli(
         ["precond", "--input", str(path), "--method", method], capsys)
@@ -281,6 +297,35 @@ def test_precond_emit_scaling_refuses_other_sides(method, tmp_path, capsys):
     assert not scaling_path.exists()
 
 
+def test_precond_emit_scaling_refuses_before_solving(tmp_path, capsys,
+                                                     monkeypatch):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("ran before the --emit-scaling check")
+
+    monkeypatch.setattr(cli, "bisect_two_sided", must_not_run)
+    monkeypatch.setattr(cli, "_load_matrix", must_not_run)
+    code, out, err = run_cli(
+        ["precond", "--input", str(fixture_path("trefethen_20")),
+         "--method", "optimal-two-sided-bisect",
+         "--emit-scaling", str(tmp_path / "scaling.csv")], capsys)
+    assert code == 2
+    assert "--emit-scaling" in err
+
+
+def test_readme_lists_each_subcommands_flags():
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## Command line\n\n```\n(.*?)```", text, re.S)
+    assert block is not None
+    listed = {}
+    for line in block.group(1).splitlines():
+        if line.startswith("optiprecond "):
+            flags = listed.setdefault(line.split()[1], [])
+        flags += re.findall(r"--([a-z-]+)", line)
+    assert listed == {**{name: entry[2].split()
+                         for name, entry in _SUBCOMMANDS.items()},
+                      "version": []}
+
+
 def test_readme_lists_the_precond_method_table():
     text = README.read_text(encoding="utf-8")
     listing = re.search(r"`precond` computes a scaling \(([^)]*)\)", text)
@@ -293,6 +338,7 @@ def test_readme_lists_the_precond_method_table():
     ["cond", "--input", "m.mtx", "--seed", "1"],
     ["precond", "--input", "m.mtx", "--tol", "1e-8"],
     ["pcg-bench", "--input", "m.mtx", "--side", "left"],
+    ["pcg-bench", "--input", "m.mtx", "--epsilon", "0.1"],
     ["sample-sweep", "--input", "m.mtx", "--epsilon", "0.1"],
     ["concentration", "--cap", "2.0"],
     ["precond", "--input", "m.mtx", "--side", "two"],

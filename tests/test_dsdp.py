@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from optiprecond import NotPositiveDefiniteError, RectMatrix, SymMatrix
+from optiprecond.barrier import CenteringError
 from optiprecond.dsdp import barrier_path_solve, build_left, build_right
 from conftest import grid_optimal_right, random_spd, scaled_kappa
 
@@ -104,3 +105,11 @@ def test_config_schedule_respected(rng):
     assert rep.iterations == 14   # stages at mu = 1, 1/5, ..., 5^-13
     assert len(rep.extra["tau_path"]) == 14
     assert rep.extra["mu_final"] <= 1e-9
+
+
+def test_infeasible_start_raises_centering_error():
+    # tau = 2 needs 2 M <= D <= M; the solver reports the mu it failed at
+    p = build_right(SymMatrix.identity(3))
+    p.start[0] = 2.0
+    with pytest.raises(CenteringError, match="mu=1"):
+        barrier_path_solve(p)

@@ -197,3 +197,37 @@ def test_float_shortest_roundtrip():
     value = 0.1 + 0.2
     text = render_reports([make_report(kappa_before=value)], format="json")
     assert json.loads(text)[0]["kappa_before"] == value
+
+
+def test_render_pins_numpy_extras_text():
+    # numpy scalars and arrays in extras render as plain JSON numbers/lists
+    report = make_report(kappa_before=np.float64(0.1) + 0.2,
+                         iterations=np.int64(4),
+                         extra={"gap": np.float64(1e-3),
+                                "steps": np.int64(7),
+                                "path": np.array([0.5, 0.25]),
+                                "nested": {"k": (np.int64(1), 2.5)}})
+    assert render_reports([report], format="json") == (
+        '[\n  {\n    "matrix": "m",\n    "method": "x",\n'
+        '    "kappa_before": 0.30000000000000004,\n'
+        '    "kappa_after": 1.5,\n    "iterations": 4,\n'
+        '    "wall_time_seconds": 0.25,\n    "extra": {\n'
+        '      "gap": 0.001,\n      "steps": 7,\n      "path": [\n'
+        '        0.5,\n        0.25\n      ],\n      "nested": {\n'
+        '        "k": [\n          1,\n          2.5\n        ]\n'
+        '      }\n    }\n  }\n]')
+    assert render_reports([report], format="csv") == (
+        "matrix,method,kappa_before,kappa_after,iterations,"
+        "wall_time_seconds,extra\n"
+        'm,x,0.30000000000000004,1.5,4,0.25,"{""gap"": 0.001, '
+        '""steps"": 7, ""path"": [0.5, 0.25], ""nested"": {""k"": '
+        '[1, 2.5]}}"\n')
+
+
+def test_render_booleans_load_back_as_booleans():
+    report = make_report(extra={"certified": True,
+                                "converged": np.bool_(False)})
+    extra = json.loads(render_reports([report], format="json"))[0]["extra"]
+    assert extra["certified"] is True and extra["converged"] is False
+    row = render_reports([report], format="csv").splitlines()[1]
+    assert row.endswith('"{""certified"": true, ""converged"": false}"')

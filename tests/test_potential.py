@@ -18,7 +18,6 @@ from optiprecond.potential import (
     PRConfig,
     StepTooLargeError,
     delta_kappa,
-    nt_scalings,
     nt_step,
     shift_state,
     solve_right_pr,
@@ -73,17 +72,6 @@ def test_full_center_needs_kappa_above_one(kappa):
     with pytest.raises(InfeasiblePointError):
         state_from_center(random_spd(3, np.random.default_rng(1)), kappa,
                           mode="full")
-
-
-def test_nt_scalings_geometric_mean_identity(rng):
-    m = random_spd(4, rng)
-    st = state_from_center(m, 2.5 * np.linalg.cond(m.mat), mode="full")
-    st = shift_state(st, delta_kappa(st, 0.2))
-    sc = nt_scalings(st)
-    for mean, rho, xi in ((sc.U, st.R, st.X), (sc.V, st.S, st.Y),
-                          (sc.W, st.D, st.Z)):
-        resid = np.linalg.norm(mean @ xi @ mean - rho, ord="fro")
-        assert resid <= 1e-7 * np.linalg.norm(rho, ord="fro")
 
 
 def _count_lapack(monkeypatch):
