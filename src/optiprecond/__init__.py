@@ -4,13 +4,15 @@ The package minimizes the condition number kappa(D1^{1/2} A D2^{-1/2}) over
 positive diagonal scalings, via bisection over SDP feasibility, potential
 reduction interior point methods with Nesterov-Todd steps, and dual-SDP
 barrier path following, and benchmarks the effect on preconditioned
-conjugate gradient convergence.
-"""
+conjugate gradient convergence. Spectra and the one full-rank rule, whose
+failure raises NotPositiveDefiniteError, live in ``linalg``, the only
+module that binds scipy.linalg."""
 
 from .linalg import (
     SymMatrix,
     NotPositiveDefiniteError,
     condition_number,
+    logcond_subgradient,
     proximity_delta,
 )
 from .matrixio import (
@@ -67,7 +69,6 @@ from .optimal import (
     bisect_two_sided,
     alternate_two_sided,
 )
-from .subgradient import logcond_subgradient
 from .bench import (
     PcgResult,
     SamplingPoint,

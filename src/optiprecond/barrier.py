@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
 
 from .linalg import (Factored, SymMatrix, chol_pd, condition_number,
                      extreme_eigenvalues, logdet_from_chol, max_step_cone,
@@ -432,8 +431,8 @@ def _certificate(a_arr, kappa, state):
     u = np.einsum("ij,ij->i", a_arr @ (x_inv - y_inv), a_arr)
     v = kappa * np.diag(y_inv) - np.diag(x_inv)
     if u.max() <= 0 and v.max() < 0 and min(
-            scipy.linalg.eigvalsh(x_inv)[0],
-            scipy.linalg.eigvalsh(y_inv)[0]) > 0:
+            extreme_eigenvalues(x_inv, rtol=None)[0],
+            extreme_eigenvalues(y_inv, rtol=None)[0]) > 0:
         return x_inv, y_inv
     return None
 
@@ -456,10 +455,7 @@ def two_sided_feasibility(a: RectMatrix, kappa: float,
     m_rows, n = x.shape
     w1, w2 = witness or (np.ones(m_rows), np.ones(n))
     scaled = (np.sqrt(w1)[:, None] * x) / np.sqrt(w2)[None, :]
-    lam = scipy.linalg.eigvalsh(scaled.T @ scaled)
-    lamn, lam1 = float(lam[0]), float(lam[-1])
-    if lamn <= 1e-12 * max(lam1, 0.0):
-        raise ValueError("matrix must have full rank")
+    lamn, lam1 = extreme_eigenvalues(scaled.T @ scaled)
     t = 1.01 * np.sqrt(kappa / (lamn * lam1))
     scaled *= np.sqrt(t)
     w1 = t * w1

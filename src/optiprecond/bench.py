@@ -7,11 +7,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .heuristics import DiagScaling, apply_scaling
 from .linalg import (SymMatrix, NotPositiveDefiniteError, condition_number,
-                     serial_blas, sym_pow)
+                     extreme_eigenvalues, serial_blas, sym_pow)
 from .matrixio import RectMatrix, SolveReport, gram_matrix, sample_rows
 from .optimal import OptimalRequest, optimal_right
 
@@ -129,7 +128,7 @@ def sampling_sweep(a: RectMatrix, ratios, seed: int = 0
     for the optimal right preconditioner of the sampled Gram, and measures
     kappa of the full Gram under that scaling. The sampled Gram is rescaled
     by m/m_tilde in the reported estimation gap so it estimates the full
-    Gram. Rank-deficient samples are flagged, not fatal.
+    Gram. Samples that fail the full-rank rule are flagged, not fatal.
     """
     req = OptimalRequest(method="dsdp")
     m_rows = a.rows
@@ -145,14 +144,14 @@ def sampling_sweep(a: RectMatrix, ratios, seed: int = 0
         sub_gram = sub.T @ sub
         gap = float(np.linalg.norm(
             full_gram.mat - (m_rows / count) * sub_gram, ord="fro"))
-        w = scipy.linalg.eigvalsh(sub_gram)
-        if w[0] <= 1e-12 * max(w[-1], 0.0):
+        try:
+            scaling, _ = optimal_right(
+                SymMatrix(0.5 * (sub_gram + sub_gram.T)), req)
+        except NotPositiveDefiniteError:     # build_right's full-rank rule
             points.append(SamplingPoint(ratio=float(ratio), gram_gap=gap,
                                         kappa_preconditioned=float("nan"),
                                         rank_deficient=True))
             continue
-        scaling, _ = optimal_right(SymMatrix(0.5 * (sub_gram + sub_gram.T)),
-                                   req)
         kappa_full = condition_number(apply_scaling(full_gram, scaling))
         points.append(SamplingPoint(ratio=float(ratio), gram_gap=gap,
                                     kappa_preconditioned=kappa_full))
@@ -192,13 +191,15 @@ def concentration_experiment(p: int, n_grid, sigma_spec, trials: int,
             for attempt in range(4):
                 x = rng.standard_normal((n, p)) @ sigma_half
                 xtx = x.T @ x
-                w = scipy.linalg.eigvalsh(xtx)
-                if w[0] > 1e-12 * w[-1]:
+                try:
+                    lamn, lam1 = extreme_eigenvalues(xtx)
                     break
+                except NotPositiveDefiniteError:
+                    continue
             else:
                 raise NotPositiveDefiniteError(
                     f"sample Gram singular after 4 draws at n={n}")
-            ratio_raw = (w[-1] / w[0]) / kappa_sigma
+            ratio_raw = (lam1 / lamn) / kappa_sigma
             dhat = np.diag(xtx)
             sh = 1.0 / np.sqrt(dhat)
             x0tx0 = sh[:, None] * xtx * sh[None, :]

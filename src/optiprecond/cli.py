@@ -55,21 +55,22 @@ _INPUT_ERRORS = (MatrixMarketError, FileNotFoundError, IsADirectoryError,
 _SOLVER_ERRORS = (NotPositiveDefiniteError, InfeasiblePointError,
                   CenteringError, StagnationError, PcgBreakdownError)
 
-# Each precond method: the side of the scaling it returns, and its solver
-# (A, its Gram matrix, request) -> (scaling, report), where a baseline's
-# report is None and cmd_precond measures it.
+# Each precond method: the side of the scaling it returns, whether it solves
+# on the Gram matrix (which --cap regularizes) or on the rectangular input,
+# and its solver (that matrix, request) -> (scaling, report), where a
+# baseline's report is None and cmd_precond measures it.
 _PRECOND_METHODS = {
-    "jacobi": (SIDE_RIGHT, lambda a, gram, req: (jacobi_scaling(gram), None)),
-    "colnorm": (SIDE_RIGHT, lambda a, gram, req: (
-        column_norm_scaling(RectMatrix(a.tall())), None)),
-    "ruiz": (SIDE_RIGHT, lambda a, gram, req: (ruiz_equilibrate(gram), None)),
-    "optimal-right": (SIDE_RIGHT,
-                      lambda a, gram, req: optimal_right(gram, req)),
-    "optimal-left": (SIDE_LEFT, lambda a, gram, req: optimal_left(a, req)),
-    "optimal-two-sided": (SIDE_PAIR,
-                          lambda a, gram, req: alternate_two_sided(a, req)),
+    "jacobi": (SIDE_RIGHT, True, lambda m, req: (jacobi_scaling(m), None)),
+    "colnorm": (SIDE_RIGHT, False, lambda m, req: (
+        column_norm_scaling(RectMatrix(m.tall())), None)),
+    "ruiz": (SIDE_RIGHT, True, lambda m, req: (ruiz_equilibrate(m), None)),
+    "optimal-right": (SIDE_RIGHT, True,
+                      lambda m, req: optimal_right(m, req)),
+    "optimal-left": (SIDE_LEFT, False, lambda m, req: optimal_left(m, req)),
+    "optimal-two-sided": (SIDE_PAIR, False,
+                          lambda m, req: alternate_two_sided(m, req)),
     "optimal-two-sided-bisect": (
-        SIDE_PAIR, lambda a, gram, req: bisect_two_sided(a, req)),
+        SIDE_PAIR, False, lambda m, req: bisect_two_sided(m, req)),
 }
 
 
@@ -118,15 +119,19 @@ def cmd_precond(args) -> int:
     if args.method not in _PRECOND_METHODS:
         raise ValueError(
             f"method must be one of {', '.join(_PRECOND_METHODS)}")
-    side, solve = _PRECOND_METHODS[args.method]
+    side, on_gram, solve = _PRECOND_METHODS[args.method]
     if args.emit_scaling and side != SIDE_RIGHT:
         raise ValueError("--emit-scaling writes right scalings only, "
                          "the side that cond --apply reads; "
                          f"{args.method} gives a {side} scaling")
+    if args.cap is not None and not on_gram:
+        raise ValueError("--cap regularizes the Gram matrix, but "
+                         f"{args.method} solves on the rectangular input")
     a = _load_matrix(args.input)
     gram, eps = _gram_with_cap(a, args.cap)
     t0 = time.perf_counter()
-    scaling, report = solve(a, gram, OptimalRequest(epsilon=args.epsilon))
+    scaling, report = solve(gram if on_gram else a,
+                            OptimalRequest(epsilon=args.epsilon))
     if report is None:
         kappa_before = condition_number(gram)
         kappa_after = condition_number(apply_scaling(gram, scaling))

@@ -17,11 +17,10 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .barrier import (CenteringError, InfeasiblePointError, LmiBarrier, Term,
                       follow_path)
-from .linalg import (SymMatrix, NotPositiveDefiniteError, blas_backend,
+from .linalg import (SymMatrix, blas_backend, extreme_eigenvalues,
                      serial_blas)
 from .matrixio import RectMatrix, SolveReport
 
@@ -38,12 +37,9 @@ class DsdpProblem:
 
 
 def build_right(m: SymMatrix) -> DsdpProblem:
-    """max tau s.t. D <= M, tau M <= D for diagonal D; requires M PD."""
+    """max tau s.t. D <= M, tau M <= D over diagonal D, for full-rank M."""
     m_arr = m.mat.copy()
-    w = scipy.linalg.eigvalsh(m_arr)
-    lamn, lam1 = float(w[0]), float(w[-1])
-    if lamn <= 1e-12 * max(lam1, 0.0):
-        raise NotPositiveDefiniteError("right problem needs M PD")
+    lamn, lam1 = extreme_eigenvalues(m_arr)
     n = m.order
     tau, d = slice(0, 1), slice(1, n + 1)
     barrier = LmiBarrier(
@@ -65,10 +61,7 @@ def build_left(a: RectMatrix) -> DsdpProblem:
     m_rows, n = x.shape
     if m_rows < n:
         raise ValueError("left problem expects a tall matrix (m >= n)")
-    w = scipy.linalg.eigvalsh(x.T @ x)
-    lamn, lam1 = float(w[0]), float(w[-1])
-    if lamn <= 1e-12 * max(lam1, 0.0):
-        raise ValueError("matrix is rank deficient")
+    lamn, lam1 = extreme_eigenvalues(x.T @ x)
     tau, d = slice(0, 1), slice(1, m_rows + 1)
     eye = np.eye(n)
     barrier = LmiBarrier(

@@ -1,12 +1,13 @@
 """Dense symmetric linear algebra shared by all solver modules.
 
-``SymMatrix`` validates symmetric input and ``condition_number`` is the one
-kappa helper. The positive-definite kernels below are the only LAPACK
-binding in the package: ``chol_pd`` (dpotrf), ``inv_from_chol`` and
-``inv_pd`` (dpotri), ``solve_pd`` (dposv, least squares when not PD),
-``logdet_from_chol``, ``max_step_cone``, ``sym_pow``, ``proximity_delta``
-and ``geomean_inv``. They take and return plain float64 arrays;
-``Factored`` holds one factor with its inverse, formed at most once.
+The package's only binding of scipy.linalg. ``SymMatrix`` validates
+symmetric input; ``extreme_eigenvalues`` is the one spectrum helper and
+applies the one full-rank rule; ``condition_number`` is the one kappa
+helper. The positive-definite kernels are ``chol_pd`` (dpotrf),
+``inv_from_chol`` and ``inv_pd`` (dpotri), ``solve_pd`` (dposv, least
+squares when not PD), ``logdet_from_chol``, ``max_step_cone``, ``sym_pow``,
+``proximity_delta`` and ``geomean_inv``. They take and return plain float64
+arrays; ``Factored`` holds one factor with its inverse, formed at most once.
 ``serial_blas`` runs a solve on one BLAS thread.
 """
 
@@ -186,39 +187,62 @@ class SymMatrix:
         return f"SymMatrix(order={self.order})"
 
 
-def _as_array(m) -> np.ndarray:
-    return m.mat if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
+# The full-rank rule: lambda_min > FULL_RANK_RTOL * max(lambda_max, 0).
+FULL_RANK_RTOL = 1e-12
 
 
-def extreme_eigenvalues(m: SymMatrix | np.ndarray) -> tuple[float, float]:
-    """(lambda_min, lambda_max) of a symmetric positive definite matrix,
-    from one eigensolve; raises as condition_number does."""
-    a = _as_array(m)
+def extreme_eigenvalues(m: SymMatrix | np.ndarray, *,
+                        rtol=FULL_RANK_RTOL) -> tuple[float, float]:
+    """(lambda_min, lambda_max) of a symmetric matrix from one eigensolve;
+    raises NotPositiveDefiniteError unless lambda_min > rtol *
+    max(lambda_max, 0), and rtol=None skips the check. An array is read as
+    symmetric from its lower triangle, unvalidated."""
+    a = m.mat if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
     try:
         w = scipy.linalg.eigvalsh(a)
     except scipy.linalg.LinAlgError as exc:
         raise EigenConvergenceError(
             f"symmetric eigensolver failed on order-{a.shape[0]} matrix"
         ) from exc
-    if w[0] <= 0:
+    lamn, lam1 = float(w[0]), float(w[-1])
+    if rtol is not None and not lamn > rtol * max(lam1, 0.0):
         raise NotPositiveDefiniteError(
-            f"smallest eigenvalue {w[0]:.3e} is not positive")
-    return float(w[0]), float(w[-1])
+            f"matrix is not full rank: smallest eigenvalue {lamn:.3e} is "
+            f"not above {rtol:g} times the largest {lam1:.3e}")
+    return lamn, lam1
 
 
 def condition_number(m: SymMatrix | np.ndarray) -> float:
-    """lambda_max / lambda_min of a symmetric positive definite matrix.
-
-    An array is read as symmetric from its lower triangle, unvalidated.
-    """
-    lamn, lam1 = extreme_eigenvalues(m)
+    """lambda_max / lambda_min of a symmetric positive definite matrix, read
+    as extreme_eigenvalues reads it; any lambda_min > 0 is accepted."""
+    lamn, lam1 = extreme_eigenvalues(m, rtol=0.0)
     return lam1 / lamn
 
 
-# Positive-definite kernels shared by every solver. LAPACK is bound here and
-# nowhere else; Cholesky (dpotrf) factors, inverts (dpotri) and solves
-# (dposv), and eigh runs only for fractional powers, the geometric means of
-# the Nesterov-Todd scalings and step lengths.
+def logcond_subgradient(m: SymMatrix, d) -> np.ndarray:
+    """A subgradient of d -> log kappa(D M D) at the diagonal d.
+
+    Uses vv^T in the subdifferential of lambda_max (and uu^T for
+    lambda_min) through the chain rule on D M D:
+    g_i = 2 v_i (M D v)_i / lambda_max - 2 u_i (M D u)_i / lambda_min.
+    Eigenvalue ties are broken by the first eigenvector returned.
+    """
+    d = np.asarray(d, dtype=float)
+    m_arr = m.mat
+    dmd = d[:, None] * m_arr * d[None, :]
+    w, vecs = scipy.linalg.eigh(0.5 * (dmd + dmd.T))
+    lmin, u, lmax, v = float(w[0]), vecs[:, 0], float(w[-1]), vecs[:, -1]
+    if lmin <= 0:
+        raise NotPositiveDefiniteError("D M D is not positive definite")
+    mdv = m_arr @ (d * v)
+    mdu = m_arr @ (d * u)
+    return 2.0 * v * mdv / lmax - 2.0 * u * mdu / lmin
+
+
+# Positive-definite kernels shared by every solver. Cholesky (dpotrf)
+# factors, inverts (dpotri) and solves (dposv), and eigh runs only for
+# fractional powers, the geometric means of the Nesterov-Todd scalings and
+# step lengths.
 
 
 def chol_pd(a):

@@ -10,9 +10,8 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-import scipy.linalg
 
-from .linalg import SymMatrix
+from .linalg import SymMatrix, extreme_eigenvalues
 
 
 class MatrixMarketError(ValueError):
@@ -204,8 +203,7 @@ def regularize_cap(m: SymMatrix, kappa_cap: float) -> GramSpec:
     """
     if kappa_cap <= 1:
         raise ValueError("kappa_cap must exceed 1")
-    w = scipy.linalg.eigvalsh(m.mat)
-    lamn, lam1 = float(w[0]), float(w[-1])
+    lamn, lam1 = extreme_eigenvalues(m, rtol=None)
     if lam1 <= 0:
         raise ValueError("matrix must have a positive largest eigenvalue")
     eps = max(0.0, (lam1 - kappa_cap * lamn) / (kappa_cap - 1.0))

@@ -306,8 +306,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
                 stepped = nt_step(shift_state(state, dk), kappa_new)
                 new = _state_at(m_arr, kappa_new, stepped.D, MODE_DIAG,
                                 *stepped.factors())
-        except (StepTooLargeError, CenteringError,
-                NotPositiveDefiniteError, ValueError):
+        except (StepTooLargeError, CenteringError, InfeasiblePointError,
+                NotPositiveDefiniteError):
             beta *= 0.5
             halvings += 1
             clean_steps = 0

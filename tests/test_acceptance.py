@@ -44,8 +44,7 @@ from optiprecond.potential import (
     solve_right_pr,
     state_from_center,
 )
-from optiprecond.linalg import sym_pow
-from optiprecond.subgradient import logcond_subgradient
+from optiprecond.linalg import logcond_subgradient, sym_pow
 from optiprecond.fixtures import FIXTURE_NAMES, fixture_path
 from conftest import (
     grid_optimal_right,

@@ -199,14 +199,28 @@ def test_concentration_deterministic(tmp_path, capsys):
 
 
 def test_precond_singular_gram_exit_3(tmp_path, capsys):
-    # two identical columns: the Gram matrix is singular, a solver failure
+    # a Gram matrix that fails linalg's one full-rank rule is a solver
+    # failure on every optimal method: two identical columns, then seed-0
+    # 8x4 draws whose column 4 repeats column 3 or adds 1e-9 noise to it
+    # (kappa about 1e16)
     path = tmp_path / "rank1.csv"
     path.write_text("1.0,1.0\n2.0,2.0\n3.0,3.0\n")
-    code, out, err = run_cli(
-        ["precond", "--input", str(path), "--method", "optimal-right"],
-        capsys)
-    assert code == 3
-    assert "solver failure" in err
+    rng = np.random.default_rng(0)
+    repeat = rng.standard_normal((8, 4))
+    repeat[:, 3] = repeat[:, 2]
+    noisy = rng.standard_normal((8, 4))
+    noisy[:, 3] = noisy[:, 2] + 1e-9 * rng.standard_normal(8)
+    paths = [path, tmp_path / "repeat.csv", tmp_path / "noisy.csv"]
+    np.savetxt(paths[1], repeat, delimiter=",")
+    np.savetxt(paths[2], noisy, delimiter=",")
+    for path in paths:
+        for method in ("optimal-right", "optimal-left", "optimal-two-sided",
+                       "optimal-two-sided-bisect"):
+            code, out, err = run_cli(
+                ["precond", "--input", str(path), "--method", method],
+                capsys)
+            assert code == 3, (path.name, method, err)
+            assert "solver failure" in err
 
 
 def test_cond_reads_dense_csv(tmp_path, capsys):
@@ -268,9 +282,9 @@ _REPORTED_METHOD = {
 
 @pytest.mark.parametrize("method", list(_PRECOND_METHODS))
 def test_precond_method_table_runs_each_solver(method, tmp_path, capsys):
-    side, solve = _PRECOND_METHODS[method]
+    side, on_gram, solve = _PRECOND_METHODS[method]
     a = optiprecond.RectMatrix(np.diag([4.0, 1.0]))
-    scaling, _ = solve(a, optiprecond.gram_matrix(a),
+    scaling, _ = solve(optiprecond.gram_matrix(a) if on_gram else a,
                        optiprecond.OptimalRequest())
     assert scaling.side == side
     path = write_mtx(tmp_path, [4.0, 1.0])
@@ -310,6 +324,33 @@ def test_precond_emit_scaling_refuses_before_solving(tmp_path, capsys,
          "--emit-scaling", str(tmp_path / "scaling.csv")], capsys)
     assert code == 2
     assert "--emit-scaling" in err
+
+
+@pytest.mark.parametrize("method", ["colnorm", "optimal-left",
+                                    "optimal-two-sided",
+                                    "optimal-two-sided-bisect"])
+def test_precond_cap_refused_for_rectangular_methods(method, capsys,
+                                                      monkeypatch):
+    # --cap regularizes the Gram matrix, which these methods never read
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("read the input before the --cap check")
+
+    monkeypatch.setattr(cli, "_load_matrix", must_not_run)
+    code, out, err = run_cli(
+        ["precond", "--input", str(fixture_path("trefethen_20b")),
+         "--method", method, "--cap", "50"], capsys)
+    assert code == 2
+    assert "--cap" in err
+
+
+def test_precond_cap_reaches_gram_methods(capsys):
+    code, out, err = run_cli(
+        ["precond", "--input", str(fixture_path("trefethen_20b")),
+         "--method", "jacobi", "--cap", "50"], capsys)
+    assert code == 0
+    report = json.loads(out)[0]
+    assert report["kappa_before"] == pytest.approx(50.0)
+    assert report["extra"]["epsilon"] > 0
 
 
 def test_readme_lists_each_subcommands_flags():

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from optiprecond import NotPositiveDefiniteError, RectMatrix, SymMatrix
+from optiprecond import (NotPositiveDefiniteError, RectMatrix, SymMatrix,
+                         gram_matrix, solve_right_pr, two_sided_feasibility)
 from optiprecond.barrier import CenteringError
 from optiprecond.dsdp import barrier_path_solve, build_left, build_right
 from conftest import grid_optimal_right, random_spd, scaled_kappa
@@ -23,6 +24,29 @@ def test_build_left_requires_rank_and_shape(rng):
         build_left(RectMatrix(rng.standard_normal((2, 5))))
     p = build_left(RectMatrix(rng.standard_normal((6, 3))))
     assert p.start.size == 1 + 6
+
+
+def _design_with_ratio(ratio):
+    """A 5x3 design whose Gram matrix has lambda_min / lambda_max = ratio."""
+    rng = np.random.default_rng(0)
+    u, _ = np.linalg.qr(rng.standard_normal((5, 3)))
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    return RectMatrix((u * np.sqrt([1.0, 0.5, ratio])) @ q.T)
+
+
+def test_full_rank_rule_boundary():
+    # full rank means lambda_min > 1e-12 lambda_max, for every solver
+    a = _design_with_ratio(1e-13)
+    for solve in (lambda: build_right(gram_matrix(a)),
+                  lambda: build_left(a),
+                  lambda: two_sided_feasibility(a, 10.0),
+                  lambda: solve_right_pr(gram_matrix(a))):
+        with pytest.raises(NotPositiveDefiniteError):
+            solve()
+    a = _design_with_ratio(1e-10)
+    assert build_right(gram_matrix(a)).kappa_before == \
+        pytest.approx(1e10, rel=1e-3)
+    assert build_left(a).kappa_before == pytest.approx(1e10, rel=1e-3)
 
 
 def test_right_identity_and_diagonal():

@@ -322,24 +322,41 @@ def test_blas_backend_none_warns(monkeypatch, caplog):
 
 
 def _binds_lapack(tree):
-    """Whether a module imports or reaches scipy.linalg.lapack."""
+    """Whether a module imports scipy, reaches LAPACK by name, or imports or
+    calls a numpy.linalg function other than norm."""
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
             names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Call):
+            names = [ast.unparse(node.func)]
         elif isinstance(node, ast.Attribute):
             names = [node.attr]
         else:
             continue
-        if any(part in ("lapack", "get_lapack_funcs")
-               for name in names for part in name.split(".")):
-            return True
+        for parts in (name.split(".") for name in names):
+            if parts[0] == "scipy" or \
+                    "lapack" in parts or "get_lapack_funcs" in parts or \
+                    (parts[0] in ("np", "numpy") and parts[1:2] == ["linalg"]
+                     and parts[2:] != ["norm"]):
+                return True
     return False
 
 
 def test_only_linalg_binds_lapack():
+    # spectra, factorizations and the full-rank rule live in linalg; the
+    # fixtures subpackage, which builds data with np.linalg.qr, is not
+    # checked
     package = Path(linalg.__file__).parent
     binders = {path.name for path in package.glob("*.py")
                if _binds_lapack(ast.parse(path.read_text()))}
     assert binders == {"linalg.py"}
+    for source, binds in (("import scipy", True),
+                          ("from scipy import linalg", True),
+                          ("from numpy.linalg import eigh", True),
+                          ("from numpy import linalg", True),
+                          ("np.linalg.eigvalsh(a)", True),
+                          ("from numpy.linalg import norm", False),
+                          ("np.linalg.norm(a)", False)):
+        assert _binds_lapack(ast.parse(source)) == binds, source

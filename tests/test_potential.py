@@ -199,6 +199,17 @@ def test_solve_right_pr_counts_beta_halvings():
         report.extra["accepted_steps"] + 1
 
 
+def test_solve_right_pr_does_not_retry_programming_errors(monkeypatch):
+    # only the errors of a step that left its basin halve beta
+    def broken(state, kappa1):
+        raise ValueError("programming error")
+
+    monkeypatch.setattr(potential, "nt_step", broken)
+    m = random_spd(3, np.random.default_rng(1), cond=1e3)
+    with pytest.raises(ValueError, match="programming error"):
+        solve_right_pr(m)
+
+
 def test_delta_kappa_closed_forms(rng):
     # identity: D = c I at center, S = (kappa c - 1) I
     n, kappa = 4, 2.0

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from optiprecond import NotPositiveDefiniteError, SymMatrix
-from optiprecond.subgradient import logcond_subgradient
+from optiprecond.linalg import logcond_subgradient
 from conftest import random_spd
 
 
