@@ -2,7 +2,8 @@
 
 Walks the bundled benchmark matrices and compares the classic heuristics
 (Jacobi, Ruiz equilibration) against the optimal diagonal preconditioners
-computed by the dual-SDP path follower and the two-sided alternation.
+computed by the primal-dual one-sided SDP solver and the two-sided
+alternation.
 """
 
 import numpy as np

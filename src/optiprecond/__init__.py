@@ -2,11 +2,11 @@
 
 The package minimizes the condition number kappa(D1^{1/2} A D2^{-1/2}) over
 positive diagonal scalings, via bisection over SDP feasibility, potential
-reduction interior point methods with Nesterov-Todd steps, and dual-SDP
-barrier path following, and benchmarks the effect on preconditioned
-conjugate gradient convergence. Spectra and the one full-rank rule, whose
-failure raises NotPositiveDefiniteError, live in ``linalg``, the only
-module that binds scipy.linalg."""
+reduction with Nesterov-Todd steps, and a primal-dual interior point method
+on the one-sided SDPs, and benchmarks the effect on preconditioned conjugate
+gradient convergence. Spectra and the one full-rank rule, whose failure
+raises NotPositiveDefiniteError, live in ``linalg``, the only module that
+binds scipy.linalg."""
 
 from .linalg import (
     SymMatrix,

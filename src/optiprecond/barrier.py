@@ -1,17 +1,18 @@
 """Log-det barrier over linear matrix inequalities, and its path follower.
 
-Every interior-point solver in the package maximizes c.x + mu * phi(x), where
-phi is the log-det barrier of LMIs F(x) = F0 + sum_j x_j F_j > 0 plus
-sum log x_j over a block of x kept positive. The coefficients F_j come in
-three kinds: diagonal e_j e_j^T, rank-one rows a_j a_j^T, or one dense
-matrix on a single variable.
-``newton_ascent`` is the one damped-Newton loop; ``follow_path``, the one
-central path of x_0 + mu * phi(x), serves dsdp and the two-sided level test.
-A factored point holds each cone as a linalg.Factored, so the level test's
-stop rule and the gradient share one dpotri per cone. Each LmiBarrier
-assembles its Newton system in place, in a workspace allocated on the first
-derivatives call, with the arithmetic of a fresh assembly: the Hessian it
-returns is valid only until its next derivatives call.
+Every interior-point solver in the package works on LMIs F(x) = F0 +
+sum_j x_j F_j > 0 plus a block of x kept positive, and on the log-det
+barrier phi of that set. The coefficients F_j come in three kinds: diagonal
+e_j e_j^T, rank-one rows a_j a_j^T, or one dense matrix on a single
+variable. ``LmiBarrier.kernel_sum`` forms tr(P F_a Q F_b): the Hessian,
+and the Schur matrix of dsdp's primal-dual steps. ``newton_ascent`` is the
+one damped-Newton loop; ``follow_path``, the one central path of x_0 + mu *
+phi(x), serves only the two-sided level test. A factored point holds each
+cone as a linalg.Factored, so the level test's stop rule and the gradient
+share one dpotri per cone. Each LmiBarrier assembles its Newton system in
+place, in a workspace allocated on the first derivatives call, with the
+arithmetic of a fresh assembly: the Hessian it returns is valid only until
+its next derivatives call.
 
 For a PD matrix M and a level kappa, the scaling region is
 {d > 0 : M - D > 0, kappa D - M > 0} with D = diag(d). The barrier over this
@@ -124,19 +125,22 @@ class Term:
         return np.einsum("ij,ij->i", img, self.rows), img
 
 
-def _cross(ti, pi, tj, pj, scratch):
-    """tr(P F_a P F_b) for F_a of term ti and F_b of tj, as a 2-d block;
-    a block between two non-dense terms is formed in scratch(shape)."""
+def _cross(ti, ki, tj, kj, scratch):
+    """tr(P F_a Q F_b) for F_a of term ti and F_b of tj, as a 2-d block,
+    from the images (of P, of Q) ki of ti and kj of tj; a block between two
+    non-dense terms is formed in scratch(shape)."""
+    (pi, qi), (pj, qj) = ki, kj
     if ti.dense is not None and tj.dense is not None:
-        return np.array([[np.sum(pi * pj.T)]])
+        return np.array([[np.sum(pi * qj.T)]])
     if ti.dense is not None:
-        return _cross(tj, pj, ti, pi, scratch).T
+        return _cross(tj, kj, ti, ki, scratch).T
     if tj.dense is not None:
-        upb = pj if ti.rows is None else ti.rows @ pj
-        return np.einsum("ij,ij->i", upb, pi)[:, None]
+        uqb = qj if ti.rows is None else ti.rows @ qj
+        return np.einsum("ij,ij->i", uqb, pi)[:, None]
     w = pi if tj.rows is None else np.matmul(
         pi, tj.rows.T, out=scratch((len(pi), len(tj.rows))))
-    return np.multiply(w, w, out=scratch(w.shape))
+    wq = w if qi is pi else qi if tj.rows is None else qi @ tj.rows.T
+    return np.multiply(w, wq, out=scratch(w.shape))
 
 
 def _linear(terms, x):
@@ -173,6 +177,20 @@ class LmiBarrier:
         return (sum(f0.shape[0] for f0, _ in self.cones)
                 + self.positive.stop - self.positive.start)
 
+    def linear(self, dx):
+        """The change of each cone's F along dx."""
+        return [_linear(terms, dx) for _, terms in self.cones]
+
+    def adjoint(self, mats, v):
+        """sum over cones of tr(G F_j) per variable for the cone matrices
+        G in mats, plus v over x[positive]."""
+        out = np.zeros(self.nvar)
+        for (_, terms), g in zip(self.cones, mats):
+            for t in terms:
+                out[t.sl] += t.coef * t.kernels(g)[0]
+        out[self.positive] += v
+        return out
+
     def factor(self, x):
         """State at x, or None when x is not strictly feasible."""
         slack = x[self.positive]
@@ -194,37 +212,48 @@ class LmiBarrier:
         return sum([*(logdet_from_chol(f.lower) for f in factors),
                     float(np.sum(np.log(slack)))])
 
-    def derivatives(self, state):
-        """Gradient and negated (positive definite) Hessian; the Hessian is
-        the workspace's, valid until the next call on this barrier."""
-        factors, slack = state
-        g = np.zeros(self.nvar)
+    def kernel_sum(self, pairs, bound, g=None):
+        """The workspace set to sum over cones of tr(P F_a Q F_b) for each
+        cone's pair (P, Q), plus diag(bound) over x[positive]; adds
+        tr(P F_a) to g. The Hessian has P = Q = F^-1, and the HKM Schur
+        matrix of a primal-dual step P = F^-1, Q = X, bound = v / x."""
         if self._hessian is None:
             self._hessian = np.empty((self.nvar, self.nvar))
         nh = self._hessian
         nh.fill(0.0)
-        for (_, terms), p in zip(self.cones, [f.inv for f in factors]):
+        for (_, terms), (p, q) in zip(self.cones, pairs):
             ker = [t.kernels(p) for t in terms]
-            for i, (ti, (tr, pi)) in enumerate(zip(terms, ker)):
-                g[ti.sl] += ti.coef * tr
-                for tj, (_, pj) in zip(terms[i:], ker[i:]):
-                    k = _cross(ti, pi, tj, pj, self._scratch)
+            imgs = [(pi, pi if q is p else t.kernels(q)[1])
+                    for t, (_, pi) in zip(terms, ker)]
+            for i, (ti, (tr, _)) in enumerate(zip(terms, ker)):
+                if g is not None:
+                    g[ti.sl] += ti.coef * tr
+                for tj, kj in zip(terms[i:], imgs[i:]):
+                    k = _cross(ti, imgs[i], tj, kj, self._scratch)
                     if ti.coef * tj.coef != 1.0:
                         k *= ti.coef * tj.coef
                     nh[ti.sl, tj.sl] += k
                     if tj is not ti:
                         nh[tj.sl, ti.sl] += k.T
-        g[self.positive] += 1.0 / slack
         idx = np.arange(self.positive.start, self.positive.stop)
-        nh[idx, idx] += 1.0 / slack ** 2
+        nh[idx, idx] += bound
+        return nh
+
+    def derivatives(self, state):
+        """Gradient and negated (positive definite) Hessian; the Hessian is
+        the workspace's, valid until the next call on this barrier."""
+        factors, slack = state
+        g = np.zeros(self.nvar)
+        nh = self.kernel_sum([(f.inv, f.inv) for f in factors],
+                             1.0 / slack ** 2, g)
+        g[self.positive] += 1.0 / slack
         return g, nh
 
     def max_step(self, state, dx):
         """Largest alpha keeping x + alpha dx feasible (inf if unbounded)."""
         factors, slack = state
-        deltas = [-_linear(terms, dx) for _, terms in self.cones]
-        alpha = min(max_step_cone(f.lower, delta)
-                    for f, delta in zip(factors, deltas))
+        alpha = min(max_step_cone(f.lower, -delta)
+                    for f, delta in zip(factors, self.linear(dx)))
         rate = dx[self.positive]
         neg = rate < 0
         if np.any(neg):
@@ -307,17 +336,18 @@ def newton_ascent(barrier: LmiBarrier, x0, max_iter, *, grad_tol=None,
     return NewtonResult(x, "max_iter", gnorm, fallbacks, steps)
 
 
-def follow_path(barrier: LmiBarrier, x0, stop=None):
-    """Central path of x_0 + mu * barrier from a strictly feasible x0.
+def follow_path(barrier: LmiBarrier, x0, stop=None) -> NewtonResult:
+    """Central path of x_0 + mu * barrier from a strictly feasible x0, for
+    the two-sided level test.
 
     Each stage is a newton_ascent (stop passed on) warm-started at the
     previous stage's point; mu then shrinks fivefold, down to 1e-9. Returns
     the last stage's NewtonResult with steps and fallbacks summed over the
-    stages, its mu, and x_0 at the end of each finished stage.
+    stages.
     """
     objective = np.zeros(len(x0))
     objective[0] = 1.0
-    x, mu, path = x0, _MU_INIT, []
+    x, mu = x0, _MU_INIT
     steps = fallbacks = 0
     while True:
         res = newton_ascent(barrier, x, _PATH_NEWTON_CAP,
@@ -328,11 +358,10 @@ def follow_path(barrier: LmiBarrier, x0, stop=None):
         if res.status == "stalled":
             break
         x = res.x
-        path.append(x[0])
         if res.status == "stopped" or mu <= _MU_MIN:
             break
         mu /= _MU_FACTOR
-    return res._replace(steps=steps, fallbacks=fallbacks), mu, path
+    return res._replace(steps=steps, fallbacks=fallbacks)
 
 
 def _one_sided(m_arr, kappa) -> LmiBarrier:
@@ -474,7 +503,7 @@ def two_sided_feasibility(a: RectMatrix, kappa: float,
             certificate.extend(found)
         return found is not None
 
-    res, _, _ = follow_path(_level_barrier(scaled, kappa), x0, stop=stop)
+    res = follow_path(_level_barrier(scaled, kappa), x0, stop=stop)
     counts = {"newton_steps": res.steps, "newton_fallbacks": res.fallbacks}
     if res.x[0] > 0:    # the stop test held at this factored point
         d1, d2 = res.x[1:m_rows + 1], res.x[m_rows + 1:]

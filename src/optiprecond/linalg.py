@@ -5,9 +5,10 @@ symmetric input; ``extreme_eigenvalues`` is the one spectrum helper and
 applies the one full-rank rule; ``condition_number`` is the one kappa
 helper. The positive-definite kernels are ``chol_pd`` (dpotrf),
 ``inv_from_chol`` and ``inv_pd`` (dpotri), ``solve_pd`` (dposv, least
-squares when not PD), ``logdet_from_chol``, ``max_step_cone``, ``sym_pow``,
-``proximity_delta`` and ``geomean_inv``. They take and return plain float64
-arrays; ``Factored`` holds one factor with its inverse, formed at most once.
+squares when not PD), ``solve_chol`` (dpotrs), ``logdet_from_chol``,
+``max_step_cone``, ``max_step_pd``, ``sym_pow``, ``proximity_delta`` and
+``geomean_inv``. They take and return plain float64 arrays; ``Factored``
+holds one factor with its inverse, formed at most once.
 ``serial_blas`` runs a solve on one BLAS thread.
 """
 
@@ -321,6 +322,11 @@ def solve_pd(h, g):
     return scipy.linalg.lstsq(h, g)[0], False
 
 
+def solve_chol(lower, b):
+    """Solve L L^T x = b from the lower Cholesky factor L (dpotrs)."""
+    return scipy.linalg.lapack.dpotrs(lower, b, lower=1)[0]
+
+
 def logdet_from_chol(lower):
     """log det(L L^T) from the lower Cholesky factor L."""
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
@@ -332,6 +338,19 @@ def max_step_cone(lower, delta_mat):
     t = scipy.linalg.solve_triangular(lower, z.T, lower=True).T
     wmax = scipy.linalg.eigvalsh(0.5 * (t + t.T))[-1]
     return np.inf if wmax <= 0 else 1.0 / wmax
+
+
+def max_step_pd(a, delta):
+    """Largest alpha keeping PD a + alpha*delta PSD (inf if unbounded), by
+    the top eigenvalue of the pencil (-delta, a), or all where that fails."""
+    try:
+        w = scipy.linalg.eigvalsh(-delta, a, subset_by_index=[len(a) - 1] * 2)
+    except scipy.linalg.LinAlgError:
+        try:
+            w = scipy.linalg.eigvalsh(-delta, a, driver="gv")
+        except scipy.linalg.LinAlgError as exc:
+            raise NotPositiveDefiniteError("step base is not PD") from exc
+    return np.inf if w[-1] <= 0 else 1.0 / float(w[-1])
 
 
 def sym_pow(a, power):

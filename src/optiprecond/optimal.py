@@ -1,9 +1,9 @@
 """Facade for the three optimal-preconditioning entry points.
 
 Combines the feasibility oracle, the potential-reduction solver, and the
-dual-SDP path follower into right, left, and two-sided solves. Each ends in
-``heuristics.finish_solve``: scalings normalized to max 1, kappa re-measured
-and never worse than unscaled.
+primal-dual one-sided SDP solver into right, left, and two-sided solves.
+Each ends in ``heuristics.finish_solve``: scalings normalized to max 1,
+kappa re-measured and never worse than unscaled.
 """
 
 from __future__ import annotations
@@ -83,12 +83,17 @@ def optimal_left(a: RectMatrix, req: OptimalRequest | None = None
                  ) -> tuple[DiagScaling, SolveReport]:
     """Optimal left preconditioner D1 minimizing kappa(A^T D1 A).
 
-    Nothing in ``req`` changes this solve; it is taken for a signature
-    shared with the other entry points.
+    Solves on the nonzero rows; a zero row, which no weight can change,
+    gets the largest weight of the others. Nothing in ``req`` changes this
+    solve; it is taken for a signature shared with the other entry points.
     """
     t0 = time.perf_counter()
-    problem = build_left(RectMatrix(a.tall()))
-    _, d, inner = barrier_path_solve(problem)
+    x = a.tall()
+    nonzero = np.any(x != 0, axis=1)
+    problem = build_left(RectMatrix(x[nonzero]))
+    _, d_nonzero, inner = barrier_path_solve(problem)
+    d = np.full(len(x), d_nonzero.max())
+    d[nonzero] = d_nonzero
     return finish_solve("optimal_left[dsdp]", t0, a, problem.kappa_before,
                         DiagScaling(d, side=SIDE_LEFT), inner.iterations,
                         inner.extra)

@@ -42,6 +42,7 @@ MODE_FULL = "full"
 MODE_DIAG = "diag"
 
 _MAX_OUTER = 10000   # outer steps of solve_right_pr
+_BETA_MIN = 1e-12    # at most 40 failed steps in a row halve beta < 1 below it
 
 # state_from_center's diagonal mode centers to a gradient of 1e-11;
 # validate allows 1e-8.
@@ -312,9 +313,10 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
             halvings += 1
             clean_steps = 0
             failed_attempts += 1
-            if beta < 1e-12 or failed_attempts >= 50:
+            if beta < _BETA_MIN:
                 raise StagnationError(
-                    "no strict progress for 50 attempts",
+                    f"beta fell below {_BETA_MIN:g} after {failed_attempts} "
+                    "failed attempts in a row",
                     {"kappa": kappa, "beta": beta,
                      "failed_attempts": failed_attempts})
             continue

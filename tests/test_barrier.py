@@ -320,6 +320,33 @@ def test_lmi_barrier_derivatives_match_finite_differences(make, rng):
                            atol=1e-6 * np.abs(neg_h).max()), i
 
 
+@pytest.mark.parametrize("make", [_phase_one_two_sided, _dsdp_right,
+                                  _dsdp_left])
+def test_schur_is_the_two_matrix_kernel(make, rng):
+    # sum over cones of tr(F^-1 F_a X F_b) + diag(v / x[positive]), by the
+    # definition, for primal matrices X other than F^-1
+    barrier, x0 = make(rng)
+    state = barrier.factor(x0)
+    xs = [(lambda g: g @ g.T + np.eye(len(f0)))(
+        rng.standard_normal(f0.shape)) for f0, _ in barrier.cones]
+    v = rng.uniform(0.5, 2.0, barrier.positive.stop - barrier.positive.start)
+    basis = [barrier.linear(e) for e in np.eye(barrier.nvar)]
+    ref = np.array([[sum(np.trace(f.inv @ fa[k] @ x @ fb[k])
+                         for k, (f, x) in enumerate(zip(state[0], xs)))
+                     for fb in basis] for fa in basis])
+    idx = np.arange(barrier.positive.start, barrier.positive.stop)
+    ref[idx, idx] += v / state[1]
+    schur = barrier.kernel_sum(
+        [(f.inv, x) for f, x in zip(state[0], xs)], v / state[1])
+    assert np.allclose(schur, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+    # adjoint is the transpose of linear: <A(G), u> = sum <G_k, F_k(u)>
+    u = rng.standard_normal(barrier.nvar)
+    lhs = barrier.adjoint(xs, v) @ u
+    rhs = sum(np.sum(x * du) for x, du in zip(xs, barrier.linear(u))) + \
+        v @ u[barrier.positive]
+    assert lhs == pytest.approx(rhs, rel=1e-12)
+
+
 def _fresh_derivatives(barrier, state):
     """Gradient and negated Hessian assembled in fresh arrays, block by
     block in the order of LmiBarrier.derivatives: the reference for its

@@ -139,14 +139,14 @@ def test_potential_reduction_right_solves_are_pinned():
         assert rep.kappa_after == pytest.approx(kappa, rel=1e-9), name
 
 
-# optimal_left (dsdp) on the benchmark's five left inputs: Newton steps over
-# the 14 stages and kappa_after
+# optimal_left (dsdp) on the benchmark's five left inputs: primal-dual
+# iterations and kappa_after
 PINNED_LEFT = {
-    "gauss_cov_s0": (113, 104.6352373),
-    "gauss_cov_s1": (106, 152.9634793),
-    "gauss_cov_s2": (106, 117.0463500),
-    "gauss_cov_s3": (106, 209.2420036),
-    "trefethen_150": (127, 38.92755954),
+    "gauss_cov_s0": (17, 104.6328885),
+    "gauss_cov_s1": (19, 152.9584857),
+    "gauss_cov_s2": (18, 117.0433882),
+    "gauss_cov_s3": (18, 209.2330078),
+    "trefethen_150": (23, 38.92755026),
 }
 
 
@@ -156,8 +156,42 @@ def test_left_solves_are_pinned():
     for name, (steps, kappa) in PINNED_LEFT.items():
         _, rep = optimal_left(read_matrix_market(fixture_path(name)))
         assert rep.method == "optimal_left[dsdp]", name
-        assert rep.extra["newton_steps"] == steps, name
+        assert rep.extra["newton_steps"] == rep.iterations == steps, name
         assert rep.kappa_after == pytest.approx(kappa, rel=1e-9), name
+
+
+def _half_unit(value):
+    """Half a unit in the last digit of a published value as printed; an
+    integer is written here with a trailing .0."""
+    text = repr(value).removesuffix(".0")
+    return 0.5 * 10.0 ** -len(text.partition(".")[2])
+
+
+def test_one_sided_fixture_solves_are_certified():
+    # the 13 one-sided solves of the benchmark fixtures (8 dsdp right, the
+    # 5 left) and the other published one-sided optima; each published
+    # optimum lies in the certified bracket
+    from optiprecond import RectMatrix
+    from optiprecond.dsdp import _GAP_TOL
+    from optiprecond.optimal import OptimalRequest, optimal_left, optimal_right
+
+    def right(a):
+        return optimal_right(gram_matrix(a), OptimalRequest(method="dsdp"))
+
+    solves = [(name, right) for name in {**PINNED_RIGHT_PR,
+                                         **REPORTED_OPTIMAL}]
+    solves += [(name, optimal_left) for name in
+               {**PINNED_LEFT, "trefethen_20b": 0, "trefethen_20": 0}]
+    for name, solve in solves:
+        _, rep = solve(RectMatrix(generate(name)))
+        lower, kappa = rep.extra["kappa_lower_bound"], rep.kappa_after
+        assert rep.extra["certified"], (name, solve)
+        assert lower <= kappa <= (1 + _GAP_TOL) * lower, (name, solve)
+        # the left optimum of a symmetric A is the right one of A^T A
+        if name in REPORTED_OPTIMAL:
+            published = REPORTED_OPTIMAL[name]
+            h = _half_unit(published)
+            assert lower - h <= published <= kappa + h, (name, solve)
 
 
 def test_gauss_cov_design_deterministic():

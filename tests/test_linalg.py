@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.linalg.lapack
 
 from optiprecond import NotPositiveDefiniteError, SymMatrix, condition_number
@@ -18,8 +19,10 @@ from optiprecond.linalg import (
     inv_pd,
     logdet_from_chol,
     max_step_cone,
+    max_step_pd,
     proximity_delta,
     serial_blas,
+    solve_chol,
     solve_pd,
     sym_pow,
 )
@@ -226,6 +229,50 @@ def test_max_step_cone():
     # diag(1, 4) - alpha diag(2, -1) stays PSD up to alpha = 1/2
     assert max_step_cone(lower, np.diag([2.0, -1.0])) == pytest.approx(0.5)
     assert max_step_cone(lower, np.diag([-1.0, -1.0])) == np.inf
+
+
+def test_solve_chol_reuses_one_factor(rng):
+    h = random_spd(6, rng, cond=50.0).mat
+    lower = chol_pd(h)
+    for _ in range(2):
+        b = rng.standard_normal(6)
+        assert np.allclose(h @ solve_chol(lower, b), b, atol=1e-12)
+
+
+def test_max_step_pd(rng):
+    # diag(1, 4) + alpha diag(-2, 1) stays PSD up to alpha = 1/2
+    assert max_step_pd(np.diag([1.0, 4.0]), np.diag([-2.0, 1.0])) == \
+        pytest.approx(0.5)
+    assert max_step_pd(np.diag([1.0, 4.0]), np.diag([1.0, 1.0])) == np.inf
+    a = random_spd(8, rng, cond=100.0).mat
+    delta = rng.standard_normal((8, 8))
+    delta = delta + delta.T
+    alpha = max_step_pd(a, delta)
+    assert np.linalg.eigvalsh(a + alpha * delta)[0] == \
+        pytest.approx(0.0, abs=1e-12 * np.abs(a).max())
+    with pytest.raises(NotPositiveDefiniteError):
+        max_step_pd(np.diag([1.0, -1.0]), np.eye(2))
+
+
+def test_max_step_pd_survives_a_failed_subset_solve(monkeypatch):
+    # delta = -c Q Q^T with rounding: twenty eigenvalues within 1e-16 of
+    # each other, where the one-eigenvalue solve of the OpenBLAS 0.3.31
+    # wheels reports that eigenvectors failed to converge
+    q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((20, 20)))
+    delta = -0.0557 * (q @ q.T)
+    delta = 0.5 * (delta + delta.T)
+    a = 0.1 * np.eye(20)
+    assert max_step_pd(a, delta) == pytest.approx(0.1 / 0.0557, rel=1e-12)
+    # the same answer when every subset solve fails
+    eigvalsh = scipy.linalg.eigvalsh
+
+    def no_subset(*args, subset_by_index=None, **kwargs):
+        if subset_by_index is not None:
+            raise scipy.linalg.LinAlgError("forced failure")
+        return eigvalsh(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", no_subset)
+    assert max_step_pd(a, delta) == pytest.approx(0.1 / 0.0557, rel=1e-12)
 
 
 def _openblas_thread_functions():

@@ -1,6 +1,7 @@
 import gc
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -263,8 +264,27 @@ def test_dsdp_right_route_reports_newton_steps():
     _, rep = optimal_right(SymMatrix(a.mat.T @ a.mat),
                            OptimalRequest(method="dsdp"))
     assert rep.method == "optimal_right[dsdp]"
-    assert rep.extra["newton_steps"] == 94
-    assert rep.iterations == len(rep.extra["tau_path"]) == 14
+    assert rep.extra["newton_steps"] == rep.iterations == 12
+    assert rep.kappa_after == pytest.approx(8.696732778, rel=1e-9)
+    assert rep.extra["certified"]
+
+
+def test_optimal_left_solves_on_nonzero_rows():
+    # no weight changes a zero row's share of A^T D A, so the solve must
+    # match the one without the row, and the row has no interior primal
+    # start
+    a = np.random.default_rng(0).standard_normal((8, 3))
+    a[2] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaling, rep = optimal_left(RectMatrix(a))
+    deleted, rep_deleted = optimal_left(RectMatrix(np.delete(a, 2, axis=0)))
+    assert rep.kappa_after == pytest.approx(rep_deleted.kappa_after,
+                                            rel=1e-9)
+    assert np.allclose(np.delete(scaling.values, 2), deleted.values,
+                       rtol=1e-6, atol=0.0)
+    assert scaling.values[2] == 1.0
+    assert rep.extra["certified"]
 
 
 # published two-sided optimum, alternation's kappa, and a third of the

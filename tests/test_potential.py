@@ -16,6 +16,7 @@ from optiprecond.linalg import (NotPositiveDefiniteError, chol_pd, geomean_inv,
 from optiprecond.potential import (
     MODE_DIAG,
     PRConfig,
+    StagnationError,
     StepTooLargeError,
     delta_kappa,
     nt_step,
@@ -208,6 +209,23 @@ def test_solve_right_pr_does_not_retry_programming_errors(monkeypatch):
     m = random_spd(3, np.random.default_rng(1), cond=1e3)
     with pytest.raises(ValueError, match="programming error"):
         solve_right_pr(m)
+
+
+def test_stagnation_error_names_the_rule_that_stopped_it(monkeypatch):
+    # every step fails, so beta halves from its start until it is below
+    # 1e-12: 37 failures from 0.1 and 40 from 0.9
+    def fails(state, kappa1):
+        raise StepTooLargeError("shifted S left the PSD cone")
+
+    monkeypatch.setattr(potential, "nt_step", fails)
+    m = random_spd(3, np.random.default_rng(1), cond=1e3)
+    for config, attempts in ((None, 37), (PRConfig(beta=0.9), 40)):
+        with pytest.raises(StagnationError, match=(
+                f"beta fell below 1e-12 after {attempts} failed attempts "
+                "in a row")) as info:
+            solve_right_pr(m, config)
+        assert info.value.diagnostics["failed_attempts"] == attempts
+        assert info.value.diagnostics["beta"] < 1e-12
 
 
 def test_delta_kappa_closed_forms(rng):
