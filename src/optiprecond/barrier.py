@@ -32,7 +32,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .linalg import (Factored, SymMatrix, chol_pd, condition_number,
-                     extreme_eigenvalues, logdet_from_chol, max_step_cone,
+                     extreme_eigenvalues, logdet_from_chol, max_step_chol,
                      serial_blas, solve_pd)
 from .matrixio import RectMatrix
 
@@ -128,7 +128,8 @@ class Term:
 def _cross(ti, ki, tj, kj, scratch):
     """tr(P F_a Q F_b) for F_a of term ti and F_b of tj, as a 2-d block,
     from the images (of P, of Q) ki of ti and kj of tj; a block between two
-    non-dense terms is formed in scratch(shape)."""
+    non-dense terms is formed in scratch(shape), with U Q U^T in
+    scratch(shape, "q")."""
     (pi, qi), (pj, qj) = ki, kj
     if ti.dense is not None and tj.dense is not None:
         return np.array([[np.sum(pi * qj.T)]])
@@ -139,7 +140,8 @@ def _cross(ti, ki, tj, kj, scratch):
         return np.einsum("ij,ij->i", uqb, pi)[:, None]
     w = pi if tj.rows is None else np.matmul(
         pi, tj.rows.T, out=scratch((len(pi), len(tj.rows))))
-    wq = w if qi is pi else qi if tj.rows is None else qi @ tj.rows.T
+    wq = w if qi is pi else qi if tj.rows is None else np.matmul(
+        qi, tj.rows.T, out=scratch(w.shape, "q"))
     return np.multiply(w, wq, out=scratch(w.shape))
 
 
@@ -164,11 +166,12 @@ class LmiBarrier:
         self._hessian = None
         self._blocks = {}
 
-    def _scratch(self, shape):
-        """The workspace's scratch array of this shape."""
-        buf = self._blocks.get(shape)
+    def _scratch(self, shape, slot="p"):
+        """The workspace's scratch array of this shape in this slot: "p"
+        for blocks of U P U^T, "q" for U Q U^T."""
+        buf = self._blocks.get((shape, slot))
         if buf is None:
-            buf = self._blocks[shape] = np.empty(shape)
+            buf = self._blocks[shape, slot] = np.empty(shape)
         return buf
 
     @property
@@ -252,8 +255,7 @@ class LmiBarrier:
     def max_step(self, state, dx):
         """Largest alpha keeping x + alpha dx feasible (inf if unbounded)."""
         factors, slack = state
-        alpha = min(max_step_cone(f.lower, -delta)
-                    for f, delta in zip(factors, self.linear(dx)))
+        alpha = max_step_chol([f.lower for f in factors], self.linear(dx))
         rate = dx[self.positive]
         neg = rate < 0
         if np.any(neg):

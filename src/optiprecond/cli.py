@@ -216,7 +216,11 @@ _FLAGS = {
     "input": dict(required=True, help="Matrix Market (.mtx) or dense CSV"),
     "method": dict(default="optimal-right",
                    help=f"one of {', '.join(_PRECOND_METHODS)}"),
-    "epsilon": dict(type=float, default=1e-2),
+    "epsilon": dict(type=float, default=1e-2, help=(
+        "optimal-left and dsdp routes of optimal-right stop at this "
+        "certified relative gap (floor 1e-8), optimal-two-sided-bisect at "
+        "this bracket width; potential reduction, the optimal-right route "
+        "for n <= 200, stops on its kappa_tol instead")),
     "cap": dict(type=float, help="regularize the Gram matrix to kappa <= CAP"),
     "seed": dict(type=int, default=0),
     "ratios": dict(default="1.0"),

@@ -24,13 +24,13 @@ from typing import Callable
 import numpy as np
 
 from .barrier import CenteringError, LmiBarrier, Term
-from .linalg import (NotPositiveDefiniteError, SymMatrix, blas_backend,
-                     chol_pd, extreme_eigenvalues, max_step_pd, serial_blas,
-                     solve_chol, solve_pd)
+from .linalg import (SymMatrix, blas_backend, chol_pd, extreme_eigenvalues,
+                     max_step_chol, serial_blas, solve_chol, solve_pd)
 from .matrixio import RectMatrix, SolveReport
 
-# Stop at a certified gap kappa_after / kappa_lower_bound - 1 of 1e-8.
-_GAP_TOL = 1e-8
+# The tightest certified gap kappa_after / kappa_lower_bound - 1 a solve
+# stops at: looser requests stop sooner, tighter ones stop here.
+GAP_FLOOR = 1e-8
 _MAX_ITER = 100
 
 
@@ -118,20 +118,25 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
-def _max_step(mats, deltas, v, dv):
-    """Largest step keeping every cone matrix PSD and v >= 0, capped at 1."""
+def _max_step(lowers, deltas, v, dv):
+    """Largest step keeping every cone matrix L L^T + alpha delta PSD and
+    v >= 0, capped at 1."""
     return min([1.0, *(v[dv < 0] / -dv[dv < 0]),
-                *(max_step_pd(a, da) for a, da in zip(mats, deltas))])
+                max_step_chol(lowers, deltas)])
 
 
 @serial_blas()
-def barrier_path_solve(p: DsdpProblem
+def barrier_path_solve(p: DsdpProblem, gap_tol: float = GAP_FLOOR
                        ) -> tuple[float, np.ndarray, SolveReport]:
     """Primal-dual solve to (tau*, d*); the report has kappa = 1/tau* and
-    the lower bound 1 / p.tau_bound(X). Each iteration factors the Schur
-    matrix once and solves it for the predictor, then the corrector; an X
-    or dual step that is no longer numerically PD ends the solve."""
+    the lower bound 1 / p.tau_bound(X), and the solve stops once kappa <=
+    (1 + gap_tol) times that bound, gap_tol raised to GAP_FLOOR. Each
+    iteration factors the Schur matrix once and solves it for the
+    predictor, then the corrector; both take their step lengths from one
+    factor of each X and the state's factors of Z. An X or dual step that
+    is no longer numerically PD ends the solve."""
     t0 = time.perf_counter()
+    gap_tol = max(gap_tol, GAP_FLOOR)
     b, pos = p.barrier, p.barrier.positive
     c = np.eye(1, b.nvar)[0]
     y = p.start.copy()
@@ -140,11 +145,15 @@ def barrier_path_solve(p: DsdpProblem
         raise CenteringError("strictly feasible start recipe failed")
     xs, v = [x.copy() for x in p.primal_start[0]], p.primal_start[1].copy()
     iterations = fallbacks = 0
-    while (upper := p.tau_bound(xs)) - y[0] > _GAP_TOL * y[0] and \
+    while (upper := p.tau_bound(xs)) - y[0] > gap_tol * y[0] and \
             iterations < _MAX_ITER:
         iterations += 1
         factors, z = state
-        zs = [f.lower @ f.lower.T for f in factors]
+        xls = [chol_pd(x) for x in xs]
+        if any(xl is None for xl in xls):
+            break
+        zls = [f.lower for f in factors]
+        zs = [zl @ zl.T for zl in zls]
         zinv = [f.inv for f in factors]
         mu = (sum(np.sum(x * zm) for x, zm in zip(xs, zs)) + v @ z) / b.dim
         schur = b.kernel_sum([(zi, x) for zi, x in zip(zinv, xs)], v / z)
@@ -159,24 +168,21 @@ def barrier_path_solve(p: DsdpProblem
             dxs = [tz - x - _sym(x @ dz @ zi)
                    for tz, x, dz, zi in zip(tzs, xs, dzs, zinv)]
             dv = tv - v - v * dy[pos] / z
-            return (dy, dzs, dxs, dv), (_max_step(xs, dxs, v, dv),
-                                        _max_step(zs, dzs, z, dy[pos]))
+            return (dy, dzs, dxs, dv), (_max_step(xls, dxs, v, dv),
+                                        _max_step(zls, dzs, z, dy[pos]))
 
-        try:
-            (dy, dzs, dxs, dv), (alpha, beta) = direction(
-                c, [0.0] * len(xs), 0.0)
-            ratio = (sum(np.sum((x + alpha * dx) * (zm + beta * dz))
-                         for x, dx, zm, dz in zip(xs, dxs, zs, dzs))
-                     + (v + alpha * dv) @ (z + beta * dy[pos])) / (mu * b.dim)
-            least = min(alpha, beta)
-            sigma = min(1.0, max(ratio, 0.0) ** max(1.0, 3.0 * least ** 2))
-            tzs = [_sym(sigma * mu * zi - dx @ dz @ zi)
-                   for dx, dz, zi in zip(dxs, dzs, zinv)]
-            tv = (sigma * mu - dv * dy[pos]) / z
-            (dy, dzs, dxs, dv), (alpha, beta) = direction(
-                b.adjoint(tzs, tv) + c, tzs, tv)
-        except NotPositiveDefiniteError:
-            break
+        (dy, dzs, dxs, dv), (alpha, beta) = direction(c, [0.0] * len(xs),
+                                                      0.0)
+        ratio = (sum(np.sum((x + alpha * dx) * (zm + beta * dz))
+                     for x, dx, zm, dz in zip(xs, dxs, zs, dzs))
+                 + (v + alpha * dv) @ (z + beta * dy[pos])) / (mu * b.dim)
+        least = min(alpha, beta)
+        sigma = min(1.0, max(ratio, 0.0) ** max(1.0, 3.0 * least ** 2))
+        tzs = [_sym(sigma * mu * zi - dx @ dz @ zi)
+               for dx, dz, zi in zip(dxs, dzs, zinv)]
+        tv = (sigma * mu - dv * dy[pos]) / z
+        (dy, dzs, dxs, dv), (alpha, beta) = direction(
+            b.adjoint(tzs, tv) + c, tzs, tv)
         del lower   # free the factor before the next Schur assembly
         gamma = 0.9 + 0.09 * least
         if (new_state := b.factor(y + gamma * beta * dy)) is None:
@@ -190,7 +196,8 @@ def barrier_path_solve(p: DsdpProblem
         iterations=iterations, wall_time_seconds=time.perf_counter() - t0,
         extra={"kappa_lower_bound": 1.0 / upper,
                "certified_gap": upper / y[0] - 1.0,
-               "certified": upper - y[0] <= _GAP_TOL * y[0],
+               "certified": upper - y[0] <= gap_tol * y[0],
+               "gap_tolerance": gap_tol,
                "newton_steps": iterations, "newton_fallbacks": fallbacks,
                "blas_backend": blas_backend()})
     return float(y[0]), y[1:].copy(), report

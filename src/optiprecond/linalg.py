@@ -6,7 +6,8 @@ applies the one full-rank rule; ``condition_number`` is the one kappa
 helper. The positive-definite kernels are ``chol_pd`` (dpotrf),
 ``inv_from_chol`` and ``inv_pd`` (dpotri), ``solve_pd`` (dposv, least
 squares when not PD), ``solve_chol`` (dpotrs), ``logdet_from_chol``,
-``max_step_cone``, ``max_step_pd``, ``sym_pow``, ``proximity_delta`` and
+``max_step_chol`` (the one step-length kernel: dsygst and dsyevx on
+factors the caller already holds), ``sym_pow``, ``proximity_delta`` and
 ``geomean_inv``. They take and return plain float64 arrays; ``Factored``
 holds one factor with its inverse, formed at most once.
 ``serial_blas`` runs a solve on one BLAS thread.
@@ -241,9 +242,9 @@ def logcond_subgradient(m: SymMatrix, d) -> np.ndarray:
 
 
 # Positive-definite kernels shared by every solver. Cholesky (dpotrf)
-# factors, inverts (dpotri) and solves (dposv), and eigh runs only for
-# fractional powers, the geometric means of the Nesterov-Todd scalings and
-# step lengths.
+# factors, inverts (dpotri) and solves (dposv), eigh runs only for
+# fractional powers and the geometric means of the Nesterov-Todd scalings,
+# and step lengths reduce by factors the caller already holds.
 
 
 def chol_pd(a):
@@ -332,25 +333,22 @@ def logdet_from_chol(lower):
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
-def max_step_cone(lower, delta_mat):
-    """Largest alpha with L L^T - alpha*delta_mat still PSD (inf if unbounded)."""
-    z = scipy.linalg.solve_triangular(lower, delta_mat, lower=True)
-    t = scipy.linalg.solve_triangular(lower, z.T, lower=True).T
-    wmax = scipy.linalg.eigvalsh(0.5 * (t + t.T))[-1]
-    return np.inf if wmax <= 0 else 1.0 / wmax
-
-
-def max_step_pd(a, delta):
-    """Largest alpha keeping PD a + alpha*delta PSD (inf if unbounded), by
-    the top eigenvalue of the pencil (-delta, a), or all where that fails."""
-    try:
-        w = scipy.linalg.eigvalsh(-delta, a, subset_by_index=[len(a) - 1] * 2)
-    except scipy.linalg.LinAlgError:
-        try:
-            w = scipy.linalg.eigvalsh(-delta, a, driver="gv")
-        except scipy.linalg.LinAlgError as exc:
-            raise NotPositiveDefiniteError("step base is not PD") from exc
-    return np.inf if w[-1] <= 0 else 1.0 / float(w[-1])
+def max_step_chol(lowers, deltas):
+    """Largest alpha keeping every L L^T + alpha*delta PSD (inf if
+    unbounded), over pairs of a lower Cholesky factor L and a delta: the
+    top eigenvalue of L^-1 (-delta) L^-T, reduced by dsygst and found by
+    one dsyevx (dsygvx without its dpotrf), or by all eigenvalues where
+    that subset solve fails."""
+    top = -np.inf
+    for lower, delta in zip(lowers, deltas):
+        n = len(lower)
+        c = scipy.linalg.lapack.dsygst(-delta, lower, lower=1,
+                                       overwrite_a=1)[0]
+        w, _, found, _, info = scipy.linalg.lapack.dsyevx(
+            c, compute_v=0, range="I", lower=1, il=n, iu=n)
+        top = max(top, w[0] if info == 0 and found == 1
+                  else extreme_eigenvalues(c, rtol=None)[1])
+    return np.inf if top <= 0 else 1.0 / float(top)
 
 
 def sym_pow(a, power):

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import two_sided_feasibility
-from .dsdp import barrier_path_solve, build_left, build_right
+from .dsdp import GAP_FLOOR, barrier_path_solve, build_left, build_right
 from .heuristics import (
     DiagScaling,
     SIDE_LEFT,
@@ -35,7 +35,12 @@ _IMPROVEMENT_TOL = 1e-3
 
 @dataclass
 class OptimalRequest:
-    """How to solve: method, tolerance, optional warm start."""
+    """How to solve: method, tolerance, optional warm start.
+
+    epsilon is the relative gap kappa / kappa_lower_bound - 1 at which the
+    dsdp routes stop (never below dsdp.GAP_FLOOR) and the bracket width at
+    which bisection stops; potential reduction stops on its own kappa_tol.
+    """
 
     # read by no solver; stays only because perfbench/workloads.py::_request
     # passes it
@@ -57,8 +62,9 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
     """Optimal right preconditioner of a PD Gram matrix.
 
     auto dispatches to potential reduction for n <= 200 and the dual SDP
-    solver above that. The result's condition number is re-measured and
-    never exceeds kappa(M).
+    solver above that; the dual SDP solver stops at a certified gap of
+    ``req.epsilon`` (never below dsdp.GAP_FLOOR). The result's condition
+    number is re-measured and never exceeds kappa(M).
     """
     req = req or OptimalRequest()
     method = req.method
@@ -72,7 +78,7 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
         raise ValueError(f"unsupported right-side method {method!r}")
     t0 = time.perf_counter()
     problem = build_right(m)
-    _, d, inner = barrier_path_solve(problem)
+    _, d, inner = barrier_path_solve(problem, req.epsilon)
     return finish_solve("optimal_right[dsdp]", t0, m, problem.kappa_before,
                         DiagScaling(d, side=SIDE_RIGHT), inner.iterations,
                         inner.extra)
@@ -84,14 +90,16 @@ def optimal_left(a: RectMatrix, req: OptimalRequest | None = None
     """Optimal left preconditioner D1 minimizing kappa(A^T D1 A).
 
     Solves on the nonzero rows; a zero row, which no weight can change,
-    gets the largest weight of the others. Nothing in ``req`` changes this
-    solve; it is taken for a signature shared with the other entry points.
+    gets the largest weight of the others. The solve stops at a certified
+    gap of ``req.epsilon`` (never below dsdp.GAP_FLOOR); the other fields
+    of ``req`` do not change it.
     """
+    req = req or OptimalRequest()
     t0 = time.perf_counter()
     x = a.tall()
     nonzero = np.any(x != 0, axis=1)
     problem = build_left(RectMatrix(x[nonzero]))
-    _, d_nonzero, inner = barrier_path_solve(problem)
+    _, d_nonzero, inner = barrier_path_solve(problem, req.epsilon)
     d = np.full(len(x), d_nonzero.max())
     d[nonzero] = d_nonzero
     return finish_solve("optimal_left[dsdp]", t0, a, problem.kappa_before,
@@ -171,7 +179,8 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     Odd steps solve the left problem on the running scaled matrix, even
     steps the right problem, accumulating the scalings. Any fixed point
     solves the two-sided problem; each one-sided solve can only improve or
-    hold the condition number. Nothing in ``req`` changes this solve.
+    hold the condition number. Each one-sided solve runs to the gap
+    dsdp.GAP_FLOOR; nothing in ``req`` changes this solve.
     """
     t0 = time.perf_counter()
     x = a.tall()
@@ -180,17 +189,17 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     d1_total = np.ones(x.shape[0])
     d2_total = np.ones(x.shape[1])
     current = x.copy()
+    inner = OptimalRequest(method="dsdp", epsilon=GAP_FLOOR)
     kappa_track = [kappa_before]
     rounds = 0
     for _ in range(_MAX_ROUNDS):
         rounds += 1
-        left_scaling, _ = optimal_left(RectMatrix(current))
+        left_scaling, _ = optimal_left(RectMatrix(current), inner)
         d1_total *= left_scaling.values
         current = np.sqrt(left_scaling.values)[:, None] * current
 
         right_gram = SymMatrix(current.T @ current)
-        right_scaling, _ = optimal_right(right_gram,
-                                         OptimalRequest(method="dsdp"))
+        right_scaling, _ = optimal_right(right_gram, inner)
         d2_total *= right_scaling.values
         current = current / np.sqrt(right_scaling.values)[None, :]
 

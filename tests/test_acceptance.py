@@ -158,9 +158,10 @@ def test_criterion_2_diagonal_exactness():
         timed(lambda: optimal_right(
             m, OptimalRequest(method="potential_reduction"))[1].kappa_after)
         timed(lambda: optimal_right(
-            m, OptimalRequest(method="dsdp"))[1].kappa_after)
+            m, OptimalRequest(method="dsdp", epsilon=1e-6))[1].kappa_after)
         timed(lambda: solve_right_pr(m, mode="exact")[1].kappa_after)
-        timed(lambda: optimal_left(a)[1].kappa_after)
+        timed(lambda: optimal_left(
+            a, OptimalRequest(epsilon=1e-6))[1].kappa_after)
 
         def run_bisect():
             _, rep = bisect_two_sided(

@@ -428,6 +428,26 @@ def test_derivatives_allocate_less_than_one_hessian():
     assert peak < 400 * 400 * 8
 
 
+def test_schur_assembly_keeps_u_q_ut_in_the_workspace():
+    # the HKM Schur matrix of gauss_cov_s0 left: U P U^T and U Q U^T each
+    # have a 400 x 400 block of the workspace, so a second assembly
+    # allocates only the 400 x 40 images, at least 1 MB below the 1.6 MB
+    # it peaked at with U Q U^T in a fresh array
+    p = build_left(read_matrix_market(fixture_path("gauss_cov_s0")))
+    factors, slack = p.barrier.factor(p.start)
+    xs, v = p.primal_start
+    pairs = [(f.inv, x) for f, x in zip(factors, xs)]
+    first = p.barrier.kernel_sum(pairs, v / slack).copy()
+    tracemalloc.start()
+    try:
+        second = p.barrier.kernel_sum(pairs, v / slack)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(first, second)
+    assert peak <= 1.6e6 - 1e6
+
+
 def test_level_test_inverts_each_cone_once_per_point(monkeypatch):
     orders = []
     dpotri = scipy.linalg.lapack.dpotri

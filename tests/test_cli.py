@@ -114,6 +114,25 @@ def test_precond_optimal_right_fixture(tmp_path, capsys):
     assert record["kappa_after"] < record["kappa_before"]
 
 
+def test_precond_epsilon_reaches_the_left_solve(capsys):
+    # --epsilon is the certified gap at which the dsdp solve stops; the
+    # report names it gap_tolerance, as --cap writes its shift as epsilon
+    def left(*flags):
+        code, out, err = run_cli(
+            ["precond", "--input", str(fixture_path("trefethen_20b")),
+             "--method", "optimal-left", *flags], capsys)
+        assert code == 0
+        return json.loads(out)[0]
+
+    default, tight = left(), left("--epsilon", "1e-6")
+    assert default["extra"]["gap_tolerance"] == 1e-2
+    assert tight["extra"]["gap_tolerance"] == 1e-6
+    assert tight["extra"]["certified"]
+    assert tight["extra"]["certified_gap"] <= 1e-6
+    assert tight["iterations"] > default["iterations"]
+    assert "epsilon" not in tight["extra"]
+
+
 def test_precond_csv_output(tmp_path, capsys):
     path = write_mtx(tmp_path, [4.0, 1.0])
     code, out, err = run_cli(

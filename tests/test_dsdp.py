@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.linalg.lapack
 
 from optiprecond import (NotPositiveDefiniteError, RectMatrix, SymMatrix,
                          gram_matrix, solve_right_pr, two_sided_feasibility)
 from optiprecond import dsdp
 from optiprecond.barrier import CenteringError
 from optiprecond.dsdp import barrier_path_solve, build_left, build_right
+from optiprecond.optimal import OptimalRequest, optimal_left, optimal_right
 from conftest import grid_optimal_right, random_spd, scaled_kappa
 
 
@@ -104,7 +107,8 @@ def test_certified_gap_brackets_kappa(rng):
         extra = rep.extra
         assert extra["certified"]
         assert extra["kappa_lower_bound"] <= rep.kappa_after == 1.0 / tau
-        assert rep.kappa_after <= (1 + dsdp._GAP_TOL) * \
+        assert extra["gap_tolerance"] == dsdp.GAP_FLOOR
+        assert rep.kappa_after <= (1 + dsdp.GAP_FLOOR) * \
             extra["kappa_lower_bound"]
         assert extra["certified_gap"] == pytest.approx(
             rep.kappa_after / extra["kappa_lower_bound"] - 1.0, abs=1e-15)
@@ -115,13 +119,14 @@ def test_uncertified_stop_still_bounds_kappa(rng):
     # at kappa(M) = 1e6 to 1e9 rounding ends some solves (4 of these 8
     # draws) before the gap reaches the tolerance, when the next dual
     # point no longer factors; the report says so and the bound still holds
-    reports = [barrier_path_solve(build_right(random_spd(n, rng, cond=c)))[2]
+    reports = [barrier_path_solve(build_right(random_spd(n, rng, cond=c)),
+                                  1e-8)[2]
                for n in (2, 3, 5, 8) for c in (1e6, 1e9)]
     for rep in reports:
         extra = rep.extra
         assert extra["kappa_lower_bound"] <= rep.kappa_after
-        assert extra["certified"] == (extra["certified_gap"] <=
-                                      dsdp._GAP_TOL)
+        assert extra["gap_tolerance"] == 1e-8
+        assert extra["certified"] == (extra["certified_gap"] <= 1e-8)
         assert extra["certified_gap"] <= 1e-4
     assert not all(rep.extra["certified"] for rep in reports)
 
@@ -150,16 +155,67 @@ def test_right_kappa_after_measured(rng):
     assert scaled_kappa(m.mat, d) == pytest.approx(1.0 / tau, rel=1e-6)
 
 
-def test_gap_tolerance_respected(rng, monkeypatch):
-    # the stop rule reads the module constant: a looser gap stops sooner
+def test_gap_tolerance_respected(rng):
+    # the request's epsilon is the stop rule: a looser gap stops sooner,
+    # and no request stops beyond the floor of 1e-8
     m = random_spd(6, rng, cond=50.0)
-    _, _, tight = barrier_path_solve(build_right(m))
-    monkeypatch.setattr(dsdp, "_GAP_TOL", 1e-3)
-    _, _, loose = barrier_path_solve(build_right(m))
+
+    def solve(eps):
+        return optimal_right(m, OptimalRequest(method="dsdp",
+                                               epsilon=eps))[1]
+
+    tight, loose, beyond = solve(1e-8), solve(1e-3), solve(1e-12)
     assert loose.extra["certified"]
+    assert loose.extra["gap_tolerance"] == 1e-3
     assert 1e-8 < loose.extra["certified_gap"] <= 1e-3
     assert loose.iterations < tight.iterations
     assert tight.extra["certified_gap"] <= 1e-8
+    assert beyond.extra["gap_tolerance"] == tight.extra["gap_tolerance"] \
+        == dsdp.GAP_FLOOR
+    assert beyond.kappa_after == tight.kappa_after
+
+
+def test_step_lengths_reuse_the_iterate_factors(monkeypatch):
+    # one optimal_left solve: no generalized eigensolve, and per iteration
+    # one dpotrf of each X cone, shared by the predictor's and the
+    # corrector's step lengths, on top of the Schur matrix and the two Z
+    # cones of the next dual point
+    a = RectMatrix(np.random.default_rng(5).standard_normal((30, 5)))
+    orders, reduced = [], []
+    dpotrf, dsygst = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dsygst
+    eigvalsh, eigh = scipy.linalg.eigvalsh, scipy.linalg.eigh
+
+    def counted_dpotrf(mat, *args, **kwargs):
+        orders.append(mat.shape[0])
+        return dpotrf(mat, *args, **kwargs)
+
+    def counted_dsygst(*args, **kwargs):
+        reduced.append(args[0].shape[0])
+        return dsygst(*args, **kwargs)
+
+    def standard_only(solver):
+        def checked(a, b=None, *args, **kwargs):
+            assert b is None, "generalized eigensolve"
+            return solver(a, *args, **kwargs)
+        return checked
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("generalized eigensolve")
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dpotrf", counted_dpotrf)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsygst", counted_dsygst)
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", standard_only(eigvalsh))
+    monkeypatch.setattr(scipy.linalg, "eigh", standard_only(eigh))
+    for name in ("dsygv", "dsygvd", "dsygvx"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
+    _, rep = optimal_left(a, OptimalRequest(epsilon=1e-8))
+    iterations = rep.iterations
+    assert rep.extra["certified"] and iterations > 5
+    assert orders.count(31) == iterations    # one Schur factor each
+    # the start's two Z cones, then per iteration two X and two Z cones
+    assert orders.count(5) == 2 + 4 * iterations
+    # two cones each of X and Z, for the predictor and the corrector
+    assert reduced == [5] * (8 * iterations)
 
 
 def test_primal_starts_are_strictly_feasible(rng):

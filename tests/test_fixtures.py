@@ -143,7 +143,7 @@ def test_potential_reduction_right_solves_are_pinned():
 # iterations and kappa_after
 PINNED_LEFT = {
     "gauss_cov_s0": (17, 104.6328885),
-    "gauss_cov_s1": (19, 152.9584857),
+    "gauss_cov_s1": (19, 152.9584859),
     "gauss_cov_s2": (18, 117.0433882),
     "gauss_cov_s3": (18, 209.2330078),
     "trefethen_150": (23, 38.92755026),
@@ -151,10 +151,11 @@ PINNED_LEFT = {
 
 
 def test_left_solves_are_pinned():
-    from optiprecond.optimal import optimal_left
+    from optiprecond.optimal import OptimalRequest, optimal_left
 
     for name, (steps, kappa) in PINNED_LEFT.items():
-        _, rep = optimal_left(read_matrix_market(fixture_path(name)))
+        _, rep = optimal_left(read_matrix_market(fixture_path(name)),
+                              OptimalRequest(epsilon=1e-8))
         assert rep.method == "optimal_left[dsdp]", name
         assert rep.extra["newton_steps"] == rep.iterations == steps, name
         assert rep.kappa_after == pytest.approx(kappa, rel=1e-9), name
@@ -169,24 +170,30 @@ def _half_unit(value):
 
 def test_one_sided_fixture_solves_are_certified():
     # the 13 one-sided solves of the benchmark fixtures (8 dsdp right, the
-    # 5 left) and the other published one-sided optima; each published
-    # optimum lies in the certified bracket
+    # 5 left) and the other published one-sided optima, at the benchmark's
+    # epsilon; each published optimum lies in the certified bracket
     from optiprecond import RectMatrix
-    from optiprecond.dsdp import _GAP_TOL
     from optiprecond.optimal import OptimalRequest, optimal_left, optimal_right
 
+    eps = 1e-2
+    req = OptimalRequest(method="dsdp", epsilon=eps)
+
     def right(a):
-        return optimal_right(gram_matrix(a), OptimalRequest(method="dsdp"))
+        return optimal_right(gram_matrix(a), req)
+
+    def left(a):
+        return optimal_left(a, req)
 
     solves = [(name, right) for name in {**PINNED_RIGHT_PR,
                                          **REPORTED_OPTIMAL}]
-    solves += [(name, optimal_left) for name in
+    solves += [(name, left) for name in
                {**PINNED_LEFT, "trefethen_20b": 0, "trefethen_20": 0}]
     for name, solve in solves:
         _, rep = solve(RectMatrix(generate(name)))
         lower, kappa = rep.extra["kappa_lower_bound"], rep.kappa_after
         assert rep.extra["certified"], (name, solve)
-        assert lower <= kappa <= (1 + _GAP_TOL) * lower, (name, solve)
+        assert rep.extra["gap_tolerance"] == eps, (name, solve)
+        assert lower <= kappa <= (1 + eps) * lower, (name, solve)
         # the left optimum of a symmetric A is the right one of A^T A
         if name in REPORTED_OPTIMAL:
             published = REPORTED_OPTIMAL[name]

@@ -18,8 +18,7 @@ from optiprecond.linalg import (
     inv_from_chol,
     inv_pd,
     logdet_from_chol,
-    max_step_cone,
-    max_step_pd,
+    max_step_chol,
     proximity_delta,
     serial_blas,
     solve_chol,
@@ -227,8 +226,9 @@ def test_solve_pd_falls_back_to_least_squares():
 def test_max_step_cone():
     lower = chol_pd(np.diag([1.0, 4.0]))
     # diag(1, 4) - alpha diag(2, -1) stays PSD up to alpha = 1/2
-    assert max_step_cone(lower, np.diag([2.0, -1.0])) == pytest.approx(0.5)
-    assert max_step_cone(lower, np.diag([-1.0, -1.0])) == np.inf
+    assert max_step_chol([lower], [-np.diag([2.0, -1.0])]) == \
+        pytest.approx(0.5)
+    assert max_step_chol([lower], [np.diag([1.0, 1.0])]) == np.inf
 
 
 def test_solve_chol_reuses_one_factor(rng):
@@ -241,38 +241,65 @@ def test_solve_chol_reuses_one_factor(rng):
 
 def test_max_step_pd(rng):
     # diag(1, 4) + alpha diag(-2, 1) stays PSD up to alpha = 1/2
-    assert max_step_pd(np.diag([1.0, 4.0]), np.diag([-2.0, 1.0])) == \
+    base = chol_pd(np.diag([1.0, 4.0]))
+    assert max_step_chol([base], [np.diag([-2.0, 1.0])]) == \
         pytest.approx(0.5)
-    assert max_step_pd(np.diag([1.0, 4.0]), np.diag([1.0, 1.0])) == np.inf
     a = random_spd(8, rng, cond=100.0).mat
     delta = rng.standard_normal((8, 8))
     delta = delta + delta.T
-    alpha = max_step_pd(a, delta)
+    alpha = max_step_chol([chol_pd(a)], [delta])
     assert np.linalg.eigvalsh(a + alpha * delta)[0] == \
         pytest.approx(0.0, abs=1e-12 * np.abs(a).max())
-    with pytest.raises(NotPositiveDefiniteError):
-        max_step_pd(np.diag([1.0, -1.0]), np.eye(2))
+    # over several pairs, the smallest step; an unbounded pair adds none
+    assert max_step_chol([base, chol_pd(a), base],
+                         [np.diag([-1.0, 1.0]), delta, np.eye(2)]) == \
+        pytest.approx(min(1.0, alpha), rel=1e-14)
+    assert max_step_chol([], []) == np.inf
 
 
 def test_max_step_pd_survives_a_failed_subset_solve(monkeypatch):
     # delta = -c Q Q^T with rounding: twenty eigenvalues within 1e-16 of
-    # each other, where the one-eigenvalue solve of the OpenBLAS 0.3.31
-    # wheels reports that eigenvectors failed to converge
+    # each other, where the one-eigenvalue dsyevx of the OpenBLAS 0.3.31
+    # wheels finds no eigenvalue and reports a failure
     q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((20, 20)))
     delta = -0.0557 * (q @ q.T)
     delta = 0.5 * (delta + delta.T)
-    a = 0.1 * np.eye(20)
-    assert max_step_pd(a, delta) == pytest.approx(0.1 / 0.0557, rel=1e-12)
-    # the same answer when every subset solve fails
-    eigvalsh = scipy.linalg.eigvalsh
+    lower = chol_pd(0.1 * np.eye(20))
+    assert max_step_chol([lower], [delta]) == \
+        pytest.approx(0.1 / 0.0557, rel=1e-12)
+    # the same answers when every subset solve fails
+    a = np.diag([1.0, 4.0])
+    dsyevx = scipy.linalg.lapack.dsyevx
 
-    def no_subset(*args, subset_by_index=None, **kwargs):
-        if subset_by_index is not None:
-            raise scipy.linalg.LinAlgError("forced failure")
-        return eigvalsh(*args, **kwargs)
+    def failing(*args, **kwargs):
+        return (*dsyevx(*args, **kwargs)[:4], 1)
 
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", no_subset)
-    assert max_step_pd(a, delta) == pytest.approx(0.1 / 0.0557, rel=1e-12)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevx", failing)
+    assert max_step_chol([lower], [delta]) == \
+        pytest.approx(0.1 / 0.0557, rel=1e-12)
+    assert max_step_chol([chol_pd(a)], [np.diag([-2.0, 1.0])]) == \
+        pytest.approx(0.5, rel=1e-14)
+
+
+def test_max_step_chol_matches_the_generalized_eigensolve():
+    # 50 pencils of order 1-40, a quarter of them unbounded (delta PSD):
+    # 1 / step is the top eigenvalue of (-delta, A), or the step is inf
+    # when that eigenvalue is not positive
+    rng = np.random.default_rng(2024)
+    unbounded = 0
+    for k in range(50):
+        n = int(rng.integers(1, 41))
+        a = random_spd(n, rng, cond=10.0 ** rng.uniform(0, 4)).mat
+        g = rng.standard_normal((n, n))
+        delta = g @ g.T if k % 4 == 0 else 0.5 * (g + g.T)
+        w = scipy.linalg.eigvalsh(-delta, a)
+        step = max_step_chol([chol_pd(a)], [delta])
+        if w[-1] <= 0:
+            unbounded += 1
+            assert step == np.inf, (k, n)
+        else:
+            assert 1.0 / step == pytest.approx(w[-1], rel=1e-12), (k, n)
+    assert unbounded >= 12
 
 
 def _openblas_thread_functions():

@@ -262,7 +262,7 @@ def test_newton_fallbacks_are_reported():
 def test_dsdp_right_route_reports_newton_steps():
     a = _trefethen_20b()
     _, rep = optimal_right(SymMatrix(a.mat.T @ a.mat),
-                           OptimalRequest(method="dsdp"))
+                           OptimalRequest(method="dsdp", epsilon=1e-8))
     assert rep.method == "optimal_right[dsdp]"
     assert rep.extra["newton_steps"] == rep.iterations == 12
     assert rep.kappa_after == pytest.approx(8.696732778, rel=1e-9)
