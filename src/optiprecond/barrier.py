@@ -1,18 +1,18 @@
-"""Log-det barrier over linear matrix inequalities, and its path follower.
+"""Log-det barrier over linear matrix inequalities, and its two loops.
 
 Every interior-point solver in the package works on LMIs F(x) = F0 +
 sum_j x_j F_j > 0 plus a block of x kept positive, and on the log-det
 barrier phi of that set. The coefficients F_j come in three kinds: diagonal
 e_j e_j^T, rank-one rows a_j a_j^T, or one dense matrix on a single
 variable. ``LmiBarrier.kernel_sum`` forms tr(P F_a Q F_b): the Hessian,
-and the Schur matrix of dsdp's primal-dual steps. ``newton_ascent`` is the
-one damped-Newton loop; ``follow_path``, the one central path of x_0 + mu *
-phi(x), serves only the two-sided level test. A factored point holds each
-cone as a linalg.Factored, so the level test's stop rule and the gradient
-share one dpotri per cone. Each LmiBarrier assembles its Newton system in
-place, in a workspace allocated on the first derivatives call, with the
-arithmetic of a fresh assembly: the Hessian it returns is valid only until
-its next derivatives call.
+and the Schur matrix of a primal-dual step. ``primal_dual_ascent`` is the
+one primal-dual loop, which maximizes x_0 for dsdp's one-sided SDPs and the
+two-sided level test; ``newton_ascent`` is the damped-Newton loop of
+``compute_center``. A factored point holds each cone as a linalg.Factored,
+its inverse formed by one dpotri on first use. Each LmiBarrier assembles
+its Newton system in place, in a workspace allocated on the first
+derivatives call, with the arithmetic of a fresh assembly: the Hessian it
+returns is valid only until its next derivatives call.
 
 For a PD matrix M and a level kappa, the scaling region is
 {d > 0 : M - D > 0, kappa D - M > 0} with D = diag(d). The barrier over this
@@ -20,8 +20,9 @@ region has the analytic center as its unique maximizer.
 
 ``two_sided_feasibility`` decides whether D2 < A^T D1 A < kappa D2 has a
 solution: it maximizes s over A^T D1 A - D2 > sI, kappa D2 - A^T D1 A > sI
-and stops at a witness (s > 0) or at a Farkas certificate of infeasibility
-(Vandenberghe & Boyd, Semidefinite Programming, SIAM Rev. 1996, section 3).
+and stops at a dual witness (s > 0) or at a primal pair that is a Farkas
+certificate of infeasibility (Vandenberghe & Boyd, Semidefinite
+Programming, SIAM Rev. 1996, section 3).
 """
 
 from __future__ import annotations
@@ -33,27 +34,20 @@ import numpy as np
 
 from .linalg import (Factored, SymMatrix, chol_pd, condition_number,
                      extreme_eigenvalues, logdet_from_chol, max_step_chol,
-                     serial_blas, solve_pd)
+                     serial_blas, solve_chol, solve_pd)
 from .matrixio import RectMatrix
 
 # A line-search trial is accepted when it loses at most this fraction of
 # (1 + |value|): the rounding noise of the barrier value near a center.
 _ACCEPT_RTOL = 1e-12
 
-# Central-path schedule: mu = 1 shrinks fivefold per stage down to 1e-9
-# (14 stages), each stage a Newton ascent of at most 50 steps that stops on
-# a decrement below 1e-10 relative to 1 + |stage objective|.
-_MU_INIT = 1.0
-_MU_FACTOR = 5.0
-_MU_MIN = 1e-9
-_PATH_NEWTON_CAP = 50
-_DECREMENT_TOL = 1e-10
-
 # compute_center takes at most 200 Newton steps.
 _CENTER_NEWTON_CAP = 200
 
-# The level test keeps the scale of d2 in the band n < sum(d2) < 100 n.
+# The level test keeps the scale of d2 in the band n < sum(d2) < 100 n, and
+# leaves a level undecided after 100 primal-dual iterations.
 _SCALE_CAP = 100.0
+_LEVEL_MAX_ITER = 100
 
 
 class InfeasiblePointError(ValueError):
@@ -264,65 +258,41 @@ class LmiBarrier:
 
 
 class NewtonResult(NamedTuple):
-    """newton_ascent's last iterate; status is 'converged', 'max_iter',
-    'stopped' (the stop test held) or 'stalled' (no trial passed the line
-    search). steps counts Newton systems solved, and fallbacks those that
-    were not numerically PD and were solved by least squares."""
+    """newton_ascent's last iterate; status is 'converged', 'max_iter' or
+    'stalled' (no trial passed the line search)."""
 
     x: np.ndarray
     status: str
     grad_norm: float
-    fallbacks: int
-    steps: int
 
 
-def newton_ascent(barrier: LmiBarrier, x0, max_iter, *, grad_tol=None,
-                  dec_tol=None, c=None, mu=1.0, stop=None) -> NewtonResult:
-    """Damped Newton maximization of c.x + mu * barrier from a feasible x0.
+def newton_ascent(barrier: LmiBarrier, x0, max_iter, grad_tol
+                  ) -> NewtonResult:
+    """Damped Newton maximization of the barrier from a feasible x0, to a
+    gradient whose infinity norm is at most grad_tol.
 
-    barrier is an LmiBarrier: the only barrier any solver in the package
-    builds. Stops when the gradient's infinity norm is at most grad_tol, or
-    when the Newton decrement g.dx is at most dec_tol * (1 + |value|), or
-    when stop(x, state) holds at x0 or after an accepted step. Each step
-    tries the full Newton step, then 0.9 of the step to the nearest
-    boundary, then halves (at most 40 trials).
+    Each step tries the full Newton step, then 0.9 of the step to the
+    nearest boundary, then halves (at most 40 trials).
     """
     x = np.array(x0, dtype=float)
     state = barrier.factor(x)
     if state is None:
         raise InfeasiblePointError("start is not strictly feasible")
-
-    def objective(x, state):
-        v = mu * barrier.value(state)
-        return v if c is None else float(c @ x) + v
-
-    val = objective(x, state)
-    fallbacks = steps = 0
+    val = barrier.value(state)
     gnorm = np.inf
     for _ in range(max_iter):
-        if stop is not None and stop(x, state):
-            return NewtonResult(x, "stopped", gnorm, fallbacks, steps)
         g, nh = barrier.derivatives(state)
-        g *= mu
-        nh *= mu
-        if c is not None:
-            g += c
         gnorm = float(np.abs(g).max())
-        if grad_tol is not None and gnorm <= grad_tol:
-            return NewtonResult(x, "converged", gnorm, fallbacks, steps)
-        step, pd = solve_pd(nh, g)
-        steps += 1
-        fallbacks += not pd
-        if dec_tol is not None and \
-                float(g @ step) <= dec_tol * (1.0 + abs(val)):
-            return NewtonResult(x, "converged", gnorm, fallbacks, steps)
+        if gnorm <= grad_tol:
+            return NewtonResult(x, "converged", gnorm)
+        step, _ = solve_pd(nh, g)
         # try the full step before paying for the exact boundary computation
         alpha = 1.0
         for attempt in range(40):
             x_new = x + alpha * step
             s_new = barrier.factor(x_new)
             if s_new is not None:
-                v_new = objective(x_new, s_new)
+                v_new = barrier.value(s_new)
                 if v_new >= val - _ACCEPT_RTOL * (1.0 + abs(val)):
                     x, state, val = x_new, s_new, v_new
                     break
@@ -332,38 +302,89 @@ def newton_ascent(barrier: LmiBarrier, x0, max_iter, *, grad_tol=None,
             else:
                 alpha *= 0.5
         else:
-            return NewtonResult(x, "stalled", gnorm, fallbacks, steps)
-    if stop is not None and stop(x, state):
-        return NewtonResult(x, "stopped", gnorm, fallbacks, steps)
-    return NewtonResult(x, "max_iter", gnorm, fallbacks, steps)
+            return NewtonResult(x, "stalled", gnorm)
+    return NewtonResult(x, "max_iter", gnorm)
 
 
-def follow_path(barrier: LmiBarrier, x0, stop=None) -> NewtonResult:
-    """Central path of x_0 + mu * barrier from a strictly feasible x0, for
-    the two-sided level test.
+def _sym(a):
+    return 0.5 * (a + a.T)
 
-    Each stage is a newton_ascent (stop passed on) warm-started at the
-    previous stage's point; mu then shrinks fivefold, down to 1e-9. Returns
-    the last stage's NewtonResult with steps and fallbacks summed over the
-    stages.
+
+def _max_step(lowers, deltas, v, dv):
+    """Largest step keeping every cone matrix L L^T + alpha delta PSD and
+    v >= 0, capped at 1."""
+    return min([1.0, *(v[dv < 0] / -dv[dv < 0]),
+                max_step_chol(lowers, deltas)])
+
+
+def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
+    """Maximize y[0] over the barrier's set, with its primal SDP, from a
+    strictly feasible dual y and primal (xs, v): one X per cone, v over
+    y[positive], with barrier.adjoint(xs, v) = -e_0.
+
+    Mehrotra's predictor-corrector on the HKM direction (Helmberg, Rendl,
+    Vanderbei & Wolkowicz, SIAM J. Optim. 1996): each iteration factors the
+    Schur matrix once and solves it for the predictor, then the corrector;
+    both take their step lengths from one factor of each X and the state's
+    factors of Z. The primal direction keeps barrier.adjoint(xs, v) fixed.
+    Stops when done(y, xs) holds, before the first iteration or after any,
+    after max_iter iterations, or when an X or the dual step is no longer
+    numerically PD (at the previous point). Every returned y has been
+    factored, so it is strictly feasible. Returns (y, xs, iterations,
+    fallbacks), fallbacks counting the Schur systems solved by least
+    squares; the inputs are not modified.
     """
-    objective = np.zeros(len(x0))
-    objective[0] = 1.0
-    x, mu = x0, _MU_INIT
-    steps = fallbacks = 0
-    while True:
-        res = newton_ascent(barrier, x, _PATH_NEWTON_CAP,
-                            dec_tol=_DECREMENT_TOL, c=objective, mu=mu,
-                            stop=stop)
-        steps += res.steps
-        fallbacks += res.fallbacks
-        if res.status == "stalled":
+    b, pos = barrier, barrier.positive
+    c = np.eye(1, b.nvar)[0]
+    state = b.factor(y)
+    if state is None:
+        raise CenteringError("strictly feasible start recipe failed")
+    iterations = fallbacks = 0
+    while not done(y, xs) and iterations < max_iter:
+        iterations += 1
+        factors, z = state
+        xls = [chol_pd(x) for x in xs]
+        if any(xl is None for xl in xls):
             break
-        x = res.x
-        if res.status == "stopped" or mu <= _MU_MIN:
+        zls = [f.lower for f in factors]
+        zs = [zl @ zl.T for zl in zls]
+        zinv = [f.inv for f in factors]
+        mu = (sum(np.sum(x * zm) for x, zm in zip(xs, zs)) + v @ z) / b.dim
+        schur = b.kernel_sum([(zi, x) for zi, x in zip(zinv, xs)], v / z)
+        lower = chol_pd(schur)
+        fallbacks += lower is None
+
+        def direction(rhs, tzs, tv):
+            # the step to T (T Z^-1 per cone, T / z) with A(X + dX) = -c
+            dy = solve_chol(lower, rhs) if lower is not None \
+                else solve_pd(schur, rhs)[0]
+            dzs = b.linear(dy)
+            dxs = [tz - x - _sym(x @ dz @ zi)
+                   for tz, x, dz, zi in zip(tzs, xs, dzs, zinv)]
+            dv = tv - v - v * dy[pos] / z
+            return (dy, dzs, dxs, dv), (_max_step(xls, dxs, v, dv),
+                                        _max_step(zls, dzs, z, dy[pos]))
+
+        (dy, dzs, dxs, dv), (alpha, beta) = direction(c, [0.0] * len(xs),
+                                                      0.0)
+        ratio = (sum(np.sum((x + alpha * dx) * (zm + beta * dz))
+                     for x, dx, zm, dz in zip(xs, dxs, zs, dzs))
+                 + (v + alpha * dv) @ (z + beta * dy[pos])) / (mu * b.dim)
+        least = min(alpha, beta)
+        sigma = min(1.0, max(ratio, 0.0) ** max(1.0, 3.0 * least ** 2))
+        tzs = [_sym(sigma * mu * zi - dx @ dz @ zi)
+               for dx, dz, zi in zip(dxs, dzs, zinv)]
+        tv = (sigma * mu - dv * dy[pos]) / z
+        (dy, dzs, dxs, dv), (alpha, beta) = direction(
+            b.adjoint(tzs, tv) + c, tzs, tv)
+        del lower   # free the factor before the next Schur assembly
+        gamma = 0.9 + 0.09 * least
+        if (new_state := b.factor(y + gamma * beta * dy)) is None:
             break
-        mu /= _MU_FACTOR
-    return res._replace(steps=steps, fallbacks=fallbacks)
+        xs = [x + gamma * alpha * dx for x, dx in zip(xs, dxs)]
+        v = v + gamma * alpha * dv
+        y, state = y + gamma * beta * dy, new_state
+    return y, xs, iterations, fallbacks
 
 
 def _one_sided(m_arr, kappa) -> LmiBarrier:
@@ -430,7 +451,7 @@ def compute_center(m: SymMatrix, kappa: float, start: BarrierPoint,
                    tol: float = 1e-8) -> BarrierPoint:
     """Analytic center of the region at level kappa from a feasible start."""
     res = newton_ascent(_one_sided(m.mat, kappa), start.d, _CENTER_NEWTON_CAP,
-                        grad_tol=tol)
+                        tol)
     if res.status != "converged":
         raise CenteringError(
             f"centering did not reach tol={tol:.1e} "
@@ -452,19 +473,23 @@ def initial_feasible_point(m: SymMatrix, kappa: float,
     return BarrierPoint(m, kappa, np.full(m.order, c))
 
 
-def _certificate(a_arr, kappa, state):
-    """The cones' inverses (X, Y) at a level-test state if they certify
-    infeasibility: u_i = a_i^T (X - Y) a_i <= 0, v_j = kappa Y_jj - X_jj < 0
-    and, by an eigensolve apart from the factors, X, Y > 0. Then
-    sum d1_i u_i + sum d2_j v_j = <X, A^T D1 A - D2> + <Y, kappa D2 -
-    A^T D1 A> would be positive for any feasible (d1, d2)."""
-    x_inv, y_inv = (f.inv for f in state[0][:2])
-    u = np.einsum("ij,ij->i", a_arr @ (x_inv - y_inv), a_arr)
-    v = kappa * np.diag(y_inv) - np.diag(x_inv)
+def _certificate(a_arr, kappa, x, y):
+    """(X, Y + tI) for a primal pair of the level test, with the least
+    t >= 0 that leaves no u_i = a_i^T (X - Y - tI) a_i positive (rows a_i
+    nonzero), if it certifies infeasibility: u_i <= 0, v_j = kappa (Y +
+    tI)_jj - X_jj < 0 and, by an eigensolve, X, Y + tI > 0. Then sum d1_i
+    u_i + sum d2_j v_j = <X, A^T D1 A - D2> + <Y + tI, kappa D2 - A^T D1 A>
+    would be positive for any feasible (d1, d2)."""
+    u = np.einsum("ij,ij->i", a_arr @ (x - y), a_arr)
+    lift = np.max(u / np.einsum("ij,ij->i", a_arr, a_arr))
+    if lift > 0:
+        y = y + lift * np.eye(len(y))
+        u = np.einsum("ij,ij->i", a_arr @ (x - y), a_arr)
+    v = kappa * np.diag(y) - np.diag(x)
     if u.max() <= 0 and v.max() < 0 and min(
-            extreme_eigenvalues(x_inv, rtol=None)[0],
-            extreme_eigenvalues(y_inv, rtol=None)[0]) > 0:
-        return x_inv, y_inv
+            extreme_eigenvalues(x, rtol=None)[0],
+            extreme_eigenvalues(y, rtol=None)[0]) > 0:
+        return x, y
     return None
 
 
@@ -475,44 +500,55 @@ def two_sided_feasibility(a: RectMatrix, kappa: float,
 
     Works on A' = W1^{1/2} A W2^{-1/2} for a witness pair (w1, w2), all
     ones by default, with w1 scaled to center the spectrum of A'^T A' on
-    [1.01, 1.01 kappa]. Follows the path of max s from d1 = 1, d2 = 1.01
-    to the first iterate with s > 0 (feasible, proven by the point's
-    Cholesky factors) or with a checked certificate (infeasible); a path
-    that ends with neither leaves the level undecided.
+    [1.01, 1.01 kappa]. Maximizes s by primal_dual_ascent from the dual
+    point d1 = 1, d2 = 1.01 and the primal point X = I/4n, Y = 3I/4n, band
+    multipliers 1/n and 2/n + (3 kappa - 1)/4n, d1 multipliers
+    |a_i'|^2/2n and d2 multipliers 1/n. Stops at the first dual iterate
+    with s > 0 (feasible, proven by the point's Cholesky factors) or the
+    first primal pair that _certificate accepts (infeasible); a level
+    decided by neither within _LEVEL_MAX_ITER iterations is undecided.
     """
     if not kappa > 0:
         raise ValueError("kappa must be positive")
     x = a.tall()
-    m_rows, n = x.shape
-    w1, w2 = witness or (np.ones(m_rows), np.ones(n))
-    scaled = (np.sqrt(w1)[:, None] * x) / np.sqrt(w2)[None, :]
+    w1, w2 = witness or (np.ones(len(x)), np.ones(x.shape[1]))
+    # a zero row, whose weight changes nothing, forces its multiplier to 0:
+    # the test runs on the other rows, so that the primal start is interior
+    keep = np.any(x != 0, axis=1)
+    scaled = (np.sqrt(w1[keep])[:, None] * x[keep]) / np.sqrt(w2)[None, :]
+    m_rows, n = scaled.shape
     lamn, lam1 = extreme_eigenvalues(scaled.T @ scaled)
     t = 1.01 * np.sqrt(kappa / (lamn * lam1))
     scaled *= np.sqrt(t)
     w1 = t * w1
     # s starts just below the smaller cone eigenvalue at (d1, d2)
     s0 = min(t * lamn - 1.01, 1.01 * kappa - t * lam1)
-    x0 = np.concatenate([[s0 - 1e-3 * max(1.0, abs(s0))], np.ones(m_rows),
+    y0 = np.concatenate([[s0 - 1e-3 * max(1.0, abs(s0))], np.ones(m_rows),
                          np.full(n, 1.01)])
+    eye = np.eye(n) / (4.0 * n)
+    xs0 = [eye, 3.0 * eye, np.array([[1.0 / n]]),
+           np.array([[(2.0 + 0.75 * kappa - 0.25) / n]])]
+    v0 = np.concatenate([np.einsum("ij,ij->i", scaled, scaled) / (2.0 * n),
+                         np.full(n, 1.0 / n)])
 
     certificate = []
 
-    def stop(point, state):
-        if point[0] > 0:
+    def done(y, xs):
+        if y[0] > 0:
             return True
-        found = _certificate(scaled, kappa, state)
-        if found is not None:
-            certificate.extend(found)
-        return found is not None
+        certificate[:] = _certificate(scaled, kappa, xs[0], xs[1]) or ()
+        return bool(certificate)
 
-    res = follow_path(_level_barrier(scaled, kappa), x0, stop=stop)
-    counts = {"newton_steps": res.steps, "newton_fallbacks": res.fallbacks}
-    if res.x[0] > 0:    # the stop test held at this factored point
-        d1, d2 = res.x[1:m_rows + 1], res.x[m_rows + 1:]
+    y, _, steps, fallbacks = primal_dual_ascent(
+        _level_barrier(scaled, kappa), y0, xs0, v0, done, _LEVEL_MAX_ITER)
+    counts = {"newton_steps": steps, "newton_fallbacks": fallbacks}
+    if y[0] > 0:    # the dual iterate was factored: its cones are PD
+        d1, d2 = y[1:m_rows + 1], y[m_rows + 1:]
         r2 = 1.0 / np.sqrt(d2)
         gram = scaled.T @ (d1[:, None] * scaled)
+        w1[keep] *= d1
         return FeasibilityResult(
-            "feasible", witness_left=w1 * d1, witness=w2 * d2,
+            "feasible", witness_left=w1, witness=w2 * d2,
             kappa=condition_number(r2[:, None] * gram * r2[None, :]),
             **counts)
     if certificate:

@@ -8,11 +8,12 @@ tau over linear matrix inequalities in (tau, d):
 
 Their primal SDPs over X_k >= 0, one per cone, are min tr(M X1) s.t.
 tr(M X2) = 1, diag X1 >= diag X2 (right) and min tr X2 s.t. tr X1 = 1,
-a_i^T X1 a_i <= a_i^T X2 a_i (left). ``barrier_path_solve`` runs Mehrotra's
-predictor-corrector on the HKM direction (Helmberg, Rendl, Vanderbei &
-Wolkowicz, SIAM J. Optim. 1996; Todd, Toh & Tutuncu, SIAM J. Optim. 1998)
-from strictly feasible starts on both sides, and stops on the gap to a
-primal point repaired to exact feasibility, which bounds tau* from above.
+a_i^T X1 a_i <= a_i^T X2 a_i (left). ``barrier_path_solve`` runs
+barrier.primal_dual_ascent, Mehrotra's predictor-corrector on the HKM
+direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996;
+Todd, Toh & Tutuncu, SIAM J. Optim. 1998), from strictly feasible starts on
+both sides, and stops on the gap to a primal point repaired to exact
+feasibility, which bounds tau* from above.
 """
 
 from __future__ import annotations
@@ -23,9 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .barrier import CenteringError, LmiBarrier, Term
-from .linalg import (SymMatrix, blas_backend, chol_pd, extreme_eigenvalues,
-                     max_step_chol, serial_blas, solve_chol, solve_pd)
+from .barrier import LmiBarrier, Term, primal_dual_ascent
+from .linalg import SymMatrix, blas_backend, extreme_eigenvalues, serial_blas
 from .matrixio import RectMatrix, SolveReport
 
 # The tightest certified gap kappa_after / kappa_lower_bound - 1 a solve
@@ -114,82 +114,19 @@ def build_left(a: RectMatrix) -> DsdpProblem:
                        lam1 / lamn)
 
 
-def _sym(a):
-    return 0.5 * (a + a.T)
-
-
-def _max_step(lowers, deltas, v, dv):
-    """Largest step keeping every cone matrix L L^T + alpha delta PSD and
-    v >= 0, capped at 1."""
-    return min([1.0, *(v[dv < 0] / -dv[dv < 0]),
-                max_step_chol(lowers, deltas)])
-
-
 @serial_blas()
 def barrier_path_solve(p: DsdpProblem, gap_tol: float = GAP_FLOOR
                        ) -> tuple[float, np.ndarray, SolveReport]:
-    """Primal-dual solve to (tau*, d*); the report has kappa = 1/tau* and
-    the lower bound 1 / p.tau_bound(X), and the solve stops once kappa <=
-    (1 + gap_tol) times that bound, gap_tol raised to GAP_FLOOR. Each
-    iteration factors the Schur matrix once and solves it for the
-    predictor, then the corrector; both take their step lengths from one
-    factor of each X and the state's factors of Z. An X or dual step that
-    is no longer numerically PD ends the solve."""
+    """Primal-dual solve to (tau*, d*) by barrier.primal_dual_ascent; the
+    report has kappa = 1/tau* and the lower bound 1 / p.tau_bound(X), and
+    the solve stops once kappa <= (1 + gap_tol) times that bound, gap_tol
+    raised to GAP_FLOOR."""
     t0 = time.perf_counter()
     gap_tol = max(gap_tol, GAP_FLOOR)
-    b, pos = p.barrier, p.barrier.positive
-    c = np.eye(1, b.nvar)[0]
-    y = p.start.copy()
-    state = b.factor(y)
-    if state is None:
-        raise CenteringError("strictly feasible start recipe failed")
-    xs, v = [x.copy() for x in p.primal_start[0]], p.primal_start[1].copy()
-    iterations = fallbacks = 0
-    while (upper := p.tau_bound(xs)) - y[0] > gap_tol * y[0] and \
-            iterations < _MAX_ITER:
-        iterations += 1
-        factors, z = state
-        xls = [chol_pd(x) for x in xs]
-        if any(xl is None for xl in xls):
-            break
-        zls = [f.lower for f in factors]
-        zs = [zl @ zl.T for zl in zls]
-        zinv = [f.inv for f in factors]
-        mu = (sum(np.sum(x * zm) for x, zm in zip(xs, zs)) + v @ z) / b.dim
-        schur = b.kernel_sum([(zi, x) for zi, x in zip(zinv, xs)], v / z)
-        lower = chol_pd(schur)
-        fallbacks += lower is None
-
-        def direction(rhs, tzs, tv):
-            # the step to T (T Z^-1 per cone, T / z) with A(X + dX) = -c
-            dy = solve_chol(lower, rhs) if lower is not None \
-                else solve_pd(schur, rhs)[0]
-            dzs = b.linear(dy)
-            dxs = [tz - x - _sym(x @ dz @ zi)
-                   for tz, x, dz, zi in zip(tzs, xs, dzs, zinv)]
-            dv = tv - v - v * dy[pos] / z
-            return (dy, dzs, dxs, dv), (_max_step(xls, dxs, v, dv),
-                                        _max_step(zls, dzs, z, dy[pos]))
-
-        (dy, dzs, dxs, dv), (alpha, beta) = direction(c, [0.0] * len(xs),
-                                                      0.0)
-        ratio = (sum(np.sum((x + alpha * dx) * (zm + beta * dz))
-                     for x, dx, zm, dz in zip(xs, dxs, zs, dzs))
-                 + (v + alpha * dv) @ (z + beta * dy[pos])) / (mu * b.dim)
-        least = min(alpha, beta)
-        sigma = min(1.0, max(ratio, 0.0) ** max(1.0, 3.0 * least ** 2))
-        tzs = [_sym(sigma * mu * zi - dx @ dz @ zi)
-               for dx, dz, zi in zip(dxs, dzs, zinv)]
-        tv = (sigma * mu - dv * dy[pos]) / z
-        (dy, dzs, dxs, dv), (alpha, beta) = direction(
-            b.adjoint(tzs, tv) + c, tzs, tv)
-        del lower   # free the factor before the next Schur assembly
-        gamma = 0.9 + 0.09 * least
-        if (new_state := b.factor(y + gamma * beta * dy)) is None:
-            break
-        xs = [x + gamma * alpha * dx for x, dx in zip(xs, dxs)]
-        v = v + gamma * alpha * dv
-        y, state = y + gamma * beta * dy, new_state
+    y, xs, iterations, fallbacks = primal_dual_ascent(
+        p.barrier, p.start, *p.primal_start,
+        lambda y, xs: p.tau_bound(xs) - y[0] <= gap_tol * y[0], _MAX_ITER)
+    upper = p.tau_bound(xs)
     report = SolveReport(
         matrix="", method=f"dsdp_{p.side}",
         kappa_before=p.kappa_before, kappa_after=1.0 / y[0],

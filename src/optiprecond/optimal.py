@@ -21,7 +21,6 @@ from .heuristics import (
     SIDE_LEFT,
     SIDE_RIGHT,
     finish_solve,
-    scaled_condition,
 )
 from .linalg import SymMatrix, condition_number, serial_blas
 from .matrixio import RectMatrix, SolveReport
@@ -35,7 +34,7 @@ _IMPROVEMENT_TOL = 1e-3
 
 @dataclass
 class OptimalRequest:
-    """How to solve: method, tolerance, optional warm start.
+    """How to solve: method and tolerance.
 
     epsilon is the relative gap kappa / kappa_lower_bound - 1 at which the
     dsdp routes stop (never below dsdp.GAP_FLOOR) and the bracket width at
@@ -48,7 +47,6 @@ class OptimalRequest:
     # optimal_right reads it: auto | potential_reduction | dsdp
     method: str = "auto"
     epsilon: float = 1e-2
-    warm_start: DiagScaling | None = None
     pr_config: PRConfig | None = None
 
     def __post_init__(self):
@@ -115,12 +113,11 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     Starts from kappa_0 = kappa(A^T A), which is always feasible with the
     all-ones pair as witness, and halves the bracket until its width drops
     below epsilon; a feasible level lowers the upper end to its witness's
-    kappa, and the next level works on A rescaled by that witness. Returns
-    the last witness pair. A warm start (a pair, or a left or right scaling
-    with the other side all ones) replaces kappa_0 and the first witness
-    when it scales A better; one whose lengths do not fit A raises
-    ValueError. An undecided level moves the lower end without proof and
-    makes extra["certified"] False.
+    kappa, and the next level works on A rescaled by that witness. Each
+    level is one primal-dual solve of two_sided_feasibility, which stops at
+    a witness or a Farkas certificate. Returns the last witness pair. An
+    undecided level moves the lower end without proof and makes
+    extra["certified"] False.
     """
     req = req or OptimalRequest()
     t0 = time.perf_counter()
@@ -128,20 +125,8 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     if max(x.shape) > 300:
         raise ValueError("two-sided bisection is limited to max(m, n) <= 300")
     rect = RectMatrix(x)
-    gram = SymMatrix(x.T @ x)
-    kappa_before = kappa0 = condition_number(gram)
+    kappa0 = condition_number(SymMatrix(x.T @ x))
     best_d1, best_d2 = np.ones(x.shape[0]), np.ones(x.shape[1])
-    warm = req.warm_start
-    if warm is not None:
-        if warm.side == SIDE_RIGHT:
-            warm = DiagScaling.pair(best_d1, warm.values)
-        elif warm.side == SIDE_LEFT:
-            warm = DiagScaling.pair(warm.values, best_d2)
-        kappa_warm = scaled_condition(rect, warm)
-        if kappa_warm < kappa0:
-            kappa0 = kappa_warm
-            best_d1, best_d2 = warm.left_values, warm.values
-
     lo, hi = 1.0, kappa0
     kappa_lb = 1.0
     iterations = steps = fallbacks = undecided = 0
@@ -163,7 +148,7 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     bound = math.ceil(math.log2(max((kappa0 - 1.0) / req.epsilon, 1.0))) \
         if kappa0 > 1.0 else 0
     return finish_solve(
-        "bisect_two_sided", t0, a, kappa_before,
+        "bisect_two_sided", t0, a, kappa0,
         DiagScaling.pair(best_d1, best_d2), iterations,
         {"kappa0": kappa0, "bracket": [lo, hi], "iteration_bound": bound,
          "kappa_lower_bound": kappa_lb, "certified_gap": hi / kappa_lb - 1,

@@ -278,6 +278,24 @@ def test_two_sided_found_levels_are_decided():
             assert res.newton_fallbacks == 0
 
 
+def test_level_test_runs_on_the_nonzero_rows():
+    # a zero row forces its multiplier to 0, so the primal start would not
+    # be interior (9 least-squares fallbacks in a bisection); the test
+    # drops the row, decides as without it, and keeps its weight positive
+    a_arr = np.random.default_rng(0).standard_normal((8, 3))
+    a_arr[2] = 0.0
+    for kappa, check in ((2.77, _assert_certificate),
+                         (2.79, _assert_witness)):
+        res = two_sided_feasibility(RectMatrix(a_arr), kappa)
+        check(a_arr, kappa, res)
+        ref = two_sided_feasibility(
+            RectMatrix(np.delete(a_arr, 2, axis=0)), kappa)
+        assert res.newton_steps == ref.newton_steps
+        assert res.newton_fallbacks == 0
+        if res.feasible:
+            assert res.kappa == ref.kappa
+
+
 def _phase_one_two_sided(rng):
     a_arr = rng.standard_normal((6, 4))
     kappa = 2.0 * np.linalg.cond(a_arr.T @ a_arr)
@@ -459,12 +477,23 @@ def test_level_test_inverts_each_cone_once_per_point(monkeypatch):
     monkeypatch.setattr(scipy.linalg.lapack, "dpotri", counted)
     a = read_matrix_market(fixture_path("trefethen_20b"))
     res = two_sided_feasibility(a, 6.24)
-    assert res.verdict == "infeasible" and res.newton_steps > 40
-    # each Newton step inverts the two order-n cones and the two 1x1 band
-    # cones once, the stop test reusing the first two; only the points
-    # where a stage starts or the path stops are inverted by the stop test
-    # alone
+    assert res.verdict == "infeasible" and res.newton_steps >= 10
+    # each iteration inverts the two order-n cones and the two 1x1 band
+    # cones of its dual point once; the stop test reads the primal pair
+    # and inverts nothing
     steps = res.newton_steps
     assert orders.count(1) == 2 * steps
-    cones = len(orders) - orders.count(1)
-    assert 2 * steps <= cones <= 2 * steps + 2 * 15
+    assert orders.count(a.cols) == 2 * steps
+    assert len(orders) == 4 * steps
+
+
+def test_level_test_decides_trefethen_150_at_the_optimum():
+    # both levels lie within 0.02 of the two-sided optimum (about 17.78):
+    # the certificate and the witness must come from near-optimal iterates
+    a = read_matrix_market(fixture_path("trefethen_150"))
+    below = two_sided_feasibility(a, 17.77)
+    _assert_certificate(a.mat, 17.77, below)
+    assert below.newton_fallbacks == 0
+    above = two_sided_feasibility(a, 17.79)
+    _assert_witness(a.mat, 17.79, above)
+    assert above.newton_fallbacks == 0

@@ -11,11 +11,9 @@ from optiprecond import (
     SymMatrix,
     apply_pair,
     condition_number,
-    jacobi_scaling,
     read_matrix_market,
 )
 from optiprecond.fixtures import fixture_path
-from optiprecond.heuristics import DiagScaling
 from optiprecond.optimal import (
     OptimalRequest,
     alternate_two_sided,
@@ -23,7 +21,7 @@ from optiprecond.optimal import (
     optimal_left,
     optimal_right,
 )
-from optiprecond import heuristics, optimal, potential
+from optiprecond import barrier, dsdp, heuristics, optimal, potential
 from optiprecond.dsdp import barrier_path_solve, build_right
 from optiprecond.linalg import _openblas_controls, blas_backend
 from optiprecond.potential import solve_right_pr
@@ -156,40 +154,6 @@ def test_bisect_matches_joint_grid_oracle():
         assert rep.kappa_after >= oracle * (1 - 2e-2) - eps
 
 
-def test_warm_start_never_increases_iterations(rng):
-    for trial in range(5):
-        local = np.random.default_rng(8000 + trial)
-        a_arr = local.standard_normal((4, 3))
-        a = RectMatrix(a_arr)
-        gram = SymMatrix(a_arr.T @ a_arr)
-        cold = bisect_two_sided(a, OptimalRequest(side="two_sided",
-                                                  epsilon=0.05))[1]
-        warm = bisect_two_sided(a, OptimalRequest(
-            side="two_sided", epsilon=0.05,
-            warm_start=jacobi_scaling(gram)))[1]
-        assert warm.iterations <= cold.iterations
-
-
-def test_bisect_starts_from_two_sided_warm_start():
-    # alternation's pair scales trefethen_20b to 6.264, against 921.2 unscaled
-    a = read_matrix_market(fixture_path("trefethen_20b"))
-    pair, alt = alternate_two_sided(a)
-    sc, rep = bisect_two_sided(a, OptimalRequest(warm_start=pair))
-    assert rep.extra["kappa0"] == pytest.approx(alt.kappa_after, rel=1e-9)
-    assert rep.iterations <= 10
-    assert rep.kappa_after <= alt.kappa_after
-    assert rep.kappa_after == pytest.approx(6.245, rel=1e-2)
-
-
-def test_bisect_rejects_warm_start_of_wrong_length():
-    a = RectMatrix(np.random.default_rng(12).standard_normal((5, 3)))
-    for warm in (DiagScaling(np.ones(4)),
-                 DiagScaling(np.ones(4), side="left"),
-                 DiagScaling.pair(np.ones(5), np.ones(4))):
-        with pytest.raises(ValueError):
-            bisect_two_sided(a, OptimalRequest(warm_start=warm))
-
-
 def test_alternate_diagonal_one_round():
     a = RectMatrix(np.diag([4.0, 1.0]))
     sc, rep = alternate_two_sided(a)
@@ -287,10 +251,10 @@ def test_optimal_left_solves_on_nonzero_rows():
     assert rep.extra["certified"]
 
 
-# published two-sided optimum, alternation's kappa, and a third of the
-# Newton steps the max-margin oracle took per bisection (10,232 and 11,256)
-TWO_SIDED = {"trefethen_20b": (6.245, 6.2643, 3410),
-             "trefethen_20": (17.11, 17.136, 3752)}
+# published two-sided optimum, alternation's kappa, and the primal-dual
+# iterations of one bisection (102 and 125) with a quarter of headroom
+TWO_SIDED = {"trefethen_20b": (6.245, 6.2643, 128),
+             "trefethen_20": (17.11, 17.136, 156)}
 
 
 def test_bisect_decides_every_level_with_proof():
@@ -307,6 +271,39 @@ def test_bisect_decides_every_level_with_proof():
         assert hi - lo < 1e-2
         assert hi == pytest.approx(rep.kappa_after, rel=1e-9)
         assert extra["certified_gap"] == hi / lo - 1
+
+
+def test_every_sdp_runs_the_one_primal_dual_loop(monkeypatch):
+    # optimal_left and each two-sided level run barrier.primal_dual_ascent
+    # once, from a strictly feasible primal start, and take every reported
+    # iteration there; no other loop (the compute_center Newton loop, or a
+    # second path follower) runs
+    runs = []
+    real = barrier.primal_dual_ascent
+
+    def counted(b, y, xs, v, done, max_iter):
+        target = np.zeros(b.nvar)
+        target[0] = -1.0
+        assert np.allclose(b.adjoint(xs, v), target, atol=1e-12)
+        assert v.min() > 0 and all(np.linalg.eigvalsh(x)[0] > 0 for x in xs)
+        out = real(b, y, xs, v, done, max_iter)
+        runs.append(out[2])
+        return out
+
+    def refused(*args, **kwargs):
+        raise AssertionError("newton_ascent ran")
+
+    for module in (barrier, dsdp):
+        monkeypatch.setattr(module, "primal_dual_ascent", counted)
+    monkeypatch.setattr(barrier, "newton_ascent", refused)
+    a = _trefethen_20b()
+    _, rep = optimal_left(a)
+    assert runs == [rep.extra["newton_steps"]] and runs[0] > 0
+    runs.clear()
+    res = barrier.two_sided_feasibility(a, 6.24)
+    assert res.verdict == "infeasible"
+    assert runs == [res.newton_steps] and runs[0] > 0
+    assert not hasattr(barrier, "follow_path")
 
 
 def test_bisect_reports_undecided_levels(monkeypatch):
