@@ -7,9 +7,10 @@ helper. The positive-definite kernels are ``chol_pd`` (dpotrf),
 ``inv_from_chol`` and ``inv_pd`` (dpotri), ``solve_pd`` (dposv, least
 squares when not PD), ``solve_chol`` (dpotrs), ``logdet_from_chol``,
 ``max_step_chol`` (the one step-length kernel: dsygst and dsyevx on
-factors the caller already holds), ``sym_pow``, ``proximity_delta`` and
-``geomean_inv``. They take and return plain float64 arrays; ``Factored``
-holds one factor with its inverse, formed at most once.
+factors the caller already holds), ``sym_pow``, ``proximity_delta``,
+``geomean_inv`` and ``scaled_eigh`` (the eigenbasis of D^{-1/2} M
+D^{-1/2}). They take and return plain float64 arrays; ``Factored`` holds
+one factor with its inverse, formed at most once.
 ``serial_blas`` runs a solve on one BLAS thread.
 """
 
@@ -243,8 +244,9 @@ def logcond_subgradient(m: SymMatrix, d) -> np.ndarray:
 
 # Positive-definite kernels shared by every solver. Cholesky (dpotrf)
 # factors, inverts (dpotri) and solves (dposv), eigh runs only for
-# fractional powers and the geometric means of the Nesterov-Todd scalings,
-# and step lengths reduce by factors the caller already holds.
+# fractional powers, the geometric means of the Nesterov-Todd scalings and
+# the scaled Gram's eigenbasis, and step lengths reduce by factors the
+# caller already holds.
 
 
 def chol_pd(a):
@@ -388,3 +390,12 @@ def geomean_inv(a, b):
         raise NotPositiveDefiniteError("second argument is not PD")
     f = (lower @ v) * w ** -0.25
     return f @ f.T
+
+
+def scaled_eigh(m, d):
+    """Eigenpairs of the scaled Gram D^{-1/2} m D^{-1/2} = Q diag(w) Q^T
+    for a positive vector d, from one eigensolve: returns w (ascending) and
+    D^{-1/2} Q."""
+    s = 1.0 / np.sqrt(d)
+    w, q = np.linalg.eigh(s[:, None] * m * s[None, :])
+    return w, s[:, None] * q

@@ -10,12 +10,17 @@ them), centers with barrier.compute_center, and is the production path that
 actually produces diagonal preconditioners.
 
 A state carries the Cholesky factors of its cones R = M - D, S = kappa D - M
-and D (in diagonal mode diag(sqrt d), without LAPACK). An approximate step
-of solve_right_pr makes 5 dpotrf calls (the shifted S, Y and Z in two
-geometric means, the new R and S), 3 dpotri calls (the shifted S, the next
-X and Y) and 2 eigensolves.
-X = R^{-1} holds exactly at every iterate, so U^{-1} = X needs no
-eigensolve. A retried step costs what it made before it failed.
+and D (in diagonal mode diag(sqrt d), without LAPACK); nt_step and
+shift_state work on states.
+
+solve_right_pr's approximate step works in the basis of the scaled Gram
+G = D^{-1/2} M D^{-1/2} = Q diag(gamma) Q^T, where R, S and D become
+Gamma - I, kappa I - Gamma and I. At an iterate X, Y and Z are the exact
+inverses of R, S and D, so the shift, the three NT scalings, the right-hand
+side and the potential are all read from gamma and P = D^{-1/2} Q, and a
+step makes one eigensolve (of G at the new d, which is also its cone
+check), no dpotrf and no dpotri. A retried step costs what it made before
+it failed.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from .barrier import (
 from .heuristics import DiagScaling, SIDE_RIGHT, finish_solve
 from .linalg import (Factored, SymMatrix, NotPositiveDefiniteError, chol_pd,
                      extreme_eigenvalues, geomean_inv, inv_pd,
-                     logdet_from_chol, proximity_delta, serial_blas, solve_pd)
+                     proximity_delta, scaled_eigh, serial_blas, solve_pd)
 from .matrixio import SolveReport
 
 MODE_FULL = "full"
@@ -248,18 +253,77 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
     return new
 
 
+@dataclass(frozen=True)
+class ScaledGram:
+    """A positive d with the eigenpairs of G = D^{-1/2} M D^{-1/2}.
+
+    Holds gamma (ascending) and p = D^{-1/2} Q for G = Q diag(gamma) Q^T,
+    so R = M - D, S = kappa D - M and D are P^{-T} diag(gamma - 1,
+    kappa - gamma, 1) P^{-1}, and their inverses P diag(...)^{-1} P^T.
+    """
+
+    d: np.ndarray
+    gamma: np.ndarray
+    p: np.ndarray
+
+    @classmethod
+    def at(cls, m_arr, d) -> "ScaledGram":
+        return cls(d, *scaled_eigh(m_arr, d))
+
+    def potential(self, kappa: float) -> float:
+        """The barrier value log det R + log det S + sum log d at kappa."""
+        return float(np.sum(np.log(self.gamma - 1.0))
+                     + np.sum(np.log(kappa - self.gamma))
+                     + 3.0 * np.sum(np.log(self.d)))
+
+
+def scaled_nt_step(m_arr, point: ScaledGram, kappa: float,
+                   dk: float) -> ScaledGram:
+    """nt_step(shift_state(state, dk), kappa - dk) in the basis of point.
+
+    state is the diagonal-mode state at point's d and kappa with X, Y and
+    Z the exact inverses of R, S and D. With y = 1/(kappa - gamma), the
+    shifted Y and Z are P diag(y) P^T and P diag(1 + dk y) P^T, and each NT
+    scaling's inverse is P diag(c) P^T for c = 1/(gamma - 1),
+    ((kappa - gamma)(kappa1 - gamma))^{-1/2} and (1 + dk y)^{1/2}. The
+    right-hand side's diagonal is (P o P) r. Returns the ScaledGram at
+    d + delta, whose eigensolve is the cone check: raises StepTooLargeError
+    unless kappa1 = kappa - dk exceeds gamma_max before the step, and
+    d > 0 and 1 < gamma < kappa1 after it.
+    """
+    kappa1 = kappa - dk
+    g, p = point.gamma, point.p
+    if not kappa1 > g[-1]:
+        raise StepTooLargeError(
+            f"shift {dk:.3e} makes S indefinite at kappa={kappa1:.6g}")
+    y = 1.0 / (kappa - g)
+    ui = (p / (g - 1.0)) @ p.T
+    vi = (p / np.sqrt((kappa - g) * (kappa1 - g))) @ p.T
+    wi = (p * np.sqrt(1.0 + dk * y)) @ p.T
+    r = -dk * y + kappa1 * (1.0 / (kappa1 - g) - y)
+    coeff = ui ** 2 + wi ** 2 + kappa1 ** 2 * vi ** 2
+    d = point.d + solve_pd(coeff, (p * p) @ r)[0]
+    if not np.all(d > 0):
+        raise StepTooLargeError("NT step left the cone of D")
+    new = ScaledGram.at(m_arr, d)
+    if not (new.gamma[0] > 1.0 and new.gamma[-1] < kappa1):
+        raise StepTooLargeError(
+            "NT step left the cone; proximity exceeded the step's basin")
+    return new
+
+
 @serial_blas()
 def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
                    mode: str = "approximate") -> tuple[DiagScaling, SolveReport]:
     """Right preconditioner for M = A^T A by potential reduction.
 
     mode='exact' re-centers fully after each kappa decrease; 'approximate'
-    performs exactly one NT Newton step. Starts at kappa = 1.01 kappa(M)
-    from the uniform interior point; terminates on three consecutive outer
-    steps with relative progress below kappa_tol, or after 10,000 steps.
-    Each iterate carries the factors of its cones from the step or the
-    centering that produced it, and the potential (the barrier value) is
-    read from them. ``iterations`` counts outer steps including retried
+    performs exactly one NT Newton step, scaled_nt_step. Starts at kappa =
+    1.01 kappa(M) from the uniform interior point; terminates on three
+    consecutive outer steps with relative progress below kappa_tol, or after
+    10,000 steps. Each iterate carries the eigenpairs of its scaled Gram,
+    from which the step size, the next step and the potential (the barrier
+    value) are read. ``iterations`` counts outer steps including retried
     ones; extra["accepted_steps"] and extra["beta_halvings"] split them.
     """
     if mode not in ("exact", "approximate"):
@@ -272,16 +336,11 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
     kappa = kappa_m * 1.01
     center_tol = 1e-9 * max(1.0, float(np.abs(np.diag(m_arr)).max()))
 
-    def potential(st):
-        # LmiBarrier.value's sum: log det R, log det S, then sum log d
-        return sum([logdet_from_chol(st.fr.lower),
-                    logdet_from_chol(st.fs.lower),
-                    float(np.sum(np.log(np.diag(st.D))))])
-
-    state = _state_from_point(compute_center(
-        m, kappa, initial_feasible_point(m, kappa, spectrum), tol=center_tol))
+    point = ScaledGram.at(m_arr, compute_center(
+        m, kappa, initial_feasible_point(m, kappa, spectrum),
+        tol=center_tol).d)
     beta = config.beta
-    trajectory = [(kappa, potential(state), beta)]
+    trajectory = [(kappa, point.potential(kappa), beta)]
     small_progress = 0
     failed_attempts = 0
     clean_steps = 0
@@ -290,8 +349,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
 
     while iterations < _MAX_OUTER:
         iterations += 1
-        d = np.diag(state.D)
-        dk = beta / float(np.sum(d * np.diag(state.Y)))
+        # beta / Tr(D S^{-1})
+        dk = beta / float(np.sum(1.0 / (kappa - point.gamma)))
         if kappa - dk <= 1.0:
             dk = 0.5 * (kappa - 1.0)
             if dk <= 1e-15 * kappa:
@@ -300,13 +359,11 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
 
         try:
             if mode == "exact":
-                start = BarrierPoint(m, kappa_new, d)
-                new = _state_from_point(compute_center(
-                    m, kappa_new, start, tol=center_tol))
+                start = BarrierPoint(m, kappa_new, point.d)
+                new = ScaledGram.at(m_arr, compute_center(
+                    m, kappa_new, start, tol=center_tol).d)
             else:
-                stepped = nt_step(shift_state(state, dk), kappa_new)
-                new = _state_at(m_arr, kappa_new, stepped.D, MODE_DIAG,
-                                *stepped.factors())
+                new = scaled_nt_step(m_arr, point, kappa, dk)
         except (StepTooLargeError, CenteringError, InfeasiblePointError,
                 NotPositiveDefiniteError):
             beta *= 0.5
@@ -322,8 +379,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
             continue
 
         failed_attempts = 0
-        kappa, state = kappa_new, new
-        trajectory.append((kappa, potential(state), beta))
+        kappa, point = kappa_new, new
+        trajectory.append((kappa, point.potential(kappa), beta))
         clean_steps += 1
         if clean_steps >= 5:
             beta = min(2 * beta, config.beta)
@@ -337,7 +394,7 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
 
     return finish_solve(
         f"potential_reduction_{mode}", t0, m, kappa_m,
-        DiagScaling(np.diag(state.D).copy(), side=SIDE_RIGHT), iterations,
+        DiagScaling(point.d.copy(), side=SIDE_RIGHT), iterations,
         {"kappa_terminal": kappa,
          "accepted_steps": len(trajectory) - 1,
          "beta_halvings": halvings,

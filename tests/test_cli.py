@@ -12,6 +12,7 @@ import optiprecond
 from optiprecond import cli
 from optiprecond.cli import _PRECOND_METHODS, _SUBCOMMANDS, main
 from optiprecond.fixtures import fixture_path
+from test_fixtures import PINNED_RIGHT_PR
 
 SRC = Path(optiprecond.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -112,6 +113,9 @@ def test_precond_optimal_right_fixture(tmp_path, capsys):
     record = json.loads(out)[0]
     assert record["kappa_before"] == pytest.approx(921.2, rel=1e-2)
     assert record["kappa_after"] < record["kappa_before"]
+    assert record["method"] == "optimal_right[potential_reduction]"
+    assert record["kappa_after"] == pytest.approx(
+        PINNED_RIGHT_PR["trefethen_20b"][1], rel=1e-9)
 
 
 def test_precond_epsilon_reaches_the_left_solve(capsys):

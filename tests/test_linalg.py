@@ -20,6 +20,7 @@ from optiprecond.linalg import (
     logdet_from_chol,
     max_step_chol,
     proximity_delta,
+    scaled_eigh,
     serial_blas,
     solve_chol,
     solve_pd,
@@ -165,6 +166,20 @@ def test_geomean_inv_matches_power_formula(n):
         assert np.linalg.norm(u @ u_inv - np.eye(n), ord="fro") <= \
             1e-12 * kappa
 
+
+@pytest.mark.parametrize("n", [1, 6, 40])
+def test_scaled_eigh_diagonalizes_m_and_d_together(n):
+    # P = D^{-1/2} Q puts M and D in one basis: P^T M P = diag(w) with w
+    # the ascending spectrum of D^{-1/2} M D^{-1/2}, and P^T D P = I
+    local = np.random.default_rng(n)
+    m = random_spd(n, local, cond=1e3).mat
+    d = local.uniform(0.1, 10.0, n)
+    w, p = scaled_eigh(m, d)
+    s = 1.0 / np.sqrt(d)
+    assert np.allclose(w, np.linalg.eigvalsh(s[:, None] * m * s[None, :]),
+                       rtol=1e-12, atol=0)
+    assert np.allclose(p.T @ m @ p, np.diag(w), rtol=0, atol=1e-12 * w[-1])
+    assert np.allclose(p.T @ (d[:, None] * p), np.eye(n), rtol=0, atol=1e-12)
 
 @pytest.mark.parametrize("a, b", [
     (np.diag([1.0, -1.0]), np.eye(2)),

@@ -7,8 +7,8 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from optiprecond import SymMatrix, gram_matrix, potential, read_matrix_market
-from optiprecond.barrier import (InfeasiblePointError, barrier_value,
-                                 compute_center)
+from optiprecond.barrier import (BarrierPoint, InfeasiblePointError,
+                                 barrier_value, compute_center)
 from optiprecond.dsdp import build_right, barrier_path_solve
 from optiprecond.fixtures import fixture_path
 from optiprecond.linalg import (NotPositiveDefiniteError, chol_pd, geomean_inv,
@@ -16,10 +16,12 @@ from optiprecond.linalg import (NotPositiveDefiniteError, chol_pd, geomean_inv,
 from optiprecond.potential import (
     MODE_DIAG,
     PRConfig,
+    ScaledGram,
     StagnationError,
     StepTooLargeError,
     delta_kappa,
     nt_step,
+    scaled_nt_step,
     shift_state,
     solve_right_pr,
     state_from_center,
@@ -95,10 +97,16 @@ def _count_lapack(monkeypatch):
     return calls
 
 
-def _shifted_diag_state():
-    m = random_spd(6, np.random.default_rng(3), cond=40.0)
+def _center_and_shift(m):
+    """A diagonal-mode center, the beta = 0.1 shift dk and the shifted state."""
     st = state_from_center(m, 2.0 * np.linalg.cond(m.mat), mode=MODE_DIAG)
-    return shift_state(st, delta_kappa(st, 0.1))
+    dk = delta_kappa(st, 0.1)
+    return st, dk, shift_state(st, dk)
+
+
+def _shifted_diag_state():
+    return _center_and_shift(
+        random_spd(6, np.random.default_rng(3), cond=40.0))[2]
 
 
 def _reference_step_d(st):
@@ -145,6 +153,43 @@ def test_nt_step_takes_u_inverse_from_x_when_x_is_r_inverse(monkeypatch):
         assert np.array_equal(f.lower, chol_pd(cone))
 
 
+@pytest.mark.parametrize("m", [
+    random_spd(6, np.random.default_rng(3), cond=40.0),
+    random_spd(20, np.random.default_rng(20))], ids=["order6", "order20"])
+def test_scaled_nt_step_matches_the_reference_step(m):
+    # the eigenbasis step from a center is nt_step(shift_state(...)): its
+    # D matches the geomean_inv / inv_pd formula, and its potential is the
+    # barrier value at the new point
+    st, dk, sh = _center_and_shift(m)
+    stepped = scaled_nt_step(m.mat, ScaledGram.at(m.mat, np.diag(st.D)),
+                             st.kappa, dk)
+    ref = np.diag(_reference_step_d(sh))
+    assert np.linalg.norm(stepped.d - ref) <= 1e-12 * np.linalg.norm(ref)
+    value = barrier_value(m, BarrierPoint(m, sh.kappa, stepped.d))
+    assert stepped.potential(sh.kappa) == pytest.approx(value, rel=1e-12)
+
+
+def test_scaled_nt_step_rejects_points_outside_the_cones(monkeypatch):
+    # kappa1 <= gamma_max fails before the step; d + delta = t d scales
+    # gamma by 1/t, and a t that leaves d > 0, gamma > 1 or gamma < kappa1
+    # fails after it
+    m = random_spd(6, np.random.default_rng(3), cond=40.0)
+    st, dk, _ = _center_and_shift(m)
+    d = np.diag(st.D)
+    point = ScaledGram.at(m.mat, d)
+    g, kappa1 = point.gamma, st.kappa - dk
+    with pytest.raises(StepTooLargeError, match="indefinite"):
+        scaled_nt_step(m.mat, point, st.kappa,
+                       (1 + 1e-9) * (st.kappa - g[-1]))
+    low, high = 1.01 * g[0], 0.99 * g[-1] / kappa1
+    assert g[-1] / low < kappa1 and g[0] / high > 1
+    for t in (-1.0, low, high):
+        monkeypatch.setattr(potential, "solve_pd",
+                            lambda h, rhs, t=t: ((t - 1.0) * d, True))
+        with pytest.raises(StepTooLargeError, match="left the cone"):
+            scaled_nt_step(m.mat, point, st.kappa, dk)
+
+
 def test_diagonal_factor_is_bit_equal_to_lapack():
     rng = np.random.default_rng(17)
     for n in (1, 20, 150, 200):
@@ -158,34 +203,34 @@ def test_diagonal_factor_is_bit_equal_to_lapack():
 
 
 def test_solve_right_pr_call_budget_per_step(monkeypatch):
-    # per accepted step at most 5 dpotrf, 3 dpotri and 2 eigensolves;
-    # one eigensolve of M gives kappa(M) and the first point, and the
-    # finishing kappa makes the other
+    # an attempted step makes one eigensolve, of the scaled Gram at the new
+    # d, and no dpotrf or dpotri; before the loop one eigensolve of M gives
+    # kappa(M) and the first point and one of the scaled Gram at the center
+    # gives the first basis, and the finishing kappa makes the last
     m = gram_matrix(read_matrix_market(fixture_path("trefethen_20b")))
     calls = _count_lapack(monkeypatch)
     marks = {}
-    shift, finish = potential.shift_state, potential.finish_solve
+    step, finish = potential.scaled_nt_step, potential.finish_solve
 
-    def first_shift(*args):
+    def first_step(*args):
         marks.setdefault("loop", calls.copy())
-        return shift(*args)
+        return step(*args)
 
     def at_finish(*args):
         marks["end"] = calls.copy()
         return finish(*args)
 
-    monkeypatch.setattr(potential, "shift_state", first_shift)
+    monkeypatch.setattr(potential, "scaled_nt_step", first_step)
     monkeypatch.setattr(potential, "finish_solve", at_finish)
     _, report = solve_right_pr(m)
     accepted = report.extra["accepted_steps"]
     assert accepted == report.iterations == 1014
     assert report.extra["beta_halvings"] == 0
     loop = marks["end"] - marks["loop"]
-    assert loop["chol"] <= 5 * accepted
-    assert loop["potri"] <= 3 * accepted
-    assert loop["eig"] <= 2 * accepted
+    assert loop["chol"] == 0 and loop["potri"] == 0
+    assert loop["eig"] == report.iterations
     once = calls - loop
-    assert once["eig"] == 2
+    assert once["eig"] == 3
     assert once["chol"] < 0.1 * accepted and once["potri"] < 0.1 * accepted
 
 
@@ -202,10 +247,10 @@ def test_solve_right_pr_counts_beta_halvings():
 
 def test_solve_right_pr_does_not_retry_programming_errors(monkeypatch):
     # only the errors of a step that left its basin halve beta
-    def broken(state, kappa1):
+    def broken(m_arr, point, kappa, dk):
         raise ValueError("programming error")
 
-    monkeypatch.setattr(potential, "nt_step", broken)
+    monkeypatch.setattr(potential, "scaled_nt_step", broken)
     m = random_spd(3, np.random.default_rng(1), cond=1e3)
     with pytest.raises(ValueError, match="programming error"):
         solve_right_pr(m)
@@ -214,10 +259,10 @@ def test_solve_right_pr_does_not_retry_programming_errors(monkeypatch):
 def test_stagnation_error_names_the_rule_that_stopped_it(monkeypatch):
     # every step fails, so beta halves from its start until it is below
     # 1e-12: 37 failures from 0.1 and 40 from 0.9
-    def fails(state, kappa1):
+    def fails(m_arr, point, kappa, dk):
         raise StepTooLargeError("shifted S left the PSD cone")
 
-    monkeypatch.setattr(potential, "nt_step", fails)
+    monkeypatch.setattr(potential, "scaled_nt_step", fails)
     m = random_spd(3, np.random.default_rng(1), cond=1e3)
     for config, attempts in ((None, 37), (PRConfig(beta=0.9), 40)):
         with pytest.raises(StagnationError, match=(
