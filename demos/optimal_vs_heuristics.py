@@ -3,7 +3,7 @@
 Walks the bundled benchmark matrices and compares the classic heuristics
 (Jacobi, Ruiz equilibration) against the optimal diagonal preconditioners
 computed by the primal-dual one-sided SDP solver and the two-sided
-alternation.
+bisection.
 """
 
 import numpy as np
@@ -17,7 +17,7 @@ from optiprecond import (
     scaled_condition,
 )
 from optiprecond.fixtures import FIXTURE_NAMES, fixture_path
-from optiprecond.optimal import OptimalRequest, alternate_two_sided, optimal_right
+from optiprecond.optimal import OptimalRequest, bisect_two_sided, optimal_right
 
 names = [n for n in FIXTURE_NAMES if n.startswith("trefethen")]
 names += ["gauss_cov_s0", "gauss_cov_s1"]
@@ -31,14 +31,14 @@ for name in names:
     jac = scaled_condition(gram, jacobi_scaling(gram))
     ruiz = scaled_condition(gram, ruiz_equilibrate(gram))
     _, rep = optimal_right(gram, OptimalRequest(method="dsdp"))
-    _, rep2 = alternate_two_sided(a)
+    _, rep2 = bisect_two_sided(a)
     print(f"{name:15s} {base:12.1f} {jac:10.2f} {ruiz:10.2f} "
           f"{rep.kappa_after:10.2f} {rep2.kappa_after:10.2f}")
 
 print()
 print("The optimal column gives the smallest achievable condition number")
 print("over all positive diagonal scalings of the Gram matrix; two-sided")
-print("alternation can go below it by also reweighting rows.")
+print("bisection can go below it by also reweighting rows.")
 
 # a tiny instance where Jacobi actively hurts: heavy off-diagonal coupling
 rng = np.random.default_rng(7)

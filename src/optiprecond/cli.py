@@ -38,7 +38,6 @@ from .matrixio import (
 )
 from .optimal import (
     OptimalRequest,
-    alternate_two_sided,
     bisect_two_sided,
     optimal_left,
     optimal_right,
@@ -68,9 +67,7 @@ _PRECOND_METHODS = {
                       lambda m, req: optimal_right(m, req)),
     "optimal-left": (SIDE_LEFT, False, lambda m, req: optimal_left(m, req)),
     "optimal-two-sided": (SIDE_PAIR, False,
-                          lambda m, req: alternate_two_sided(m, req)),
-    "optimal-two-sided-bisect": (
-        SIDE_PAIR, False, lambda m, req: bisect_two_sided(m, req)),
+                          lambda m, req: bisect_two_sided(m, req)),
 }
 
 
@@ -217,10 +214,11 @@ _FLAGS = {
     "method": dict(default="optimal-right",
                    help=f"one of {', '.join(_PRECOND_METHODS)}"),
     "epsilon": dict(type=float, default=1e-2, help=(
-        "optimal-left and dsdp routes of optimal-right stop at this "
-        "certified relative gap (floor 1e-8), optimal-two-sided-bisect at "
-        "this bracket width; potential reduction, the optimal-right route "
-        "for n <= 200, stops on its kappa_tol instead")),
+        "optimal-left, optimal-two-sided and the dsdp route of "
+        "optimal-right stop at this certified relative gap "
+        "kappa / kappa_lower_bound - 1 (dsdp's floor 1e-8); potential "
+        "reduction, the optimal-right route for n <= 200, stops on its "
+        "kappa_tol instead")),
     "cap": dict(type=float, help="regularize the Gram matrix to kappa <= CAP"),
     "seed": dict(type=int, default=0),
     "ratios": dict(default="1.0"),

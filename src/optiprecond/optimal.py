@@ -37,8 +37,9 @@ class OptimalRequest:
     """How to solve: method and tolerance.
 
     epsilon is the relative gap kappa / kappa_lower_bound - 1 at which the
-    dsdp routes stop (never below dsdp.GAP_FLOOR) and the bracket width at
-    which bisection stops; potential reduction stops on its own kappa_tol.
+    dsdp routes stop (never below dsdp.GAP_FLOOR) and at which bisection
+    stops (hi / lo - 1 < epsilon); potential reduction stops on its own
+    kappa_tol.
     """
 
     # read by no solver; stays only because perfbench/workloads.py::_request
@@ -111,26 +112,25 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     """Bisection on kappa over the two-sided SDP feasibility oracle.
 
     Starts from kappa_0 = kappa(A^T A), which is always feasible with the
-    all-ones pair as witness, and halves the bracket until its width drops
-    below epsilon; a feasible level lowers the upper end to its witness's
-    kappa, and the next level works on A rescaled by that witness. Each
-    level is one primal-dual solve of two_sided_feasibility, which stops at
-    a witness or a Farkas certificate. Returns the last witness pair. An
-    undecided level moves the lower end without proof and makes
-    extra["certified"] False.
+    all-ones pair as witness, and halves the bracket [lo, hi] until its
+    relative gap hi / lo - 1 drops below epsilon, so a certified pair has
+    kappa <= (1 + epsilon) * kappa_lower_bound; a feasible level lowers the
+    upper end to its witness's kappa, and the next level works on A
+    rescaled by that witness. Each level is one primal-dual solve of
+    two_sided_feasibility, which stops at a witness or a Farkas
+    certificate. Returns the last witness pair. An undecided level moves
+    the lower end without proof and makes extra["certified"] False.
     """
     req = req or OptimalRequest()
     t0 = time.perf_counter()
     x = a.tall()
-    if max(x.shape) > 300:
-        raise ValueError("two-sided bisection is limited to max(m, n) <= 300")
     rect = RectMatrix(x)
     kappa0 = condition_number(SymMatrix(x.T @ x))
     best_d1, best_d2 = np.ones(x.shape[0]), np.ones(x.shape[1])
     lo, hi = 1.0, kappa0
     kappa_lb = 1.0
     iterations = steps = fallbacks = undecided = 0
-    while hi - lo >= req.epsilon:
+    while hi / lo - 1 >= req.epsilon:
         iterations += 1
         mid = 0.5 * (lo + hi)
         res = two_sided_feasibility(rect, mid, (best_d1, best_d2))
@@ -152,7 +152,8 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
         DiagScaling.pair(best_d1, best_d2), iterations,
         {"kappa0": kappa0, "bracket": [lo, hi], "iteration_bound": bound,
          "kappa_lower_bound": kappa_lb, "certified_gap": hi / kappa_lb - 1,
-         "certified": undecided == 0, "undecided_levels": undecided,
+         "gap_tolerance": req.epsilon, "certified": undecided == 0,
+         "undecided_levels": undecided,
          "newton_steps": steps, "newton_fallbacks": fallbacks})
 
 
@@ -165,7 +166,9 @@ def alternate_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     steps the right problem, accumulating the scalings. Any fixed point
     solves the two-sided problem; each one-sided solve can only improve or
     hold the condition number. Each one-sided solve runs to the gap
-    dsdp.GAP_FLOOR; nothing in ``req`` changes this solve.
+    dsdp.GAP_FLOOR; nothing in ``req`` changes this solve. The fixed point
+    carries no certificate, and the CLI runs bisect_two_sided instead; this
+    function stays only because perfbench/workloads.py calls it.
     """
     t0 = time.perf_counter()
     x = a.tall()

@@ -205,7 +205,7 @@ def test_criterion_3_brute_force_oracles():
             if np.linalg.cond(a_arr.T @ a_arr) > 1e4:
                 continue
             oracle = grid_optimal_two_sided_3x3(a_arr)
-            eps = max(1e-2, 1e-2 * oracle)
+            eps = 1e-2
             _, rep = bisect_two_sided(
                 RectMatrix(a_arr),
                 OptimalRequest(side="two_sided", epsilon=eps))

@@ -82,12 +82,14 @@ def test_precond_jacobi_diagonal(tmp_path, capsys):
     assert record["kappa_after"] == pytest.approx(1.0, abs=1e-9)
 
 
-@pytest.mark.parametrize("method", ["sorcery", "subgrad"])
+@pytest.mark.parametrize("method", ["sorcery", "subgrad",
+                                    "optimal-two-sided-bisect"])
 def test_precond_unknown_method_exit_2(method, tmp_path, capsys):
     path = write_mtx(tmp_path, [1.0])
     code, out, err = run_cli(
         ["precond", "--input", str(path), "--method", method], capsys)
     assert code == 2
+    assert "method must be one of" in err
 
 
 def test_precond_emit_and_apply_roundtrip(tmp_path, capsys):
@@ -237,8 +239,7 @@ def test_precond_singular_gram_exit_3(tmp_path, capsys):
     np.savetxt(paths[1], repeat, delimiter=",")
     np.savetxt(paths[2], noisy, delimiter=",")
     for path in paths:
-        for method in ("optimal-right", "optimal-left", "optimal-two-sided",
-                       "optimal-two-sided-bisect"):
+        for method in ("optimal-right", "optimal-left", "optimal-two-sided"):
             code, out, err = run_cli(
                 ["precond", "--input", str(path), "--method", method],
                 capsys)
@@ -282,14 +283,16 @@ def test_out_file_written(tmp_path, capsys):
 
 
 def test_precond_side_selects_two_sided_solver(tmp_path, capsys):
+    # optimal-two-sided runs the certified bisection
     path = write_mtx(tmp_path, [4.0, 1.0])
-    methods = []
-    for method in ("optimal-two-sided", "optimal-two-sided-bisect"):
-        code, out, err = run_cli(
-            ["precond", "--input", str(path), "--method", method], capsys)
-        assert code == 0
-        methods.append(json.loads(out)[0]["method"])
-    assert methods == ["alternate_two_sided", "bisect_two_sided"]
+    code, out, err = run_cli(
+        ["precond", "--input", str(path), "--method", "optimal-two-sided"],
+        capsys)
+    assert code == 0
+    report = json.loads(out)[0]
+    assert report["method"] == "bisect_two_sided"
+    assert report["extra"]["certified"]
+    assert report["extra"]["gap_tolerance"] == 1e-2
 
 
 _REPORTED_METHOD = {
@@ -298,8 +301,7 @@ _REPORTED_METHOD = {
     "ruiz": "ruiz",
     "optimal-right": "optimal_right[potential_reduction]",
     "optimal-left": "optimal_left[dsdp]",
-    "optimal-two-sided": "alternate_two_sided",
-    "optimal-two-sided-bisect": "bisect_two_sided",
+    "optimal-two-sided": "bisect_two_sided",
 }
 
 
@@ -343,15 +345,14 @@ def test_precond_emit_scaling_refuses_before_solving(tmp_path, capsys,
     monkeypatch.setattr(cli, "_load_matrix", must_not_run)
     code, out, err = run_cli(
         ["precond", "--input", str(fixture_path("trefethen_20")),
-         "--method", "optimal-two-sided-bisect",
+         "--method", "optimal-two-sided",
          "--emit-scaling", str(tmp_path / "scaling.csv")], capsys)
     assert code == 2
     assert "--emit-scaling" in err
 
 
 @pytest.mark.parametrize("method", ["colnorm", "optimal-left",
-                                    "optimal-two-sided",
-                                    "optimal-two-sided-bisect"])
+                                    "optimal-two-sided"])
 def test_precond_cap_refused_for_rectangular_methods(method, capsys,
                                                       monkeypatch):
     # --cap regularizes the Gram matrix, which these methods never read

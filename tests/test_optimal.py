@@ -187,17 +187,22 @@ def test_alternate_upper_bounds_bisection():
         local = np.random.default_rng(60 + trial)
         a_arr = local.standard_normal((3, 3))
         a = RectMatrix(a_arr)
-        eps = 0.05
         _, rep_b = bisect_two_sided(a, OptimalRequest(side="two_sided",
-                                                      epsilon=eps))
+                                                      epsilon=0.05))
         _, rep_a = alternate_two_sided(a)
-        assert rep_a.kappa_after >= rep_b.kappa_after - eps - \
-            1e-2 * rep_b.kappa_after
+        assert rep_b.extra["certified"]
+        assert rep_a.kappa_after >= rep_b.extra["kappa_lower_bound"]
 
 
-def test_bisect_rejects_oversized():
-    with pytest.raises(ValueError):
-        bisect_two_sided(RectMatrix(np.eye(301)))
+def test_bisect_certifies_400_row_design():
+    # no size cap: the 400x40 design is decided at every level
+    _, rep = bisect_two_sided(read_matrix_market(fixture_path("gauss_cov_s0")),
+                              OptimalRequest(epsilon=1e-2))
+    extra = rep.extra
+    assert extra["undecided_levels"] == 0 and extra["certified"]
+    lo, hi = extra["bracket"]
+    assert hi / lo - 1 < 1e-2
+    assert extra["kappa_lower_bound"] == lo <= rep.kappa_after
 
 
 def test_pair_kappa_matches_apply(rng):
@@ -252,9 +257,10 @@ def test_optimal_left_solves_on_nonzero_rows():
 
 
 # published two-sided optimum, alternation's kappa, and the primal-dual
-# iterations of one bisection (102 and 125) with a quarter of headroom
-TWO_SIDED = {"trefethen_20b": (6.245, 6.2643, 128),
-             "trefethen_20": (17.11, 17.136, 156)}
+# iterations of one bisection at epsilon 1e-2 (64 and 69) with a quarter of
+# headroom
+TWO_SIDED = {"trefethen_20b": (6.245, 6.2643, 80),
+             "trefethen_20": (17.11, 17.136, 86)}
 
 
 def test_bisect_decides_every_level_with_proof():
@@ -268,7 +274,8 @@ def test_bisect_decides_every_level_with_proof():
         assert rep.kappa_after <= alternation, name
         lo, hi = extra["bracket"]
         assert extra["kappa_lower_bound"] == lo <= rep.kappa_after
-        assert hi - lo < 1e-2
+        assert hi / lo - 1 < 1e-2
+        assert rep.iterations == 7, name
         assert hi == pytest.approx(rep.kappa_after, rel=1e-9)
         assert extra["certified_gap"] == hi / lo - 1
 
