@@ -42,7 +42,6 @@ from .optimal import (
     optimal_left,
     optimal_right,
 )
-from .potential import StagnationError
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -52,7 +51,7 @@ EXIT_INTERNAL = 4
 _INPUT_ERRORS = (MatrixMarketError, FileNotFoundError, IsADirectoryError,
                  PermissionError, ValueError, KeyError)
 _SOLVER_ERRORS = (NotPositiveDefiniteError, InfeasiblePointError,
-                  CenteringError, StagnationError, PcgBreakdownError)
+                  CenteringError, PcgBreakdownError)
 
 # Each precond method: the side of the scaling it returns, whether it solves
 # on the Gram matrix (which --cap regularizes) or on the rectangular input,
@@ -63,8 +62,8 @@ _PRECOND_METHODS = {
     "colnorm": (SIDE_RIGHT, False, lambda m, req: (
         column_norm_scaling(RectMatrix(m.tall())), None)),
     "ruiz": (SIDE_RIGHT, True, lambda m, req: (ruiz_equilibrate(m), None)),
-    "optimal-right": (SIDE_RIGHT, True,
-                      lambda m, req: optimal_right(m, req)),
+    "optimal-right": (SIDE_RIGHT, True, lambda m, req: optimal_right(
+        m, OptimalRequest(method="dsdp", epsilon=req.epsilon))),
     "optimal-left": (SIDE_LEFT, False, lambda m, req: optimal_left(m, req)),
     "optimal-two-sided": (SIDE_PAIR, False,
                           lambda m, req: bisect_two_sided(m, req)),
@@ -214,11 +213,9 @@ _FLAGS = {
     "method": dict(default="optimal-right",
                    help=f"one of {', '.join(_PRECOND_METHODS)}"),
     "epsilon": dict(type=float, default=1e-2, help=(
-        "optimal-left, optimal-two-sided and the dsdp route of "
-        "optimal-right stop at this certified relative gap "
-        "kappa / kappa_lower_bound - 1 (dsdp's floor 1e-8); potential "
-        "reduction, the optimal-right route for n <= 200, stops on its "
-        "kappa_tol instead")),
+        "optimal-right, optimal-left and optimal-two-sided stop at this "
+        "certified relative gap kappa / kappa_lower_bound - 1 (dsdp's "
+        "floor 1e-8)")),
     "cap": dict(type=float, help="regularize the Gram matrix to kappa <= CAP"),
     "seed": dict(type=int, default=0),
     "ratios": dict(default="1.0"),

@@ -277,9 +277,9 @@ class Factored:
 
     __slots__ = ("lower", "_inv")
 
-    def __init__(self, lower, inv=None):
+    def __init__(self, lower):
         self.lower = lower
-        self._inv = inv
+        self._inv = None
 
     @classmethod
     def of(cls, a, name="matrix"):
@@ -287,14 +287,6 @@ class Factored:
         if lower is None:
             raise NotPositiveDefiniteError(f"{name} is not numerically PD")
         return cls(lower)
-
-    @classmethod
-    def diagonal(cls, d):
-        """diag(d) as diag(sqrt d) with inverse diag((1/sqrt d)^2): without
-        LAPACK, and bit-equal to chol_pd and inv_from_chol."""
-        if not np.all(d > 0):
-            raise NotPositiveDefiniteError("D is not numerically PD")
-        return cls(np.diag(np.sqrt(d)), np.diag((1.0 / np.sqrt(d)) ** 2))
 
     @property
     def inv(self) -> np.ndarray:

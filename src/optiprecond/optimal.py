@@ -24,7 +24,7 @@ from .heuristics import (
 )
 from .linalg import SymMatrix, condition_number, serial_blas
 from .matrixio import RectMatrix, SolveReport
-from .potential import PRConfig, solve_right_pr
+from .potential import solve_right_pr
 
 # Alternation stops after 20 rounds, or once a round improves kappa by less
 # than 0.1 %.
@@ -38,8 +38,9 @@ class OptimalRequest:
 
     epsilon is the relative gap kappa / kappa_lower_bound - 1 at which the
     dsdp routes stop (never below dsdp.GAP_FLOOR) and at which bisection
-    stops (hi / lo - 1 < epsilon); potential reduction stops on its own
-    kappa_tol.
+    stops (hi / lo - 1 < epsilon). optimal_right's potential-reduction
+    route ignores it: it runs at PRConfig's defaults and stops on their
+    kappa_tol; solve_right_pr(m, config) takes another PRConfig.
     """
 
     # read by no solver; stays only because perfbench/workloads.py::_request
@@ -48,7 +49,6 @@ class OptimalRequest:
     # optimal_right reads it: auto | potential_reduction | dsdp
     method: str = "auto"
     epsilon: float = 1e-2
-    pr_config: PRConfig | None = None
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -70,7 +70,7 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
     if method == "auto":
         method = "potential_reduction" if m.order <= 200 else "dsdp"
     if method == "potential_reduction":
-        scaling, report = solve_right_pr(m, req.pr_config)
+        scaling, report = solve_right_pr(m)
         report.method = "optimal_right[potential_reduction]"
         return scaling, report
     if method != "dsdp":

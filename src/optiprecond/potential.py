@@ -1,26 +1,21 @@
 """Potential reduction interior point solvers with Nesterov-Todd steps.
 
-Two modes share the machinery. Full-matrix mode lets the scaling variable be
-any symmetric PD matrix, for which the center identity Z + kappa Y = X and
-the Newton-step proximity contraction hold verbatim; it exists so those
-statements can be tested directly. Its analytic center has a closed form,
-D = t(kappa) M, so it needs no centering solve. Diagonal-restricted mode
-constrains the step to diagonal coordinates (projecting the NT operator onto
-them), centers with barrier.compute_center, and is the production path that
-actually produces diagonal preconditioners.
+CenterState is the one state type: the full-matrix state, in which the
+scaling variable may be any symmetric PD matrix. There the center identity
+Z + kappa Y = X and the Newton-step proximity contraction hold verbatim, so
+nt_step and shift_state exist to test those statements directly. Its
+analytic center has a closed form, D = t(kappa) M, so it needs no centering
+solve.
 
-A state carries the Cholesky factors of its cones R = M - D, S = kappa D - M
-and D (in diagonal mode diag(sqrt d), without LAPACK); nt_step and
-shift_state work on states.
-
-solve_right_pr's approximate step works in the basis of the scaled Gram
-G = D^{-1/2} M D^{-1/2} = Q diag(gamma) Q^T, where R, S and D become
-Gamma - I, kappa I - Gamma and I. At an iterate X, Y and Z are the exact
-inverses of R, S and D, so the shift, the three NT scalings, the right-hand
-side and the potential are all read from gamma and P = D^{-1/2} Q, and a
-step makes one eigensolve (of G at the new d, which is also its cone
-check), no dpotrf and no dpotri. A retried step costs what it made before
-it failed.
+solve_right_pr produces diagonal preconditioners. It keeps D diagonal,
+centers once with barrier.compute_center and steps in the basis of the
+scaled Gram G = D^{-1/2} M D^{-1/2} = Q diag(gamma) Q^T, where R, S and D
+become Gamma - I, kappa I - Gamma and I. At an iterate X, Y and Z are the
+exact inverses of R, S and D, so the shift, the three NT scalings, the
+right-hand side and the potential are all read from gamma and
+P = D^{-1/2} Q, and a step makes one eigensolve (of G at the new d, which is
+also its cone check), no dpotrf and no dpotri. A retried step costs what it
+made before it failed.
 """
 
 from __future__ import annotations
@@ -38,21 +33,14 @@ from .barrier import (
     initial_feasible_point,
 )
 from .heuristics import DiagScaling, SIDE_RIGHT, finish_solve
-from .linalg import (Factored, SymMatrix, NotPositiveDefiniteError, chol_pd,
+from .linalg import (SymMatrix, NotPositiveDefiniteError, chol_pd,
                      extreme_eigenvalues, geomean_inv, inv_pd,
                      proximity_delta, scaled_eigh, serial_blas, solve_pd)
 from .matrixio import SolveReport
 
-MODE_FULL = "full"
-MODE_DIAG = "diag"
-
 _MAX_OUTER = 10000   # outer steps of solve_right_pr
 _BETA_MIN = 1e-12    # at most 40 failed steps in a row halve beta < 1 below it
-
-# state_from_center's diagonal mode centers to a gradient of 1e-11;
-# validate allows 1e-8.
-_CENTER_TOL = 1e-11
-_VALIDATE_RTOL = 1e-8
+_VALIDATE_RTOL = 1e-8  # CenterState.validate's relative slack
 
 
 class StepTooLargeError(RuntimeError):
@@ -83,10 +71,8 @@ class PRConfig:
 class CenterState:
     """Interior-point state (R, S, D, X, Y, Z, kappa) with proximities.
 
-    Maintains S = kappa D - M and the linear identity Z + kappa Y = X; in
-    diagonal-restricted mode D stays diagonal and the identity's diagonal
-    projection is the barrier gradient. fr, fs and fd are the Factored
-    R, S and D where the state knows them; factors() forms the others.
+    Maintains S = kappa D - M and the linear identity Z + kappa Y = X, with
+    D any symmetric matrix.
     """
 
     m: np.ndarray
@@ -95,10 +81,6 @@ class CenterState:
     X: np.ndarray
     Y: np.ndarray
     Z: np.ndarray
-    mode: str = MODE_FULL
-    fr: Factored | None = None
-    fs: Factored | None = None
-    fd: Factored | None = None
 
     @property
     def R(self) -> np.ndarray:
@@ -108,18 +90,6 @@ class CenterState:
     def S(self) -> np.ndarray:
         return self.kappa * self.D - self.m
 
-    def factors(self) -> tuple[Factored, Factored, Factored]:
-        """Factored R, S and D; raises NotPositiveDefiniteError if one is
-        not numerically PD. Factors formed here are kept."""
-        if self.fr is None:
-            self.fr = Factored.of(self.R, "R")
-        if self.fs is None:
-            self.fs = Factored.of(self.S, "S")
-        if self.fd is None:
-            self.fd = (Factored.diagonal(np.diag(self.D))
-                       if self.mode == MODE_DIAG else Factored.of(self.D, "D"))
-        return self.fr, self.fs, self.fd
-
     def deltas(self):
         """(delta_RX, delta_SY, delta_DZ)."""
         return (proximity_delta(self.X, self.R),
@@ -127,11 +97,9 @@ class CenterState:
                 proximity_delta(self.Z, self.D))
 
     def identity_residual(self) -> float:
-        """Relative residual of Z + kappa Y = X (full) or its diagonal."""
+        """Relative residual of Z + kappa Y = X."""
         res = self.Z + self.kappa * self.Y - self.X
         scale = max(np.linalg.norm(self.X, ord="fro"), 1e-300)
-        if self.mode == MODE_DIAG:
-            return float(np.linalg.norm(np.diag(res)) / scale)
         return float(np.linalg.norm(res, ord="fro") / scale)
 
     def validate(self):
@@ -143,8 +111,7 @@ class CenterState:
             raise ValueError("linear identity Z + kappa Y = X violated")
 
 
-def state_from_center(m: SymMatrix, kappa: float,
-                      mode: str = MODE_FULL) -> CenterState:
+def state_from_center(m: SymMatrix, kappa: float) -> CenterState:
     """Exact-center CenterState with X, Y, Z set to the true inverses.
 
     The full-matrix center is D = t M: there the gradient -(M - D)^{-1} +
@@ -153,31 +120,13 @@ def state_from_center(m: SymMatrix, kappa: float,
     The full problem is feasible exactly when kappa > 1.
     """
     kappa = float(kappa)
-    if mode != MODE_FULL:
-        return _state_from_point(compute_center(
-            m, kappa, initial_feasible_point(m, kappa), tol=_CENTER_TOL), mode)
     if kappa <= 1.0:
         raise InfeasiblePointError(f"kappa={kappa:.6g} must exceed 1")
     t = (kappa + 1 + np.sqrt(kappa ** 2 - kappa + 1)) / (3 * kappa)
-    return _state_at(m.mat, kappa, t * m.mat, mode)
-
-
-def _state_at(m_arr, kappa, d_mat, mode, fr=None, fs=None, fd=None):
-    """CenterState at D with X, Y, Z set to the inverses of R, S and D.
-
-    Each inverse comes from the cone's Factored, which is formed here
-    unless given.
-    """
-    state = CenterState(m=m_arr, kappa=kappa, D=d_mat, X=None, Y=None,
-                        Z=None, mode=mode, fr=fr, fs=fs, fd=fd)
-    fr, fs, fd = state.factors()
-    state.X, state.Y, state.Z = fr.inv, fs.inv, fd.inv
-    return state
-
-
-def _state_from_point(bp: BarrierPoint, mode=MODE_DIAG) -> CenterState:
-    """CenterState at a barrier point, reusing its Factored R and S."""
-    return _state_at(bp.m.mat, bp.kappa, np.diag(bp.d), mode, *bp.state[0])
+    m_arr = m.mat
+    d_mat = t * m_arr
+    return CenterState(m=m_arr, kappa=kappa, D=d_mat, X=inv_pd(m_arr - d_mat),
+                       Y=inv_pd(kappa * d_mat - m_arr), Z=inv_pd(d_mat))
 
 
 def delta_kappa(state: CenterState, beta: float) -> float:
@@ -188,54 +137,43 @@ def delta_kappa(state: CenterState, beta: float) -> float:
 def shift_state(state: CenterState, dk: float) -> CenterState:
     """Move to kappa - dk, shifting S directly and Z by dk * Y.
 
-    Keeps R, D, X, Y, the linear identity and the factors of R and D, and
-    carries the shifted S's factor; raises StepTooLargeError when the
-    shifted S leaves the PSD cone (callers halve beta).
+    Keeps R, D, X, Y and the linear identity; raises StepTooLargeError when
+    the shifted S leaves the PSD cone (callers halve beta).
     """
     kappa1 = state.kappa - dk
-    s_lower = chol_pd(kappa1 * state.D - state.m)
-    if s_lower is None:
+    if chol_pd(kappa1 * state.D - state.m) is None:
         raise StepTooLargeError(
             f"shift {dk:.3e} makes S indefinite at kappa={kappa1:.6g}")
     return CenterState(m=state.m, kappa=kappa1, D=state.D.copy(),
                        X=state.X.copy(), Y=state.Y.copy(),
-                       Z=state.Z + dk * state.Y, mode=state.mode,
-                       fr=state.fr, fs=Factored(s_lower), fd=state.fd)
+                       Z=state.Z + dk * state.Y)
 
 
 def nt_step(state: CenterState, kappa1: float) -> CenterState:
     """One Newton step with Nesterov-Todd scalings toward the kappa1 center.
 
     Solves the coupled system for the D increment (with Delta R = -Delta D,
-    Delta S = kappa1 Delta D, Delta X = Delta Z + kappa1 Delta Y), projected
-    onto diagonal coordinates in diagonal-restricted mode. The NT scalings
-    U = R # X^{-1}, V = S # Y^{-1} and W = D # Z^{-1} (so U X U = R) enter
-    only through their inverses, U^{-1} = X # R^{-1} and likewise, which
-    geomean_inv forms directly; when X is exactly R^{-1}, U^{-1} is X.
-    R^{-1}, S^{-1} and D^{-1} come from the state's factors, and the
-    returned state carries the factors of its own R, S and D.
+    Delta S = kappa1 Delta D, Delta X = Delta Z + kappa1 Delta Y). The NT
+    scalings U = R # X^{-1}, V = S # Y^{-1} and W = D # Z^{-1} (so U X U = R)
+    enter only through their inverses, U^{-1} = X # R^{-1} and likewise,
+    which geomean_inv forms directly. R^{-1}, S^{-1} and D^{-1} come from
+    inv_pd; raises StepTooLargeError when the new R, S or D is not PD.
     """
     if abs(kappa1 - state.kappa) > 1e-9 * max(1.0, abs(state.kappa)):
         raise ValueError("state must already be feasible at kappa1; "
                          "apply shift_state first")
     n = state.D.shape[0]
-    fr, fs, fd = state.factors()
-    z_rhs = fd.inv - state.Z
-    y_rhs = fs.inv - state.Y
-    x_rhs = fr.inv - state.X
+    z_rhs = inv_pd(state.D) - state.Z
+    y_rhs = inv_pd(state.S) - state.Y
+    x_rhs = inv_pd(state.R) - state.X
     rhs = z_rhs + kappa1 * y_rhs - x_rhs
-    ui = state.X if not np.any(x_rhs) else geomean_inv(state.X, state.R)
+    ui = geomean_inv(state.X, state.R)
     vi = geomean_inv(state.Y, state.S)
     wi = geomean_inv(state.Z, state.D)
 
-    if state.mode == MODE_DIAG:
-        coeff = ui ** 2 + wi ** 2 + kappa1 ** 2 * vi ** 2
-        delta_d = np.diag(solve_pd(coeff, np.diag(rhs))[0])
-    else:
-        op = (np.kron(ui, ui) + np.kron(wi, wi)
-              + kappa1 ** 2 * np.kron(vi, vi))
-        delta_d = solve_pd(op, rhs.reshape(-1))[0].reshape(n, n)
-        delta_d = 0.5 * (delta_d + delta_d.T)
+    op = np.kron(ui, ui) + np.kron(wi, wi) + kappa1 ** 2 * np.kron(vi, vi)
+    delta_d = solve_pd(op, rhs.reshape(-1))[0].reshape(n, n)
+    delta_d = 0.5 * (delta_d + delta_d.T)
 
     delta_z = z_rhs - wi @ delta_d @ wi
     delta_y = y_rhs - kappa1 * (vi @ delta_d @ vi)
@@ -243,13 +181,10 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
 
     new = CenterState(m=state.m, kappa=kappa1, D=state.D + delta_d,
                       X=state.X + delta_x, Y=state.Y + delta_y,
-                      Z=state.Z + delta_z, mode=state.mode)
-    try:
-        new.factors()
-    except NotPositiveDefiniteError:
+                      Z=state.Z + delta_z)
+    if any(chol_pd(cone) is None for cone in (new.R, new.S, new.D)):
         raise StepTooLargeError(
-            "NT step left the cone; proximity exceeded the step's basin"
-        ) from None
+            "NT step left the cone; proximity exceeded the step's basin")
     return new
 
 
@@ -279,16 +214,17 @@ class ScaledGram:
 
 def scaled_nt_step(m_arr, point: ScaledGram, kappa: float,
                    dk: float) -> ScaledGram:
-    """nt_step(shift_state(state, dk), kappa - dk) in the basis of point.
+    """The NT step to kappa1 = kappa - dk over diagonal D, in point's basis.
 
-    state is the diagonal-mode state at point's d and kappa with X, Y and
-    Z the exact inverses of R, S and D. With y = 1/(kappa - gamma), the
-    shifted Y and Z are P diag(y) P^T and P diag(1 + dk y) P^T, and each NT
-    scaling's inverse is P diag(c) P^T for c = 1/(gamma - 1),
-    ((kappa - gamma)(kappa1 - gamma))^{-1/2} and (1 + dk y)^{1/2}. The
-    right-hand side's diagonal is (P o P) r. Returns the ScaledGram at
-    d + delta, whose eigensolve is the cone check: raises StepTooLargeError
-    unless kappa1 = kappa - dk exceeds gamma_max before the step, and
+    It is nt_step's system with the D increment projected onto diagonal
+    coordinates, taken after shift_state's shift from the point at d and
+    kappa whose X, Y and Z are the exact inverses of R, S and D. With
+    y = 1/(kappa - gamma), the shifted Y and Z are P diag(y) P^T and
+    P diag(1 + dk y) P^T, and each NT scaling's inverse is P diag(c) P^T for
+    c = 1/(gamma - 1), ((kappa - gamma)(kappa1 - gamma))^{-1/2} and
+    (1 + dk y)^{1/2}. The right-hand side's diagonal is (P o P) r. Returns
+    the ScaledGram at d + delta, whose eigensolve is the cone check: raises
+    StepTooLargeError unless kappa1 exceeds gamma_max before the step, and
     d > 0 and 1 < gamma < kappa1 after it.
     """
     kappa1 = kappa - dk

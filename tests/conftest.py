@@ -100,7 +100,7 @@ def perturbed_center_state(m, kappa, delta_target, rng):
     the first-order-condition residual) and adds dual-side noise, keeping
     the linear identity Z + kappa Y = X exact throughout.
     """
-    st = state_from_center(m, kappa, mode="full")
+    st = state_from_center(m, kappa)
     n = st.D.shape[0]
     e_dir = random_sym(n, rng)
     e_dir /= np.linalg.norm(e_dir, ord="fro")
@@ -117,8 +117,7 @@ def perturbed_center_state(m, kappa, delta_target, rng):
         y = sym_pow(s, -1.0)
         z = sym_pow(d_new, -1.0)
         x = z + kappa * y
-        return CenterState(m=m.mat, kappa=kappa, D=d_new, X=x, Y=y, Z=z,
-                           mode="full")
+        return CenterState(m=m.mat, kappa=kappa, D=d_new, X=x, Y=y, Z=z)
 
     # bisect the D-shift so the FOC residual contributes ~60% of the target
     lo, hi = 0.0, 1.0
@@ -145,8 +144,7 @@ def perturbed_center_state(m, kappa, delta_target, rng):
         y = base.Y + u * p_unit
         z = base.Z + u * q_unit
         x = z + kappa * y
-        return CenterState(m=m.mat, kappa=kappa, D=base.D, X=x, Y=y, Z=z,
-                           mode="full")
+        return CenterState(m=m.mat, kappa=kappa, D=base.D, X=x, Y=y, Z=z)
 
     lo_u, hi_u = 0.0, 1.0
     while max(with_noise(hi_u).deltas()) < delta_target and hi_u < 1e6:

@@ -185,15 +185,13 @@ def test_criterion_3_brute_force_oracles():
             local = np.random.default_rng(100 + trial)
             m = random_spd(2, local, cond=float(local.uniform(2, 1e3)))
             oracle = grid_optimal_right(m.mat, levels=20001, rounds=2)
-            _, rep = optimal_right(m, OptimalRequest(
-                method="potential_reduction", pr_config=config))
+            _, rep = solve_right_pr(m, config)
             assert rep.kappa_after == pytest.approx(oracle, rel=1e-3)
         for trial in range(20):
             local = np.random.default_rng(300 + trial)
             m = random_spd(3, local, cond=float(local.uniform(2, 1e3)))
             oracle = grid_optimal_right(m.mat)
-            _, rep = optimal_right(m, OptimalRequest(
-                method="potential_reduction", pr_config=config))
+            _, rep = solve_right_pr(m, config)
             assert rep.kappa_after == pytest.approx(oracle, rel=1e-3)
         # two-sided bisection against the joint grid oracle; keep to
         # instances the +-3 decade oracle box provably covers
@@ -246,7 +244,7 @@ def test_criterion_5_proposition_suite():
             m = random_spd(n, local, cond=float(local.uniform(3, 300)))
             kappa = float(np.linalg.cond(m.mat) * local.uniform(1.2, 4.0))
             beta = float(local.uniform(0.02, 0.5))
-            st = state_from_center(m, kappa, mode="full")
+            st = state_from_center(m, kappa)
             assert max(st.deltas()) <= 1e-9
             sh = shift_state(st, delta_kappa(st, beta))
             d_rx, d_sy, d_dz = sh.deltas()

@@ -12,7 +12,7 @@ import optiprecond
 from optiprecond import cli
 from optiprecond.cli import _PRECOND_METHODS, _SUBCOMMANDS, main
 from optiprecond.fixtures import fixture_path
-from test_fixtures import PINNED_RIGHT_PR
+from test_fixtures import REPORTED_OPTIMAL
 
 SRC = Path(optiprecond.__file__).resolve().parents[1]
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -115,28 +115,31 @@ def test_precond_optimal_right_fixture(tmp_path, capsys):
     record = json.loads(out)[0]
     assert record["kappa_before"] == pytest.approx(921.2, rel=1e-2)
     assert record["kappa_after"] < record["kappa_before"]
-    assert record["method"] == "optimal_right[potential_reduction]"
-    assert record["kappa_after"] == pytest.approx(
-        PINNED_RIGHT_PR["trefethen_20b"][1], rel=1e-9)
+    assert record["method"] == "optimal_right[dsdp]"
+    assert record["extra"]["certified"]
+    assert record["kappa_after"] <= 1.01 * REPORTED_OPTIMAL["trefethen_20b"]
 
 
 def test_precond_epsilon_reaches_the_left_solve(capsys):
-    # --epsilon is the certified gap at which the dsdp solve stops; the
-    # report names it gap_tolerance, as --cap writes its shift as epsilon
-    def left(*flags):
-        code, out, err = run_cli(
-            ["precond", "--input", str(fixture_path("trefethen_20b")),
-             "--method", "optimal-left", *flags], capsys)
-        assert code == 0
-        return json.loads(out)[0]
-
-    default, tight = left(), left("--epsilon", "1e-6")
-    assert default["extra"]["gap_tolerance"] == 1e-2
-    assert tight["extra"]["gap_tolerance"] == 1e-6
-    assert tight["extra"]["certified"]
-    assert tight["extra"]["certified_gap"] <= 1e-6
-    assert tight["iterations"] > default["iterations"]
-    assert "epsilon" not in tight["extra"]
+    # --epsilon is the certified gap at which the dsdp solve of
+    # optimal-left and optimal-right stops; the report names it
+    # gap_tolerance, as --cap writes its shift as epsilon
+    path = str(fixture_path("trefethen_20b"))
+    for method in ("optimal-left", "optimal-right"):
+        records = []
+        for flags in ([], ["--epsilon", "1e-6"]):
+            code, out, err = run_cli(
+                ["precond", "--input", path, "--method", method, *flags],
+                capsys)
+            assert code == 0
+            records.append(json.loads(out)[0])
+        default, tight = records
+        assert default["extra"]["gap_tolerance"] == 1e-2
+        assert tight["extra"]["gap_tolerance"] == 1e-6
+        assert tight["extra"]["certified"]
+        assert tight["extra"]["certified_gap"] <= 1e-6
+        assert tight["iterations"] > default["iterations"]
+        assert "epsilon" not in tight["extra"]
 
 
 def test_precond_csv_output(tmp_path, capsys):
@@ -299,7 +302,7 @@ _REPORTED_METHOD = {
     "jacobi": "jacobi",
     "colnorm": "colnorm",
     "ruiz": "ruiz",
-    "optimal-right": "optimal_right[potential_reduction]",
+    "optimal-right": "optimal_right[dsdp]",
     "optimal-left": "optimal_left[dsdp]",
     "optimal-two-sided": "bisect_two_sided",
 }

@@ -24,7 +24,7 @@ from optiprecond.optimal import (
 from optiprecond import barrier, dsdp, heuristics, optimal, potential
 from optiprecond.dsdp import barrier_path_solve, build_right
 from optiprecond.linalg import _openblas_controls, blas_backend
-from optiprecond.potential import solve_right_pr
+from optiprecond.potential import PRConfig, solve_right_pr
 from conftest import grid_optimal_right, grid_optimal_two_sided_3x3, random_spd
 
 
@@ -42,10 +42,9 @@ def test_optimal_right_diagonal():
 def test_optimal_right_2x2_oracle():
     m = SymMatrix([[1.0, 0.5], [0.5, 2.0]])
     oracle = grid_optimal_right(m.mat)
-    for method in ("potential_reduction", "dsdp"):
-        from optiprecond.potential import PRConfig
-        sc, rep = optimal_right(m, OptimalRequest(
-            method=method, pr_config=PRConfig(kappa_tol=1e-6)))
+    _, rep_pr = solve_right_pr(m, PRConfig(kappa_tol=1e-6))
+    _, rep_ds = optimal_right(m, OptimalRequest(method="dsdp"))
+    for rep in (rep_pr, rep_ds):
         assert rep.kappa_after == pytest.approx(oracle, rel=1e-3)
 
 

@@ -1,5 +1,4 @@
 import collections
-import dataclasses
 
 import numpy as np
 import pytest
@@ -8,13 +7,12 @@ import scipy.linalg.lapack
 
 from optiprecond import SymMatrix, gram_matrix, potential, read_matrix_market
 from optiprecond.barrier import (BarrierPoint, InfeasiblePointError,
-                                 barrier_value, compute_center)
+                                 barrier_value, compute_center,
+                                 initial_feasible_point)
 from optiprecond.dsdp import build_right, barrier_path_solve
 from optiprecond.fixtures import fixture_path
-from optiprecond.linalg import (NotPositiveDefiniteError, chol_pd, geomean_inv,
-                               inv_from_chol, inv_pd, sym_pow)
+from optiprecond.linalg import geomean_inv, inv_pd, sym_pow
 from optiprecond.potential import (
-    MODE_DIAG,
     PRConfig,
     ScaledGram,
     StagnationError,
@@ -36,7 +34,7 @@ def test_prconfig_validation():
 
 def test_center_state_invariants(rng):
     m = random_spd(5, rng)
-    st = state_from_center(m, 3 * np.linalg.cond(m.mat), mode="full")
+    st = state_from_center(m, 3 * np.linalg.cond(m.mat))
     st.validate()
     assert np.allclose(st.R, m.mat - st.D)
     assert np.allclose(st.S, st.kappa * st.D - m.mat)
@@ -57,7 +55,7 @@ def test_full_center_closed_form_zeroes_gradient():
         cond = float(np.linalg.cond(m.mat))
         for kappa in (1 + 1e-6, 1 + 1e-3, 1 + float(local.uniform(0.5, cond)),
                       cond * float(local.uniform(1.01, 4.0))):
-            st = state_from_center(m, kappa, mode="full")
+            st = state_from_center(m, kappa)
             t = (kappa + 1 + np.sqrt(kappa ** 2 - kappa + 1)) / (3 * kappa)
             assert np.allclose(st.D, t * m.mat, rtol=1e-15, atol=0)
             tol = max(1e-12, 16 * eps * cond / (1 - t))
@@ -73,8 +71,7 @@ def test_full_center_closed_form_zeroes_gradient():
 @pytest.mark.parametrize("kappa", [1.0, 0.5, -2.0])
 def test_full_center_needs_kappa_above_one(kappa):
     with pytest.raises(InfeasiblePointError):
-        state_from_center(random_spd(3, np.random.default_rng(1)), kappa,
-                          mode="full")
+        state_from_center(random_spd(3, np.random.default_rng(1)), kappa)
 
 
 def _count_lapack(monkeypatch):
@@ -98,75 +95,47 @@ def _count_lapack(monkeypatch):
 
 
 def _center_and_shift(m):
-    """A diagonal-mode center, the beta = 0.1 shift dk and the shifted state."""
-    st = state_from_center(m, 2.0 * np.linalg.cond(m.mat), mode=MODE_DIAG)
-    dk = delta_kappa(st, 0.1)
-    return st, dk, shift_state(st, dk)
+    """A diagonal center d at kappa = 2 kappa(M), the beta = 0.1 shift dk
+    and the shifted point (kappa - dk, D, X, Y, Z): X, Y and Z are the
+    inverses of R, S and D at the center, and the shift moves Z by dk Y."""
+    kappa = 2.0 * np.linalg.cond(m.mat)
+    d = compute_center(m, kappa, initial_feasible_point(m, kappa),
+                       tol=1e-11).d
+    dm = np.diag(d)
+    x, y, z = inv_pd(m.mat - dm), inv_pd(kappa * dm - m.mat), inv_pd(dm)
+    dk = 0.1 / float(np.sum(dm * y))
+    return d, kappa, dk, (kappa - dk, dm, x, y, z + dk * y)
 
 
-def _shifted_diag_state():
-    return _center_and_shift(
-        random_spd(6, np.random.default_rng(3), cond=40.0))[2]
+def _reference_nt_system(m_arr, kappa, dm, x, y, z):
+    """The inverse NT scalings at (kappa, D, X, Y, Z) from geomean_inv, and
+    the right-hand side with every cone inverse from inv_pd."""
+    r, s = m_arr - dm, kappa * dm - m_arr
+    rhs = (inv_pd(dm) - z) + kappa * (inv_pd(s) - y) - (inv_pd(r) - x)
+    return geomean_inv(x, r), geomean_inv(y, s), geomean_inv(z, dm), rhs
 
 
-def _reference_step_d(st):
-    """D after a diagonal-mode NT step with every inverse scaling from
-    geomean_inv and every cone inverse from inv_pd."""
-    ui = geomean_inv(st.X, st.R)
-    vi = geomean_inv(st.Y, st.S)
-    wi = geomean_inv(st.Z, st.D)
-    rhs = ((inv_pd(st.D) - st.Z) + st.kappa * (inv_pd(st.S) - st.Y)
-           - (inv_pd(st.R) - st.X))
-    coeff = ui ** 2 + wi ** 2 + st.kappa ** 2 * vi ** 2
-    return st.D + np.diag(np.linalg.solve(coeff, np.diag(rhs)))
-
-
-def _assert_matches_reference(stepped, st):
-    ref = _reference_step_d(st)
-    assert np.linalg.norm(stepped.D - ref) <= 1e-12 * np.linalg.norm(ref)
-
-
-def test_nt_step_makes_three_eigensolves(monkeypatch):
-    # with X away from R^{-1}, each inverse scaling is one geometric mean:
-    # one Cholesky factor and one eigensolve. The cone inverses come from
-    # the state's factors, so dpotri runs once, for the shifted S, and the
-    # closing check factors the new R and S (D's factor is its diagonal)
-    st = _shifted_diag_state()
-    st = dataclasses.replace(st, X=st.X + 0.05 * np.diag(np.diag(st.X)))
-    calls = _count_lapack(monkeypatch)
-    stepped = nt_step(st, st.kappa)
-    assert calls == {"eig": 3, "potri": 1, "chol": 5}
-    _assert_matches_reference(stepped, st)
-
-
-def test_nt_step_takes_u_inverse_from_x_when_x_is_r_inverse(monkeypatch):
-    # X = R^{-1} exactly after a shift from a center, and then
-    # U^{-1} = X # R^{-1} = X needs no geometric mean
-    st = _shifted_diag_state()
-    assert not np.any(st.fr.inv - st.X)
-    calls = _count_lapack(monkeypatch)
-    stepped = nt_step(st, st.kappa)
-    assert calls == {"eig": 2, "potri": 1, "chol": 4}
-    _assert_matches_reference(stepped, st)
-    fr, fs, fd = stepped.fr, stepped.fs, stepped.fd
-    for f, cone in ((fr, stepped.R), (fs, stepped.S), (fd, stepped.D)):
-        assert np.array_equal(f.lower, chol_pd(cone))
+def _reference_step_d(m_arr, kappa, dm, x, y, z):
+    """d after a diagonal-restricted NT step from (kappa, D, X, Y, Z)."""
+    ui, vi, wi, rhs = _reference_nt_system(m_arr, kappa, dm, x, y, z)
+    coeff = ui ** 2 + wi ** 2 + kappa ** 2 * vi ** 2
+    return np.diag(dm) + np.linalg.solve(coeff, np.diag(rhs))
 
 
 @pytest.mark.parametrize("m", [
     random_spd(6, np.random.default_rng(3), cond=40.0),
     random_spd(20, np.random.default_rng(20))], ids=["order6", "order20"])
 def test_scaled_nt_step_matches_the_reference_step(m):
-    # the eigenbasis step from a center is nt_step(shift_state(...)): its
-    # D matches the geomean_inv / inv_pd formula, and its potential is the
-    # barrier value at the new point
-    st, dk, sh = _center_and_shift(m)
-    stepped = scaled_nt_step(m.mat, ScaledGram.at(m.mat, np.diag(st.D)),
-                             st.kappa, dk)
-    ref = np.diag(_reference_step_d(sh))
+    # the eigenbasis step from a center is the diagonal-restricted NT step
+    # after the shift: its d matches the geomean_inv / inv_pd formula, and
+    # its potential is the barrier value at the new point
+    d, kappa, dk, shifted = _center_and_shift(m)
+    stepped = scaled_nt_step(m.mat, ScaledGram.at(m.mat, d), kappa, dk)
+    ref = _reference_step_d(m.mat, *shifted)
     assert np.linalg.norm(stepped.d - ref) <= 1e-12 * np.linalg.norm(ref)
-    value = barrier_value(m, BarrierPoint(m, sh.kappa, stepped.d))
-    assert stepped.potential(sh.kappa) == pytest.approx(value, rel=1e-12)
+    kappa1 = shifted[0]
+    value = barrier_value(m, BarrierPoint(m, kappa1, stepped.d))
+    assert stepped.potential(kappa1) == pytest.approx(value, rel=1e-12)
 
 
 def test_scaled_nt_step_rejects_points_outside_the_cones(monkeypatch):
@@ -174,32 +143,18 @@ def test_scaled_nt_step_rejects_points_outside_the_cones(monkeypatch):
     # gamma by 1/t, and a t that leaves d > 0, gamma > 1 or gamma < kappa1
     # fails after it
     m = random_spd(6, np.random.default_rng(3), cond=40.0)
-    st, dk, _ = _center_and_shift(m)
-    d = np.diag(st.D)
+    d, kappa, dk, _ = _center_and_shift(m)
     point = ScaledGram.at(m.mat, d)
-    g, kappa1 = point.gamma, st.kappa - dk
+    g, kappa1 = point.gamma, kappa - dk
     with pytest.raises(StepTooLargeError, match="indefinite"):
-        scaled_nt_step(m.mat, point, st.kappa,
-                       (1 + 1e-9) * (st.kappa - g[-1]))
+        scaled_nt_step(m.mat, point, kappa, (1 + 1e-9) * (kappa - g[-1]))
     low, high = 1.01 * g[0], 0.99 * g[-1] / kappa1
     assert g[-1] / low < kappa1 and g[0] / high > 1
     for t in (-1.0, low, high):
         monkeypatch.setattr(potential, "solve_pd",
                             lambda h, rhs, t=t: ((t - 1.0) * d, True))
         with pytest.raises(StepTooLargeError, match="left the cone"):
-            scaled_nt_step(m.mat, point, st.kappa, dk)
-
-
-def test_diagonal_factor_is_bit_equal_to_lapack():
-    rng = np.random.default_rng(17)
-    for n in (1, 20, 150, 200):
-        d = rng.uniform(1e-3, 1e3, n)
-        fd = potential.Factored.diagonal(d)
-        lower = chol_pd(np.diag(d))
-        assert np.array_equal(fd.lower, lower)
-        assert np.array_equal(fd.inv, inv_from_chol(lower))
-    with pytest.raises(NotPositiveDefiniteError):
-        potential.Factored.diagonal(np.array([1.0, 0.0]))
+            scaled_nt_step(m.mat, point, kappa, dk)
 
 
 def test_solve_right_pr_call_budget_per_step(monkeypatch):
@@ -277,14 +232,14 @@ def test_delta_kappa_closed_forms(rng):
     # identity: D = c I at center, S = (kappa c - 1) I
     n, kappa = 4, 2.0
     m = SymMatrix.identity(n)
-    st = state_from_center(m, kappa, mode="full")
+    st = state_from_center(m, kappa)
     c = st.D[0, 0]
     expect = 0.1 * (kappa * c - 1) / (n * c)
     assert delta_kappa(st, 0.1) == pytest.approx(expect, rel=1e-8)
 
     # scalar case M = [1], kappa = 4: Tr(D S^{-1}) = d / (4d - 1), whose
     # value at the exact root is 0.38379594 (frozen from the closed form)
-    scalar = state_from_center(SymMatrix([[1.0]]), 4.0, mode="full")
+    scalar = state_from_center(SymMatrix([[1.0]]), 4.0)
     d = scalar.D[0, 0]
     assert d == pytest.approx((10 + np.sqrt(52)) / 24, rel=1e-10)
     tr = d / (4 * d - 1)
@@ -293,14 +248,14 @@ def test_delta_kappa_closed_forms(rng):
 
     # linearity in beta
     m2 = random_spd(3, rng)
-    st2 = state_from_center(m2, 2 * np.linalg.cond(m2.mat), mode="full")
+    st2 = state_from_center(m2, 2 * np.linalg.cond(m2.mat))
     assert delta_kappa(st2, 0.2) == pytest.approx(
         2 * delta_kappa(st2, 0.1), rel=1e-12)
 
 
 def test_shift_state_zero_is_identity(rng):
     m = random_spd(4, rng)
-    st = state_from_center(m, 2 * np.linalg.cond(m.mat), mode="full")
+    st = state_from_center(m, 2 * np.linalg.cond(m.mat))
     sh = shift_state(st, 0.0)
     assert sh.kappa == st.kappa
     assert np.allclose(sh.S, st.S)
@@ -316,7 +271,7 @@ def test_shift_state_proposition_initial_bounds(rng):
         m = random_spd(n, local, cond=float(local.uniform(3, 300)))
         kappa = float(np.linalg.cond(m.mat) * local.uniform(1.2, 4.0))
         beta = float(local.uniform(0.02, 0.5))
-        st = state_from_center(m, kappa, mode="full")
+        st = state_from_center(m, kappa)
         assert max(st.deltas()) < 1e-9
         sh = shift_state(st, delta_kappa(st, beta))
         d_rx, d_sy, d_dz = sh.deltas()
@@ -346,14 +301,44 @@ def test_shift_state_approximate_bound(rng):
 
 def test_shift_state_too_large_raises(rng):
     m = random_spd(3, rng)
-    st = state_from_center(m, 1.5 * np.linalg.cond(m.mat), mode="full")
+    st = state_from_center(m, 1.5 * np.linalg.cond(m.mat))
     with pytest.raises(StepTooLargeError):
         shift_state(st, st.kappa - 0.999)
 
 
+def _reference_full_step(st):
+    """D after a full-matrix NT step: np.linalg.solve on the Kronecker
+    system."""
+    n = len(st.D)
+    ui, vi, wi, rhs = _reference_nt_system(st.m, st.kappa, st.D, st.X, st.Y,
+                                           st.Z)
+    op = np.kron(ui, ui) + np.kron(wi, wi) + st.kappa ** 2 * np.kron(vi, vi)
+    delta = np.linalg.solve(op, rhs.reshape(-1)).reshape(n, n)
+    return st.D + 0.5 * (delta + delta.T)
+
+
+def test_nt_step_matches_the_reference_step():
+    # from shifted exact centers and from perturbed approximate centers
+    for trial in range(20):
+        local = np.random.default_rng(8000 + trial)
+        n = int(local.integers(2, 9))
+        m = random_spd(n, local, cond=float(local.uniform(5, 100)))
+        kappa = float(np.linalg.cond(m.mat) * local.uniform(1.5, 3.0))
+        center = state_from_center(m, kappa)
+        shifted = shift_state(center,
+                              delta_kappa(center, local.uniform(0.05, 0.3)))
+        perturbed, _ = perturbed_center_state(
+            m, kappa, float(local.uniform(0.05, 0.3)), local)
+        for st in (shifted, perturbed):
+            ref = _reference_full_step(st)
+            stepped = nt_step(st, st.kappa)
+            assert np.linalg.norm(stepped.D - ref) <= \
+                1e-12 * np.linalg.norm(ref)
+
+
 def test_nt_step_noop_at_exact_center(rng):
     m = random_spd(4, rng)
-    st = state_from_center(m, 2 * np.linalg.cond(m.mat), mode="full")
+    st = state_from_center(m, 2 * np.linalg.cond(m.mat))
     stepped = nt_step(st, st.kappa)
     assert np.linalg.norm(stepped.D - st.D, ord="fro") <= \
         1e-9 * np.linalg.norm(st.D, ord="fro")
@@ -394,21 +379,10 @@ def test_nt_step_displacement_bound(rng):
 
 def test_nt_step_preserves_identity(rng):
     m = random_spd(5, rng)
-    st = state_from_center(m, 2.5 * np.linalg.cond(m.mat), mode="full")
+    st = state_from_center(m, 2.5 * np.linalg.cond(m.mat))
     sh = shift_state(st, delta_kappa(st, 0.2))
     stepped = nt_step(sh, sh.kappa)
     assert stepped.identity_residual() < 1e-9
-
-
-def test_nt_step_diag_mode_keeps_diagonal(rng):
-    m = random_spd(5, rng)
-    kappa = 2 * np.linalg.cond(m.mat)
-    st = state_from_center(m, kappa, mode=MODE_DIAG)
-    sh = shift_state(st, delta_kappa(st, 0.1))
-    stepped = nt_step(sh, sh.kappa)
-    off = stepped.D - np.diag(np.diag(stepped.D))
-    assert np.abs(off).max() < 1e-14
-    assert stepped.identity_residual() < 1e-8
 
 
 def test_solve_right_pr_diagonal_input():
