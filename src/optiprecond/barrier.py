@@ -7,8 +7,10 @@ e_j e_j^T, rank-one rows a_j a_j^T, or one dense matrix on a single
 variable. ``LmiBarrier.kernel_sum`` forms tr(P F_a Q F_b): the Hessian,
 and the Schur matrix of a primal-dual step. ``primal_dual_ascent`` is the
 one primal-dual loop, which maximizes x_0 for dsdp's one-sided SDPs and the
-two-sided level test; ``newton_ascent`` is the damped-Newton loop of
-``compute_center``. A factored point holds each cone as a linalg.Factored,
+two-sided level test; ``compute_center`` holds the one damped-Newton loop.
+Both solve by Cholesky only: the primal-dual loop stops at a Schur matrix
+that does not factor, and compute_center raises NotPositiveDefiniteError
+at such a Hessian. A factored point holds each cone as a linalg.Factored,
 its inverse formed by one dpotri on first use. Each LmiBarrier assembles
 its Newton system in place, in a workspace allocated on the first
 derivatives call, with the arithmetic of a fresh assembly: the Hessian it
@@ -28,7 +30,6 @@ Programming, SIAM Rev. 1996, section 3).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -78,7 +79,6 @@ class FeasibilityResult:
     kappa: float = float("nan")
     certificate: tuple[np.ndarray, np.ndarray] | None = None
     newton_steps: int = 0
-    newton_fallbacks: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -209,11 +209,11 @@ class LmiBarrier:
         return sum([*(logdet_from_chol(f.lower) for f in factors),
                     float(np.sum(np.log(slack)))])
 
-    def kernel_sum(self, pairs, bound, g=None):
+    def kernel_sum(self, pairs, bound):
         """The workspace set to sum over cones of tr(P F_a Q F_b) for each
-        cone's pair (P, Q), plus diag(bound) over x[positive]; adds
-        tr(P F_a) to g. The Hessian has P = Q = F^-1, and the HKM Schur
-        matrix of a primal-dual step P = F^-1, Q = X, bound = v / x."""
+        cone's pair (P, Q), plus diag(bound) over x[positive]. The Hessian
+        has P = Q = F^-1, and the HKM Schur matrix of a primal-dual step
+        P = F^-1, Q = X, bound = v / x."""
         if self._hessian is None:
             self._hessian = np.empty((self.nvar, self.nvar))
         nh = self._hessian
@@ -222,9 +222,7 @@ class LmiBarrier:
             ker = [t.kernels(p) for t in terms]
             imgs = [(pi, pi if q is p else t.kernels(q)[1])
                     for t, (_, pi) in zip(terms, ker)]
-            for i, (ti, (tr, _)) in enumerate(zip(terms, ker)):
-                if g is not None:
-                    g[ti.sl] += ti.coef * tr
+            for i, ti in enumerate(terms):
                 for tj, kj in zip(terms[i:], imgs[i:]):
                     k = _cross(ti, imgs[i], tj, kj, self._scratch)
                     if ti.coef * tj.coef != 1.0:
@@ -240,70 +238,9 @@ class LmiBarrier:
         """Gradient and negated (positive definite) Hessian; the Hessian is
         the workspace's, valid until the next call on this barrier."""
         factors, slack = state
-        g = np.zeros(self.nvar)
-        nh = self.kernel_sum([(f.inv, f.inv) for f in factors],
-                             1.0 / slack ** 2, g)
-        g[self.positive] += 1.0 / slack
-        return g, nh
-
-    def max_step(self, state, dx):
-        """Largest alpha keeping x + alpha dx feasible (inf if unbounded)."""
-        factors, slack = state
-        alpha = max_step_chol([f.lower for f in factors], self.linear(dx))
-        rate = dx[self.positive]
-        neg = rate < 0
-        if np.any(neg):
-            alpha = min(alpha, float(np.min(slack[neg] / -rate[neg])))
-        return alpha
-
-
-class NewtonResult(NamedTuple):
-    """newton_ascent's last iterate; status is 'converged', 'max_iter' or
-    'stalled' (no trial passed the line search)."""
-
-    x: np.ndarray
-    status: str
-    grad_norm: float
-
-
-def newton_ascent(barrier: LmiBarrier, x0, max_iter, grad_tol
-                  ) -> NewtonResult:
-    """Damped Newton maximization of the barrier from a feasible x0, to a
-    gradient whose infinity norm is at most grad_tol.
-
-    Each step tries the full Newton step, then 0.9 of the step to the
-    nearest boundary, then halves (at most 40 trials).
-    """
-    x = np.array(x0, dtype=float)
-    state = barrier.factor(x)
-    if state is None:
-        raise InfeasiblePointError("start is not strictly feasible")
-    val = barrier.value(state)
-    gnorm = np.inf
-    for _ in range(max_iter):
-        g, nh = barrier.derivatives(state)
-        gnorm = float(np.abs(g).max())
-        if gnorm <= grad_tol:
-            return NewtonResult(x, "converged", gnorm)
-        step, _ = solve_pd(nh, g)
-        # try the full step before paying for the exact boundary computation
-        alpha = 1.0
-        for attempt in range(40):
-            x_new = x + alpha * step
-            s_new = barrier.factor(x_new)
-            if s_new is not None:
-                v_new = barrier.value(s_new)
-                if v_new >= val - _ACCEPT_RTOL * (1.0 + abs(val)):
-                    x, state, val = x_new, s_new, v_new
-                    break
-            if attempt == 0:
-                bound = 0.9 * barrier.max_step(state, step)
-                alpha = bound if bound < alpha else 0.5 * alpha
-            else:
-                alpha *= 0.5
-        else:
-            return NewtonResult(x, "stalled", gnorm)
-    return NewtonResult(x, "max_iter", gnorm)
+        invs = [f.inv for f in factors]
+        return (self.adjoint(invs, 1.0 / slack),
+                self.kernel_sum([(p, p) for p in invs], 1.0 / slack ** 2))
 
 
 def _sym(a):
@@ -328,18 +265,17 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
     both take their step lengths from one factor of each X and the state's
     factors of Z. The primal direction keeps barrier.adjoint(xs, v) fixed.
     Stops when done(y, xs) holds, before the first iteration or after any,
-    after max_iter iterations, or when an X or the dual step is no longer
-    numerically PD (at the previous point). Every returned y has been
-    factored, so it is strictly feasible. Returns (y, xs, iterations,
-    fallbacks), fallbacks counting the Schur systems solved by least
-    squares; the inputs are not modified.
+    after max_iter iterations, or when an X, the Schur matrix or the dual
+    step is no longer numerically PD (at the previous point). Every
+    returned y has been factored, so it is strictly feasible. Returns (y,
+    xs, iterations); the inputs are not modified.
     """
     b, pos = barrier, barrier.positive
     c = np.eye(1, b.nvar)[0]
     state = b.factor(y)
     if state is None:
         raise CenteringError("strictly feasible start recipe failed")
-    iterations = fallbacks = 0
+    iterations = 0
     while not done(y, xs) and iterations < max_iter:
         iterations += 1
         factors, z = state
@@ -351,13 +287,12 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
         zinv = [f.inv for f in factors]
         mu = (sum(np.sum(x * zm) for x, zm in zip(xs, zs)) + v @ z) / b.dim
         schur = b.kernel_sum([(zi, x) for zi, x in zip(zinv, xs)], v / z)
-        lower = chol_pd(schur)
-        fallbacks += lower is None
+        if (lower := chol_pd(schur)) is None:
+            break
 
         def direction(rhs, tzs, tv):
             # the step to T (T Z^-1 per cone, T / z) with A(X + dX) = -c
-            dy = solve_chol(lower, rhs) if lower is not None \
-                else solve_pd(schur, rhs)[0]
+            dy = solve_chol(lower, rhs)
             dzs = b.linear(dy)
             dxs = [tz - x - _sym(x @ dz @ zi)
                    for tz, x, dz, zi in zip(tzs, xs, dzs, zinv)]
@@ -384,7 +319,7 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
         xs = [x + gamma * alpha * dx for x, dx in zip(xs, dxs)]
         v = v + gamma * alpha * dv
         y, state = y + gamma * beta * dy, new_state
-    return y, xs, iterations, fallbacks
+    return y, xs, iterations
 
 
 def _one_sided(m_arr, kappa) -> LmiBarrier:
@@ -449,15 +384,52 @@ def barrier_hessian(m: SymMatrix, p: BarrierPoint) -> SymMatrix:
 
 def compute_center(m: SymMatrix, kappa: float, start: BarrierPoint,
                    tol: float = 1e-8) -> BarrierPoint:
-    """Analytic center of the region at level kappa from a feasible start."""
-    res = newton_ascent(_one_sided(m.mat, kappa), start.d, _CENTER_NEWTON_CAP,
-                        tol)
-    if res.status != "converged":
-        raise CenteringError(
-            f"centering did not reach tol={tol:.1e} "
-            f"(last gradient norm {res.grad_norm:.3e})",
-            grad_norm=res.grad_norm)
-    return BarrierPoint(m, kappa, res.x)
+    """Analytic center of the region at level kappa from a feasible start,
+    by damped Newton maximization of the barrier to a gradient whose
+    infinity norm is at most tol.
+
+    Each step tries the full Newton step, then 0.9 of the step to the
+    nearest boundary (at most 1), then halves (at most 40 trials). Raises
+    CenteringError when no trial passes the line search or after
+    _CENTER_NEWTON_CAP steps, and NotPositiveDefiniteError when a Newton
+    system does not factor.
+    """
+    barrier = _one_sided(m.mat, kappa)
+    x = start.d.copy()
+    state = barrier.factor(x)
+    if state is None:
+        raise InfeasiblePointError("start is not strictly feasible")
+    val = barrier.value(state)
+    gnorm = np.inf
+    for _ in range(_CENTER_NEWTON_CAP):
+        g, nh = barrier.derivatives(state)
+        gnorm = float(np.abs(g).max())
+        if gnorm <= tol:
+            # free the Hessian workspace before BarrierPoint factors x again
+            del barrier, nh
+            return BarrierPoint(m, kappa, x)
+        step = solve_pd(nh, g)
+        # try the full step before paying for the exact boundary computation
+        alpha = 1.0
+        for attempt in range(40):
+            x_new = x + alpha * step
+            s_new = barrier.factor(x_new)
+            if s_new is not None:
+                v_new = barrier.value(s_new)
+                if v_new >= val - _ACCEPT_RTOL * (1.0 + abs(val)):
+                    x, state, val = x_new, s_new, v_new
+                    break
+            if attempt == 0:
+                factors, slack = state
+                alpha = 0.9 * _max_step([f.lower for f in factors],
+                                        barrier.linear(step), slack,
+                                        step[barrier.positive])
+            else:
+                alpha *= 0.5
+        else:
+            break   # no trial passed the line search
+    raise CenteringError(f"centering did not reach tol={tol:.1e} "
+                         f"(last gradient norm {gnorm:.3e})", grad_norm=gnorm)
 
 
 def initial_feasible_point(m: SymMatrix, kappa: float,
@@ -539,9 +511,8 @@ def two_sided_feasibility(a: RectMatrix, kappa: float,
         certificate[:] = _certificate(scaled, kappa, xs[0], xs[1]) or ()
         return bool(certificate)
 
-    y, _, steps, fallbacks = primal_dual_ascent(
+    y, _, steps = primal_dual_ascent(
         _level_barrier(scaled, kappa), y0, xs0, v0, done, _LEVEL_MAX_ITER)
-    counts = {"newton_steps": steps, "newton_fallbacks": fallbacks}
     if y[0] > 0:    # the dual iterate was factored: its cones are PD
         d1, d2 = y[1:m_rows + 1], y[m_rows + 1:]
         r2 = 1.0 / np.sqrt(d2)
@@ -550,11 +521,11 @@ def two_sided_feasibility(a: RectMatrix, kappa: float,
         return FeasibilityResult(
             "feasible", witness_left=w1, witness=w2 * d2,
             kappa=condition_number(r2[:, None] * gram * r2[None, :]),
-            **counts)
+            newton_steps=steps)
     if certificate:
         r2 = 1.0 / np.sqrt(w2)
         return FeasibilityResult(
             "infeasible", certificate=tuple(
                 r2[:, None] * c * r2[None, :] for c in certificate),
-            **counts)
-    return FeasibilityResult("undecided", **counts)
+            newton_steps=steps)
+    return FeasibilityResult("undecided", newton_steps=steps)

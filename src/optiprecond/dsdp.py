@@ -123,7 +123,7 @@ def barrier_path_solve(p: DsdpProblem, gap_tol: float = GAP_FLOOR
     raised to GAP_FLOOR."""
     t0 = time.perf_counter()
     gap_tol = max(gap_tol, GAP_FLOOR)
-    y, xs, iterations, fallbacks = primal_dual_ascent(
+    y, xs, iterations = primal_dual_ascent(
         p.barrier, p.start, *p.primal_start,
         lambda y, xs: p.tau_bound(xs) - y[0] <= gap_tol * y[0], _MAX_ITER)
     upper = p.tau_bound(xs)
@@ -135,6 +135,6 @@ def barrier_path_solve(p: DsdpProblem, gap_tol: float = GAP_FLOOR
                "certified_gap": upper / y[0] - 1.0,
                "certified": upper - y[0] <= gap_tol * y[0],
                "gap_tolerance": gap_tol,
-               "newton_steps": iterations, "newton_fallbacks": fallbacks,
+               "newton_steps": iterations,
                "blas_backend": blas_backend()})
     return float(y[0]), y[1:].copy(), report

@@ -4,13 +4,13 @@ The package's only binding of scipy.linalg. ``SymMatrix`` validates
 symmetric input; ``extreme_eigenvalues`` is the one spectrum helper and
 applies the one full-rank rule; ``condition_number`` is the one kappa
 helper. The positive-definite kernels are ``chol_pd`` (dpotrf),
-``inv_from_chol`` and ``inv_pd`` (dpotri), ``solve_pd`` (dposv, least
-squares when not PD), ``solve_chol`` (dpotrs), ``logdet_from_chol``,
-``max_step_chol`` (the one step-length kernel: dsygst and dsyevx on
-factors the caller already holds), ``sym_pow``, ``proximity_delta``,
-``geomean_inv`` and ``scaled_eigh`` (the eigenbasis of D^{-1/2} M
-D^{-1/2}). They take and return plain float64 arrays; ``Factored`` holds
-one factor with its inverse, formed at most once.
+``inv_from_chol`` and ``inv_pd`` (dpotri), ``solve_pd`` (dposv, which
+refuses a matrix that is not PD), ``solve_chol`` (dpotrs),
+``logdet_from_chol``, ``max_step_chol`` (the one step-length kernel:
+dsygst and dsyevx on factors the caller already holds), ``sym_pow``,
+``proximity_delta``, ``geomean_inv`` and ``scaled_eigh`` (the eigenbasis
+of D^{-1/2} M D^{-1/2}). They take and return plain float64 arrays;
+``Factored`` holds one factor with its inverse, formed at most once.
 ``serial_blas`` runs a solve on one BLAS thread.
 """
 
@@ -281,13 +281,6 @@ class Factored:
         self.lower = lower
         self._inv = None
 
-    @classmethod
-    def of(cls, a, name="matrix"):
-        lower = chol_pd(a)
-        if lower is None:
-            raise NotPositiveDefiniteError(f"{name} is not numerically PD")
-        return cls(lower)
-
     @property
     def inv(self) -> np.ndarray:
         if self._inv is None:
@@ -304,17 +297,12 @@ def inv_pd(a):
 
 
 def solve_pd(h, g):
-    """Solve the (nominally PD) system h x = g; returns (x, pd).
-
-    pd is False when h was not numerically PD and least squares gave x.
-    Newton steps are validated downstream by feasibility and value
-    backtracking, so an inaccurate direction near a cone boundary is
-    harmless.
-    """
+    """Solve the PD system h x = g by Cholesky (dposv); raises
+    NotPositiveDefiniteError when h is not numerically PD."""
     _, x, info = scipy.linalg.lapack.dposv(h, g, lower=0)
-    if info == 0:
-        return x, True
-    return scipy.linalg.lstsq(h, g)[0], False
+    if info != 0:
+        raise NotPositiveDefiniteError("system matrix is not numerically PD")
+    return x
 
 
 def solve_chol(lower, b):

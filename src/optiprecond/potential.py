@@ -157,7 +157,8 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
     scalings U = R # X^{-1}, V = S # Y^{-1} and W = D # Z^{-1} (so U X U = R)
     enter only through their inverses, U^{-1} = X # R^{-1} and likewise,
     which geomean_inv forms directly. R^{-1}, S^{-1} and D^{-1} come from
-    inv_pd; raises StepTooLargeError when the new R, S or D is not PD.
+    inv_pd; raises StepTooLargeError when the new R, S or D is not PD, and
+    NotPositiveDefiniteError when the system does not factor.
     """
     if abs(kappa1 - state.kappa) > 1e-9 * max(1.0, abs(state.kappa)):
         raise ValueError("state must already be feasible at kappa1; "
@@ -172,7 +173,7 @@ def nt_step(state: CenterState, kappa1: float) -> CenterState:
     wi = geomean_inv(state.Z, state.D)
 
     op = np.kron(ui, ui) + np.kron(wi, wi) + kappa1 ** 2 * np.kron(vi, vi)
-    delta_d = solve_pd(op, rhs.reshape(-1))[0].reshape(n, n)
+    delta_d = solve_pd(op, rhs.reshape(-1)).reshape(n, n)
     delta_d = 0.5 * (delta_d + delta_d.T)
 
     delta_z = z_rhs - wi @ delta_d @ wi
@@ -225,7 +226,8 @@ def scaled_nt_step(m_arr, point: ScaledGram, kappa: float,
     (1 + dk y)^{1/2}. The right-hand side's diagonal is (P o P) r. Returns
     the ScaledGram at d + delta, whose eigensolve is the cone check: raises
     StepTooLargeError unless kappa1 exceeds gamma_max before the step, and
-    d > 0 and 1 < gamma < kappa1 after it.
+    d > 0 and 1 < gamma < kappa1 after it, and NotPositiveDefiniteError
+    when the system does not factor.
     """
     kappa1 = kappa - dk
     g, p = point.gamma, point.p
@@ -238,7 +240,7 @@ def scaled_nt_step(m_arr, point: ScaledGram, kappa: float,
     wi = (p * np.sqrt(1.0 + dk * y)) @ p.T
     r = -dk * y + kappa1 * (1.0 / (kappa1 - g) - y)
     coeff = ui ** 2 + wi ** 2 + kappa1 ** 2 * vi ** 2
-    d = point.d + solve_pd(coeff, (p * p) @ r)[0]
+    d = point.d + solve_pd(coeff, (p * p) @ r)
     if not np.all(d > 0):
         raise StepTooLargeError("NT step left the cone of D")
     new = ScaledGram.at(m_arr, d)

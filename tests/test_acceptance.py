@@ -62,6 +62,18 @@ def _record_bisection(report, epsilon):
                            report.iterations))
 
 
+def _two_sided_3x3_instances():
+    """The three 3x3 instances of criterion 3 (seeds 40 and up, cond of
+    the Gram at most 1e4): the +-3 decade oracle box provably covers them."""
+    found, seed = [], 40
+    while len(found) < 3:
+        a_arr = np.random.default_rng(seed).standard_normal((3, 3))
+        seed += 1
+        if np.linalg.cond(a_arr.T @ a_arr) <= 1e4:
+            found.append(a_arr)
+    return found
+
+
 def _report(number, label, outcome):
     print(f"[criterion {number:>2}] {outcome}: {label}")
 
@@ -193,15 +205,8 @@ def test_criterion_3_brute_force_oracles():
             oracle = grid_optimal_right(m.mat)
             _, rep = solve_right_pr(m, config)
             assert rep.kappa_after == pytest.approx(oracle, rel=1e-3)
-        # two-sided bisection against the joint grid oracle; keep to
-        # instances the +-3 decade oracle box provably covers
-        checked, trial = 0, 0
-        while checked < 3:
-            local = np.random.default_rng(40 + trial)
-            trial += 1
-            a_arr = local.standard_normal((3, 3))
-            if np.linalg.cond(a_arr.T @ a_arr) > 1e4:
-                continue
+        # two-sided bisection against the joint grid oracle
+        for a_arr in _two_sided_3x3_instances():
             oracle = grid_optimal_two_sided_3x3(a_arr)
             eps = 1e-2
             _, rep = bisect_two_sided(
@@ -210,7 +215,6 @@ def test_criterion_3_brute_force_oracles():
             _record_bisection(rep, eps)
             tolerance = max(eps, 1e-2 * oracle)
             assert abs(rep.kappa_after - oracle) <= tolerance + 1e-2 * oracle
-            checked += 1
         assert time.perf_counter() - t0 < 120.0
 
     _run(3, "grid-search oracle agreement (50 2x2, 20 3x3, joint 3x3)",
@@ -310,9 +314,16 @@ def test_criterion_6_potential_reduction_per_step():
 
 def test_criterion_7_bisection_complexity():
     def body():
-        # audited over every bisection executed in this suite
-        assert len(BISECTION_RUNS) >= 4
-        for kappa0, epsilon, iterations in BISECTION_RUNS:
+        # its own bisections, on the diagonal input of criterion 2 and the
+        # 3x3 instances of criterion 3, and every other one run in the suite
+        cases = [(RectMatrix(np.diag(np.sqrt([50.0, 7.0, 2.0, 1.0]))), 1e-6)]
+        cases += [(RectMatrix(a_arr), 1e-2)
+                  for a_arr in _two_sided_3x3_instances()]
+        runs = []
+        for a, epsilon in cases:
+            _, rep = bisect_two_sided(a, OptimalRequest(epsilon=epsilon))
+            runs.append((rep.extra["kappa0"], epsilon, rep.iterations))
+        for kappa0, epsilon, iterations in runs + BISECTION_RUNS:
             if kappa0 <= 1.0:
                 assert iterations == 0
                 continue

@@ -134,10 +134,9 @@ def test_uncertified_stop_still_bounds_kappa(rng):
 def test_report_keys(rng):
     tau, d, rep = barrier_path_solve(build_right(random_spd(4, rng)))
     assert {"kappa_lower_bound", "certified_gap", "certified",
-            "newton_steps", "newton_fallbacks"} <= set(rep.extra)
+            "newton_steps"} <= set(rep.extra)
     assert not {"mu_final", "duality_gap_proxy", "tau_path"} & \
         set(rep.extra)
-    assert rep.extra["newton_fallbacks"] == 0
 
 
 def test_scale_equivariance(rng):

@@ -231,11 +231,11 @@ def test_log_det():
         pytest.approx(np.log(4.0), rel=1e-12)
 
 
-def test_solve_pd_falls_back_to_least_squares():
-    x, pd = solve_pd(np.array([[4.0, 2.0], [2.0, 2.0]]), np.array([2.0, 0.0]))
-    assert pd and np.allclose(x, [1.0, -1.0])
-    x, pd = solve_pd(np.diag([2.0, 0.0]), np.array([4.0, 0.0]))
-    assert not pd and np.allclose(x, [2.0, 0.0])
+def test_solve_pd_refuses_a_matrix_that_is_not_pd():
+    x = solve_pd(np.array([[4.0, 2.0], [2.0, 2.0]]), np.array([2.0, 0.0]))
+    assert np.allclose(x, [1.0, -1.0])
+    with pytest.raises(NotPositiveDefiniteError):
+        solve_pd(np.diag([2.0, 0.0]), np.array([4.0, 0.0]))
 
 
 def test_max_step_cone():

@@ -152,7 +152,7 @@ def test_scaled_nt_step_rejects_points_outside_the_cones(monkeypatch):
     assert g[-1] / low < kappa1 and g[0] / high > 1
     for t in (-1.0, low, high):
         monkeypatch.setattr(potential, "solve_pd",
-                            lambda h, rhs, t=t: ((t - 1.0) * d, True))
+                            lambda h, rhs, t=t: (t - 1.0) * d)
         with pytest.raises(StepTooLargeError, match="left the cone"):
             scaled_nt_step(m.mat, point, kappa, dk)
 
