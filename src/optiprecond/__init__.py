@@ -37,13 +37,9 @@ from .heuristics import (
     ruiz_equilibrate,
 )
 from .barrier import (
-    BarrierPoint,
     FeasibilityResult,
     InfeasiblePointError,
     CenteringError,
-    barrier_value,
-    barrier_gradient,
-    barrier_hessian,
     compute_center,
     initial_feasible_point,
     two_sided_feasibility,

@@ -348,66 +348,34 @@ def _level_barrier(a_arr, kappa) -> LmiBarrier:
         slice(1, m_rows + n + 1))
 
 
-class BarrierPoint:
-    """Strictly feasible point (d, kappa) with its cached barrier state."""
-
-    __slots__ = ("m", "kappa", "d", "state")
-
-    def __init__(self, m: SymMatrix, kappa: float, d):
-        d = np.asarray(d, dtype=float)
-        if d.shape != (m.order,):
-            raise ValueError("d has the wrong length")
-        state = _one_sided(m.mat, kappa).factor(d)
-        if state is None:
-            raise InfeasiblePointError(
-                f"(d, kappa={kappa:.6g}) is not strictly feasible")
-        self.m = m
-        self.kappa = float(kappa)
-        self.d = d
-        self.state = state
-
-
-def barrier_value(m: SymMatrix, p: BarrierPoint) -> float:
-    """log det(M-D) + log det(kappa D - M) + log det D."""
-    return _one_sided(m.mat, p.kappa).value(p.state)
-
-
-def barrier_gradient(m: SymMatrix, p: BarrierPoint) -> np.ndarray:
-    """Per-coordinate derivative -[(M-D)^{-1}]_ii + kappa[(kD-M)^{-1}]_ii + 1/d_i."""
-    return _one_sided(m.mat, p.kappa).derivatives(p.state)[0]
-
-
-def barrier_hessian(m: SymMatrix, p: BarrierPoint) -> SymMatrix:
-    """Hessian over the diagonal coordinates; negative definite."""
-    return SymMatrix(-_one_sided(m.mat, p.kappa).derivatives(p.state)[1])
-
-
-def compute_center(m: SymMatrix, kappa: float, start: BarrierPoint,
-                   tol: float = 1e-8) -> BarrierPoint:
-    """Analytic center of the region at level kappa from a feasible start,
-    by damped Newton maximization of the barrier to a gradient whose
-    infinity norm is at most tol.
+def compute_center(m: SymMatrix, kappa: float, d0,
+                   tol: float = 1e-8) -> np.ndarray:
+    """Analytic center d of the region at level kappa, from a strictly
+    feasible d0, by damped Newton maximization of the barrier to a gradient
+    whose infinity norm is at most tol.
 
     Each step tries the full Newton step, then 0.9 of the step to the
     nearest boundary (at most 1), then halves (at most 40 trials). Raises
-    CenteringError when no trial passes the line search or after
-    _CENTER_NEWTON_CAP steps, and NotPositiveDefiniteError when a Newton
-    system does not factor.
+    ValueError when d0 does not have length m.order, InfeasiblePointError
+    when (d0, kappa) is not strictly feasible, CenteringError when no trial
+    passes the line search or after _CENTER_NEWTON_CAP steps, and
+    NotPositiveDefiniteError when a Newton system does not factor.
     """
+    x = np.array(d0, dtype=float)
+    if x.shape != (m.order,):
+        raise ValueError("d0 has the wrong length")
     barrier = _one_sided(m.mat, kappa)
-    x = start.d.copy()
     state = barrier.factor(x)
     if state is None:
-        raise InfeasiblePointError("start is not strictly feasible")
+        raise InfeasiblePointError(
+            f"(d0, kappa={kappa:.6g}) is not strictly feasible")
     val = barrier.value(state)
     gnorm = np.inf
     for _ in range(_CENTER_NEWTON_CAP):
         g, nh = barrier.derivatives(state)
         gnorm = float(np.abs(g).max())
         if gnorm <= tol:
-            # free the Hessian workspace before BarrierPoint factors x again
-            del barrier, nh
-            return BarrierPoint(m, kappa, x)
+            return x
         step = solve_pd(nh, g)
         # try the full step before paying for the exact boundary computation
         alpha = 1.0
@@ -433,8 +401,9 @@ def compute_center(m: SymMatrix, kappa: float, start: BarrierPoint,
 
 
 def initial_feasible_point(m: SymMatrix, kappa: float,
-                           spectrum=None) -> BarrierPoint:
-    """Uniform strictly feasible start d = c * ones, c = sqrt(lam1*lamn/kappa);
+                           spectrum=None) -> np.ndarray:
+    """Uniform start d = c * ones, c = sqrt(lam1*lamn/kappa), inside the
+    region for kappa > kappa(M) (else InfeasiblePointError), unfactored;
     spectrum is (lamn, lam1) of M when the caller already has it."""
     lamn, lam1 = spectrum or extreme_eigenvalues(m)
     if kappa <= lam1 / lamn:
@@ -442,7 +411,7 @@ def initial_feasible_point(m: SymMatrix, kappa: float,
             f"kappa={kappa:.6g} is not above the condition number "
             f"{lam1 / lamn:.6g}")
     c = np.sqrt(lam1 * lamn / kappa)
-    return BarrierPoint(m, kappa, np.full(m.order, c))
+    return np.full(m.order, c)
 
 
 def _certificate(a_arr, kappa, x, y):

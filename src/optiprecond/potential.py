@@ -26,7 +26,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .barrier import (
-    BarrierPoint,
     CenteringError,
     InfeasiblePointError,
     compute_center,
@@ -276,7 +275,7 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
 
     point = ScaledGram.at(m_arr, compute_center(
         m, kappa, initial_feasible_point(m, kappa, spectrum),
-        tol=center_tol).d)
+        tol=center_tol))
     beta = config.beta
     trajectory = [(kappa, point.potential(kappa), beta)]
     small_progress = 0
@@ -297,9 +296,8 @@ def solve_right_pr(m: SymMatrix, config: PRConfig | None = None,
 
         try:
             if mode == "exact":
-                start = BarrierPoint(m, kappa_new, point.d)
                 new = ScaledGram.at(m_arr, compute_center(
-                    m, kappa_new, start, tol=center_tol).d)
+                    m, kappa_new, point.d, tol=center_tol))
             else:
                 new = scaled_nt_step(m_arr, point, kappa, dk)
         except (StepTooLargeError, CenteringError, InfeasiblePointError,

@@ -5,19 +5,15 @@ import pytest
 import scipy.linalg.lapack
 
 from optiprecond import (
-    BarrierPoint,
     InfeasiblePointError,
     RectMatrix,
     SymMatrix,
-    barrier_gradient,
-    barrier_hessian,
-    barrier_value,
     compute_center,
     initial_feasible_point,
     read_matrix_market,
     two_sided_feasibility,
 )
-from optiprecond.barrier import _level_barrier, _one_sided
+from optiprecond.barrier import LmiBarrier, _level_barrier, _one_sided
 from optiprecond.dsdp import build_left, build_right
 from optiprecond.fixtures import fixture_path
 from optiprecond.linalg import inv_from_chol
@@ -31,85 +27,107 @@ SCALAR_CENTER_VALUE = -0.9701193209714584
 
 
 def scalar_point():
-    m = SymMatrix([[1.0]])
-    return m, BarrierPoint(m, 4.0, np.array([SCALAR_CENTER]))
+    """The 1x1, kappa=4 barrier and its state at the center."""
+    barrier = _one_sided(np.array([[1.0]]), 4.0)
+    return barrier, barrier.factor(np.array([SCALAR_CENTER]))
 
 
 def test_barrier_point_requires_strict_feasibility():
     m = SymMatrix([[1.0]])
     with pytest.raises(InfeasiblePointError):
-        BarrierPoint(m, 4.0, np.array([1.5]))     # M - D indefinite
+        compute_center(m, 4.0, np.array([1.5]))     # M - D indefinite
     with pytest.raises(InfeasiblePointError):
-        BarrierPoint(m, 4.0, np.array([0.1]))     # kappa D - M indefinite
+        compute_center(m, 4.0, np.array([0.1]))     # kappa D - M indefinite
     with pytest.raises(InfeasiblePointError):
-        BarrierPoint(m, 4.0, np.array([-0.5]))    # d not positive
+        compute_center(m, 4.0, np.array([-0.5]))    # d not positive
+    with pytest.raises(ValueError, match="wrong length"):
+        compute_center(m, 4.0, np.array([0.5, 0.5]))
+
+
+def test_compute_center_started_at_its_center_factors_once(rng,
+                                                          monkeypatch):
+    m = random_spd(5, rng)
+    kappa = 3.0 * np.linalg.cond(m.mat)
+    center = compute_center(m, kappa, initial_feasible_point(m, kappa),
+                            tol=1e-10)
+    calls = []
+    factor = LmiBarrier.factor
+
+    def counted(self, x):
+        calls.append(x)
+        return factor(self, x)
+
+    monkeypatch.setattr(LmiBarrier, "factor", counted)
+    again = compute_center(m, kappa, center, tol=1e-10)
+    assert len(calls) == 1
+    assert np.array_equal(again, center)
 
 
 def test_barrier_value_scalar_case():
-    m, p = scalar_point()
-    assert barrier_value(m, p) == pytest.approx(SCALAR_CENTER_VALUE,
-                                                rel=1e-12)
+    barrier, state = scalar_point()
+    assert barrier.value(state) == pytest.approx(SCALAR_CENTER_VALUE,
+                                                 rel=1e-12)
 
 
 def test_barrier_value_separable_identity():
     n, kappa, c = 4, 3.0, 0.6
-    m = SymMatrix.identity(n)
-    p = BarrierPoint(m, kappa, np.full(n, c))
+    barrier = _one_sided(np.eye(n), kappa)
     expect = n * (np.log(1 - c) + np.log(kappa * c - 1) + np.log(c))
-    assert barrier_value(m, p) == pytest.approx(expect, rel=1e-12)
+    assert barrier.value(barrier.factor(np.full(n, c))) == pytest.approx(
+        expect, rel=1e-12)
 
 
 def test_barrier_value_finite_on_feasible(rng):
     m = random_spd(6, rng)
     kappa = 100.0
-    p = initial_feasible_point(m, kappa)
-    assert np.isfinite(barrier_value(m, p))
+    barrier = _one_sided(m.mat, kappa)
+    state = barrier.factor(initial_feasible_point(m, kappa))
+    assert np.isfinite(barrier.value(state))
 
 
 def test_barrier_gradient_zero_at_scalar_center():
-    m, p = scalar_point()
-    assert abs(barrier_gradient(m, p)[0]) < 1e-8
+    barrier, state = scalar_point()
+    assert abs(barrier.derivatives(state)[0][0]) < 1e-8
 
 
 def test_barrier_gradient_diagonal_closed_form():
     # for diagonal M the FOC decouples into per-coordinate scalar roots
     mvals = np.array([2.0, 5.0])
     kappa = 4.0
-    m = SymMatrix.diagonal(mvals)
+    barrier = _one_sided(np.diag(mvals), kappa)
     d = mvals * SCALAR_CENTER      # scalar solution scales linearly
-    g = barrier_gradient(m, BarrierPoint(m, kappa, d))
+    g = barrier.derivatives(barrier.factor(d))[0]
     assert np.abs(g).max() < 1e-8
 
 
 def test_barrier_gradient_matches_finite_differences(rng):
     m = random_spd(5, rng, cond=20.0)
     kappa = 3.0 * np.linalg.cond(m.mat)
-    p = compute_center(m, kappa, initial_feasible_point(m, kappa))
-    d0 = p.d * (1 + 0.05 * rng.uniform(-1, 1, 5))
-    point = BarrierPoint(m, kappa, d0)
-    g = barrier_gradient(m, point)
+    center = compute_center(m, kappa, initial_feasible_point(m, kappa))
+    d0 = center * (1 + 0.05 * rng.uniform(-1, 1, 5))
+    barrier = _one_sided(m.mat, kappa)
+    g = barrier.derivatives(barrier.factor(d0))[0]
     h = 1e-6 * np.abs(d0)
     for i in range(5):
         e = np.zeros(5)
         e[i] = h[i]
-        plus = barrier_value(m, BarrierPoint(m, kappa, d0 + e))
-        minus = barrier_value(m, BarrierPoint(m, kappa, d0 - e))
+        plus = barrier.value(barrier.factor(d0 + e))
+        minus = barrier.value(barrier.factor(d0 - e))
         fd = (plus - minus) / (2 * h[i])
         assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_barrier_hessian_scalar_closed_form():
-    m, p = scalar_point()
+    barrier, state = scalar_point()
     d = SCALAR_CENTER
     expect = -(1 / (1 - d) ** 2 + 16 / (4 * d - 1) ** 2 + 1 / d ** 2)
-    assert barrier_hessian(m, p).mat[0, 0] == pytest.approx(expect,
-                                                            rel=1e-12)
+    assert -barrier.derivatives(state)[1][0, 0] == pytest.approx(expect,
+                                                                 rel=1e-12)
 
 
 def test_barrier_hessian_diagonal_for_diagonal_m():
-    m = SymMatrix.diagonal([2.0, 5.0])
-    p = BarrierPoint(m, 4.0, np.array([1.0, 2.5]))
-    h = barrier_hessian(m, p).mat
+    barrier = _one_sided(np.diag([2.0, 5.0]), 4.0)
+    h = -barrier.derivatives(barrier.factor(np.array([1.0, 2.5])))[1]
     assert h[0, 1] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -119,27 +137,28 @@ def test_barrier_hessian_negative_definite(rng):
         m = random_spd(n, rng, cond=30.0)
         kappa = 2.5 * np.linalg.cond(m.mat)
         center = compute_center(m, kappa, initial_feasible_point(m, kappa))
-        d = center.d * np.exp(0.05 * rng.uniform(-1, 1, n))
-        try:
-            p = BarrierPoint(m, kappa, d)
-        except InfeasiblePointError:
+        d = center * np.exp(0.05 * rng.uniform(-1, 1, n))
+        barrier = _one_sided(m.mat, kappa)
+        state = barrier.factor(d)
+        if state is None:
             continue
-        w = np.linalg.eigvalsh(barrier_hessian(m, p).mat)
+        w = np.linalg.eigvalsh(-barrier.derivatives(state)[1])
         assert w[-1] < 0
 
 
 def test_barrier_hessian_matches_gradient_differences(rng):
     m = random_spd(4, rng, cond=10.0)
     kappa = 3.0 * np.linalg.cond(m.mat)
-    p = compute_center(m, kappa, initial_feasible_point(m, kappa))
-    d0 = p.d
-    h_mat = barrier_hessian(m, BarrierPoint(m, kappa, d0)).mat
+    d0 = compute_center(m, kappa, initial_feasible_point(m, kappa))
+    barrier = _one_sided(m.mat, kappa)
+    # negating copies the Hessian workspace, which the calls below reuse
+    h_mat = -barrier.derivatives(barrier.factor(d0))[1]
     step = 1e-6 * np.abs(d0)
     for j in range(4):
         e = np.zeros(4)
         e[j] = step[j]
-        gp = barrier_gradient(m, BarrierPoint(m, kappa, d0 + e))
-        gm = barrier_gradient(m, BarrierPoint(m, kappa, d0 - e))
+        gp = barrier.derivatives(barrier.factor(d0 + e))[0]
+        gm = barrier.derivatives(barrier.factor(d0 - e))[0]
         fd = (gp - gm) / (2 * step[j])
         assert np.allclose(h_mat[:, j], fd, rtol=1e-4, atol=1e-6)
 
@@ -148,7 +167,7 @@ def test_compute_center_scalar():
     m = SymMatrix([[1.0]])
     center = compute_center(m, 4.0, initial_feasible_point(m, 4.0),
                             tol=1e-12)
-    assert center.d[0] == pytest.approx(SCALAR_CENTER, rel=1e-10)
+    assert center[0] == pytest.approx(SCALAR_CENTER, rel=1e-10)
 
 
 def test_compute_center_diagonal_decouples():
@@ -156,7 +175,7 @@ def test_compute_center_diagonal_decouples():
     m = SymMatrix.diagonal(mvals)
     center = compute_center(m, 4.0, initial_feasible_point(m, 4.0),
                             tol=1e-12)
-    assert np.allclose(center.d, mvals * SCALAR_CENTER, rtol=1e-9)
+    assert np.allclose(center, mvals * SCALAR_CENTER, rtol=1e-9)
 
 
 def test_compute_center_fixed_point(rng):
@@ -165,7 +184,7 @@ def test_compute_center_fixed_point(rng):
     center = compute_center(m, kappa, initial_feasible_point(m, kappa),
                             tol=1e-10)
     again = compute_center(m, kappa, center, tol=1e-10)
-    assert np.allclose(again.d, center.d, rtol=1e-12, atol=1e-12)
+    assert np.allclose(again, center, rtol=1e-12, atol=1e-12)
 
 
 def test_compute_center_foc(rng):
@@ -175,7 +194,8 @@ def test_compute_center_foc(rng):
         kappa = 1.5 * np.linalg.cond(m.mat)
         center = compute_center(m, kappa, initial_feasible_point(m, kappa),
                                 tol=1e-9)
-        g = barrier_gradient(m, center)
+        barrier = _one_sided(m.mat, kappa)
+        g = barrier.derivatives(barrier.factor(center))[0]
         assert np.abs(g).max() <= 1e-9
 
 
@@ -183,16 +203,17 @@ def test_barrier_value_nondecreasing_along_newton(rng):
     m = random_spd(6, rng, cond=200.0)
     kappa = 1.2 * np.linalg.cond(m.mat)
     start = initial_feasible_point(m, kappa)
-    v0 = barrier_value(m, start)
+    barrier = _one_sided(m.mat, kappa)
+    v0 = barrier.value(barrier.factor(start))
     center = compute_center(m, kappa, start)
-    assert barrier_value(m, center) >= v0 - 1e-10 * (1 + abs(v0))
+    assert barrier.value(barrier.factor(center)) >= v0 - 1e-10 * (1 + abs(v0))
 
 
 def test_initial_feasible_point_examples():
-    p = initial_feasible_point(SymMatrix.identity(3), 2.0)
-    assert np.allclose(p.d, 1 / np.sqrt(2))
-    p = initial_feasible_point(SymMatrix.diagonal([4.0, 1.0]), 8.0)
-    assert np.allclose(p.d, np.sqrt(4.0 / 8.0))
+    d = initial_feasible_point(SymMatrix.identity(3), 2.0)
+    assert np.allclose(d, 1 / np.sqrt(2))
+    d = initial_feasible_point(SymMatrix.diagonal([4.0, 1.0]), 8.0)
+    assert np.allclose(d, np.sqrt(4.0 / 8.0))
     with pytest.raises(InfeasiblePointError):
         initial_feasible_point(SymMatrix.diagonal([4.0, 1.0]), 4.0)
 
@@ -401,7 +422,7 @@ def _fresh_derivatives(barrier, state):
 def _one_sided_start(rng):
     m = random_spd(5, rng, cond=20.0)
     kappa = 3.0 * np.linalg.cond(m.mat)
-    return _one_sided(m.mat, kappa), initial_feasible_point(m, kappa).d
+    return _one_sided(m.mat, kappa), initial_feasible_point(m, kappa)
 
 
 @pytest.mark.parametrize("make", [_phase_one_two_sided, _dsdp_right,
@@ -414,20 +435,6 @@ def test_workspace_derivatives_are_bit_equal_to_fresh_assembly(make, rng):
         ref_g, ref_h = _fresh_derivatives(barrier, barrier.factor(x))
         assert np.array_equal(g, ref_g)
         assert np.array_equal(neg_h, ref_h)
-
-
-def test_barrier_gradient_and_hessian_do_not_alias(rng):
-    m = random_spd(5, rng, cond=20.0)
-    kappa = 3.0 * np.linalg.cond(m.mat)
-    p1 = initial_feasible_point(m, kappa)
-    p2 = BarrierPoint(m, kappa, 1.01 * p1.d)
-    g1, h1 = barrier_gradient(m, p1), barrier_hessian(m, p1).mat
-    g1_copy, h1_copy = g1.copy(), h1.copy()
-    g2, h2 = barrier_gradient(m, p2), barrier_hessian(m, p2).mat
-    assert not np.shares_memory(g1, g2)
-    assert not np.shares_memory(h1, h2)
-    assert np.array_equal(g1, g1_copy) and np.array_equal(h1, h1_copy)
-    assert not np.array_equal(h1, h2)
 
 
 def test_derivatives_allocate_less_than_one_hessian():

@@ -6,9 +6,8 @@ import scipy.linalg
 import scipy.linalg.lapack
 
 from optiprecond import SymMatrix, gram_matrix, potential, read_matrix_market
-from optiprecond.barrier import (BarrierPoint, InfeasiblePointError,
-                                 barrier_value, compute_center,
-                                 initial_feasible_point)
+from optiprecond.barrier import (InfeasiblePointError, _one_sided,
+                                 compute_center, initial_feasible_point)
 from optiprecond.dsdp import build_right, barrier_path_solve
 from optiprecond.fixtures import fixture_path
 from optiprecond.linalg import geomean_inv, inv_pd, sym_pow
@@ -100,7 +99,7 @@ def _center_and_shift(m):
     inverses of R, S and D at the center, and the shift moves Z by dk Y."""
     kappa = 2.0 * np.linalg.cond(m.mat)
     d = compute_center(m, kappa, initial_feasible_point(m, kappa),
-                       tol=1e-11).d
+                       tol=1e-11)
     dm = np.diag(d)
     x, y, z = inv_pd(m.mat - dm), inv_pd(kappa * dm - m.mat), inv_pd(dm)
     dk = 0.1 / float(np.sum(dm * y))
@@ -134,7 +133,8 @@ def test_scaled_nt_step_matches_the_reference_step(m):
     ref = _reference_step_d(m.mat, *shifted)
     assert np.linalg.norm(stepped.d - ref) <= 1e-12 * np.linalg.norm(ref)
     kappa1 = shifted[0]
-    value = barrier_value(m, BarrierPoint(m, kappa1, stepped.d))
+    barrier = _one_sided(m.mat, kappa1)
+    value = barrier.value(barrier.factor(stepped.d))
     assert stepped.potential(kappa1) == pytest.approx(value, rel=1e-12)
 
 
@@ -430,8 +430,6 @@ def test_solve_right_pr_agrees_with_dsdp(rng):
 
 def test_potential_monotone_in_kappa(rng):
     # P(kappa_0) > P(kappa_1) for kappa_0 > kappa_1 > kappa*
-    from optiprecond.barrier import BarrierPoint
-
     for trial in range(10):
         local = np.random.default_rng(6000 + trial)
         n = int(local.integers(2, 11))
@@ -445,7 +443,7 @@ def test_potential_monotone_in_kappa(rng):
             # the (shrunk) dual-SDP witness is feasible for every
             # kappa > kappa*, including kappa below kappa(M)
             theta = 0.5 * (1 - kappa_star / kappa)
-            start = BarrierPoint(m, kappa, d_star * (1 - theta))
-            center = compute_center(m, kappa, start)
-            values.append(barrier_value(m, center))
+            center = compute_center(m, kappa, d_star * (1 - theta))
+            barrier = _one_sided(m.mat, kappa)
+            values.append(barrier.value(barrier.factor(center)))
         assert np.all(np.diff(values) < 0)
