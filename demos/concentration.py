@@ -10,11 +10,11 @@ import numpy as np
 
 from optiprecond import concentration_experiment
 
-p = 5
 sigma = np.arange(1.0, 6.0)
+p = len(sigma)
 n_grid = [400, 1600, 6400, 25600]
-table = concentration_experiment(p=p, n_grid=n_grid, sigma_spec=sigma,
-                                 trials=50, seed=2024)
+table = concentration_experiment(n_grid=n_grid, sigma_spec=sigma, trials=50,
+                                 seed=2024)
 
 print(f"Sigma = diag({sigma.tolist()}), {table[0]['trials']} trials per n")
 print(f"{'n':>7s} {'sqrt(p/n)':>10s} {'mean gap':>10s}")

@@ -27,10 +27,9 @@ class PcgResult:
 
 
 @serial_blas()
-def pcg(m: SymMatrix, rhs=None, precond: DiagScaling | None = None,
-        tol: float = 1e-6, max_iters: int | None = None,
-        seed_for_rhs: int = 0) -> PcgResult:
-    """Conjugate gradient on the diagonally scaled system.
+def pcg(m: SymMatrix, rhs, precond: DiagScaling | None = None,
+        tol: float = 1e-6, max_iters: int | None = None) -> PcgResult:
+    """Conjugate gradient on the diagonally scaled system M x = rhs.
 
     The preconditioner is applied by explicit congruence, solving
     D^{-1/2} M D^{-1/2} y = D^{-1/2} b; convergence means the scaled
@@ -47,10 +46,7 @@ def pcg(m: SymMatrix, rhs=None, precond: DiagScaling | None = None,
     """
     scaled = apply_scaling(m, precond).mat
     n = scaled.shape[0]
-    if rhs is None:
-        rhs = np.random.default_rng(seed_for_rhs).standard_normal(n)
-    else:
-        rhs = np.asarray(rhs, dtype=float)
+    rhs = np.asarray(rhs, dtype=float)
     b = rhs if precond is None else rhs / np.sqrt(precond.values)
     if max_iters is None:
         max_iters = 10 * n
@@ -145,8 +141,7 @@ def sampling_sweep(a: RectMatrix, ratios, seed: int = 0
         gap = float(np.linalg.norm(
             full_gram.mat - (m_rows / count) * sub_gram, ord="fro"))
         try:
-            scaling, _ = optimal_right(
-                SymMatrix(0.5 * (sub_gram + sub_gram.T)), req)
+            scaling, _ = optimal_right(SymMatrix(sub_gram), req)
         except NotPositiveDefiniteError:     # build_right's full-rank rule
             points.append(SamplingPoint(ratio=float(ratio), gram_gap=gap,
                                         kappa_preconditioned=float("nan"),
@@ -158,21 +153,23 @@ def sampling_sweep(a: RectMatrix, ratios, seed: int = 0
     return points
 
 
-def concentration_experiment(p: int, n_grid, sigma_spec, trials: int,
+def concentration_experiment(n_grid, sigma_spec, trials: int,
                              seed: int = 0) -> list[dict]:
     """Mean gap between kappa(X^T X)/kappa(Sigma) and its column-normalized
     counterpart, per sample size.
 
-    Rows of X are N(0, Sigma). The normalized matrix is X0 = X Dhat^{-1/2}
-    with Dhat the squared sample column norms, compared against the
-    population normalization D = diag(Sigma). Singular draws are redrawn at
-    most 3 times.
+    Rows of X are N(0, Sigma); sigma_spec is the p x p Sigma or its length-p
+    diagonal, and every n in n_grid must exceed p. The normalized matrix is
+    X0 = X Dhat^{-1/2} with Dhat the squared sample column norms, compared
+    against the population normalization D = diag(Sigma). Singular draws are
+    redrawn at most 3 times.
     """
     sigma = np.asarray(sigma_spec, dtype=float)
     if sigma.ndim == 1:
         sigma = np.diag(sigma)
-    if sigma.shape != (p, p):
+    if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma_spec must be length p or a p x p matrix")
+    p = sigma.shape[0]
     sigma_half = sym_pow(sigma, 0.5)
     kappa_sigma = condition_number(sigma)
     d_pop = np.diag(sigma)

@@ -25,7 +25,8 @@ from .heuristics import (
     column_norm_scaling,
     ruiz_equilibrate,
 )
-from .linalg import NotPositiveDefiniteError, condition_number
+from .linalg import (EigenConvergenceError, NotPositiveDefiniteError,
+                     condition_number)
 from .matrixio import (
     MatrixMarketError,
     RectMatrix,
@@ -35,6 +36,7 @@ from .matrixio import (
     regularize_cap,
     render_reports,
     write_report,
+    write_text,
 )
 from .optimal import (
     OptimalRequest,
@@ -50,8 +52,8 @@ EXIT_INTERNAL = 4
 
 _INPUT_ERRORS = (MatrixMarketError, FileNotFoundError, IsADirectoryError,
                  PermissionError, ValueError, KeyError)
-_SOLVER_ERRORS = (NotPositiveDefiniteError, InfeasiblePointError,
-                  CenteringError, PcgBreakdownError)
+_SOLVER_ERRORS = (NotPositiveDefiniteError, EigenConvergenceError,
+                  InfeasiblePointError, CenteringError, PcgBreakdownError)
 
 # Each precond method: the side of the scaling it returns, whether it solves
 # on the Gram matrix (which --cap regularizes) or on the rectangular input,
@@ -101,13 +103,12 @@ def cmd_cond(args) -> int:
         gram = apply_scaling(gram, DiagScaling(values))
     kappa = condition_number(gram)
     payload = {"matrix": str(args.input), "kappa": kappa, "epsilon": eps}
-    text = json.dumps(payload, indent=2) if args.format == "json" \
+    text = json.dumps(payload, indent=2) + "\n" if args.format == "json" \
         else f"matrix,kappa,epsilon\n{args.input},{kappa!r},{eps!r}\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + ("\n" if args.format == "json" else ""))
+        write_text(args.out, text)
     else:
-        sys.stdout.write(text + ("\n" if args.format == "json" else ""))
+        sys.stdout.write(text)
     return EXIT_OK
 
 
@@ -194,8 +195,7 @@ def cmd_concentration(args) -> int:
     if not n_grid or not sigma:
         raise ValueError("empty --n-grid or --sigma-diag")
     table = concentration_experiment(
-        p=len(sigma), n_grid=n_grid, sigma_spec=sigma,
-        trials=args.trials, seed=args.seed)
+        n_grid=n_grid, sigma_spec=sigma, trials=args.trials, seed=args.seed)
     reports = [
         SolveReport(matrix="synthetic", method="concentration",
                     kappa_before=1.0, kappa_after=1.0, iterations=row["trials"],

@@ -11,7 +11,8 @@ dsygst and dsyevx on factors the caller already holds), ``sym_pow``,
 ``proximity_delta``, ``geomean_inv`` and ``scaled_eigh`` (the eigenbasis
 of D^{-1/2} M D^{-1/2}). They take and return plain float64 arrays;
 ``Factored`` holds one factor with its inverse, formed at most once.
-``serial_blas`` runs a solve on one BLAS thread.
+``serial_blas`` runs a solve on one BLAS thread by calling the thread
+functions of the OpenBLAS copies that the numpy and scipy wheels bundle.
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ import threading
 import numpy as np
 import scipy.linalg
 import scipy.linalg.lapack
-
-try:
-    import threadpoolctl
-except ImportError:          # the ctypes path below covers the wheels' BLAS
-    threadpoolctl = None
 
 logger = logging.getLogger(__name__)
 
@@ -68,54 +64,40 @@ def _openblas_controls() -> tuple:
 def blas_backend() -> str:
     """How ``serial_blas`` limits BLAS threads in this process.
 
-    ``"threadpoolctl"`` when that package is importable, ``"openblas-ctypes"``
-    when the wheels' OpenBLAS thread functions are found, else ``"none"``
-    (logged once as a warning: solves then run at the default thread count).
+    ``"openblas-ctypes"`` when the wheels' OpenBLAS thread functions are
+    found, else ``"none"`` (logged once as a warning: solves then run at the
+    default thread count).
     """
-    if threadpoolctl is not None:
-        return "threadpoolctl"
     if _openblas_controls():
         return "openblas-ctypes"
-    logger.warning("no BLAS thread control found (threadpoolctl is not "
-                   "installed and no bundled OpenBLAS exports "
-                   "scipy_openblas_set_num_threads); solves run with the "
-                   "default BLAS thread count")
+    logger.warning("no BLAS thread control found (no bundled OpenBLAS "
+                   "exports scipy_openblas_set_num_threads); solves run "
+                   "with the default BLAS thread count")
     return "none"
-
-
-def _limit_to_one_thread():
-    """Set every BLAS this process loaded to one thread; returns the undo."""
-    backend = blas_backend()
-    if backend == "threadpoolctl":
-        return threadpoolctl.threadpool_limits(limits=1).restore_original_limits
-    saved = [(set_, get()) for get, set_ in _openblas_controls()]
-    for set_, _ in saved:
-        set_(1)
-
-    def restore():
-        for set_, count in saved:
-            set_(count)
-    return restore
 
 
 class _SerialBlas(contextlib.ContextDecorator):
     """Process-wide one-thread BLAS while any holder is inside.
 
     Thread counts are process-global, so holders are counted: the first to
-    enter saves the counts and sets one thread, the last to leave restores
-    them. Nested and concurrent uses therefore never restore a count that
-    another holder still relies on.
+    enter saves the count of every OpenBLAS copy and sets one thread, the
+    last to leave restores them. Nested and concurrent uses therefore never
+    restore a count that another holder still relies on.
     """
 
     def __init__(self):
         self._lock = threading.Lock()
         self._holders = 0
-        self._restore = None
+        self._saved = ()
 
     def __enter__(self):
         with self._lock:
             if self._holders == 0:
-                self._restore = _limit_to_one_thread()
+                blas_backend()      # logs the one warning when none is found
+                self._saved = tuple((set_, get())
+                                    for get, set_ in _openblas_controls())
+                for set_, _ in self._saved:
+                    set_(1)
             self._holders += 1
         return self
 
@@ -123,8 +105,9 @@ class _SerialBlas(contextlib.ContextDecorator):
         with self._lock:
             self._holders -= 1
             if self._holders == 0:
-                restore, self._restore = self._restore, None
-                restore()
+                for set_, count in self._saved:
+                    set_(count)
+                self._saved = ()
         return False
 
 
@@ -154,14 +137,14 @@ class EigenConvergenceError(RuntimeError):
 class SymMatrix:
     """Dense symmetric matrix with finite entries.
 
-    Construction rejects input whose asymmetry exceeds a small relative
-    tolerance and then symmetrizes exactly, so ``mat[i, j] == mat[j, i]``
-    holds afterwards.
+    Construction rejects input whose largest asymmetry exceeds 1e-8 times
+    max(max |a_ij|, 1) and then symmetrizes exactly, so
+    ``mat[i, j] == mat[j, i]`` holds afterwards.
     """
 
     __slots__ = ("mat",)
 
-    def __init__(self, mat, *, rtol: float = 1e-8):
+    def __init__(self, mat):
         a = np.asarray(mat, dtype=float)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise ValueError(f"expected a square matrix, got shape {a.shape}")
@@ -169,7 +152,7 @@ class SymMatrix:
             raise ValueError("matrix entries must be finite")
         asym = np.abs(a - a.T).max()
         scale = np.abs(a).max()
-        if asym > rtol * max(scale, 1.0):
+        if asym > 1e-8 * max(scale, 1.0):
             raise ValueError(
                 f"matrix is not symmetric (max asymmetry {asym:.3e})")
         self.mat = 0.5 * (a + a.T)

@@ -191,8 +191,7 @@ def read_matrix_market(path) -> RectMatrix:
 def gram_matrix(a: RectMatrix) -> SymMatrix:
     """A^T A when the input is tall (m >= n), else A A^T."""
     x = a.tall()
-    g = x.T @ x
-    return SymMatrix(0.5 * (g + g.T))
+    return SymMatrix(x.T @ x)
 
 
 def regularize_cap(m: SymMatrix, kappa_cap: float) -> GramSpec:
@@ -223,41 +222,33 @@ def sample_rows(a: RectMatrix, count: int, seed: int) -> RectMatrix:
     return RectMatrix(a.mat[idx])
 
 
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, float)):
-        return float(value)
-    if isinstance(value, (bool, np.bool_)):
-        return bool(value)
-    if isinstance(value, (np.integer, int)):
-        return int(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in value.items()}
-    return value
+def _json_default(value):
+    """json's ``default`` hook: NumPy scalars and arrays as Python values."""
+    if isinstance(value, (np.generic, np.ndarray)):
+        return value.tolist()
+    raise TypeError(f"{type(value).__name__} is not JSON serializable")
 
 
 def render_reports(reports, format: str = "json") -> str:
     """Serialize reports to a JSON array or a CSV table with fixed columns."""
-    records = [_jsonable(asdict(r)) for r in reports]
+    records = [asdict(r) for r in reports]
     if format == "json":
-        return json.dumps(records, indent=2)
+        return json.dumps(records, indent=2, default=_json_default)
     if format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(f.name for f in fields(SolveReport))
         for rec in records:
-            writer.writerow(json.dumps(v) if isinstance(v, dict) else v
+            writer.writerow(json.dumps(v, default=_json_default)
+                            if isinstance(v, dict) else v
                             for v in rec.values())
         return buf.getvalue()
     raise ValueError(f"unknown report format {format!r}")
 
 
-def write_report(reports, format: str, path) -> None:
-    """Write reports atomically (temp file + rename)."""
-    text = render_reports(reports, format=format)
+def write_text(path, text: str) -> None:
+    """Write text atomically (temp file + rename): the target holds either
+    its old content or all of the new."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
@@ -268,3 +259,8 @@ def write_report(reports, format: str, path) -> None:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def write_report(reports, format: str, path) -> None:
+    """Write reports atomically (see ``write_text``)."""
+    write_text(path, render_reports(reports, format=format))

@@ -16,7 +16,8 @@ from conftest import random_spd
 
 
 def test_pcg_identity_one_iteration():
-    res = pcg(SymMatrix.identity(5), seed_for_rhs=3)
+    res = pcg(SymMatrix.identity(5),
+              rhs=np.random.default_rng(3).standard_normal(5))
     assert res.iterations == 1
     assert res.converged
     assert res.final_relative_residual <= 1e-6
@@ -24,20 +25,22 @@ def test_pcg_identity_one_iteration():
 
 def test_pcg_two_distinct_eigenvalues():
     m = SymMatrix.diagonal([3.0, 3.0, 8.0, 8.0, 8.0])
-    res = pcg(m, seed_for_rhs=1)
+    res = pcg(m, rhs=np.random.default_rng(1).standard_normal(5))
     assert res.iterations <= 3
     assert res.converged
 
 
 def test_pcg_breakdown_on_indefinite():
     with pytest.raises(PcgBreakdownError):
-        pcg(SymMatrix([[1.0, 2.0], [2.0, 1.0]]), seed_for_rhs=0)
+        pcg(SymMatrix([[1.0, 2.0], [2.0, 1.0]]),
+            rhs=np.random.default_rng(0).standard_normal(2))
 
 
 def test_pcg_exact_whitening_one_iteration(rng):
     d = np.exp(rng.standard_normal(6))
     m = SymMatrix.diagonal(d)
-    res = pcg(m, precond=DiagScaling(d), seed_for_rhs=2)
+    res = pcg(m, rhs=np.random.default_rng(2).standard_normal(6),
+              precond=DiagScaling(d))
     assert res.iterations == 1
 
 
@@ -51,8 +54,9 @@ def test_pcg_solves_system(rng):
 
 def test_pcg_preconditioner_reduces_iterations(rng):
     m = random_spd(40, rng, cond=5e4)
-    plain = pcg(m, seed_for_rhs=5, max_iters=5000)
-    jac = pcg(m, precond=jacobi_scaling(m), seed_for_rhs=5, max_iters=5000)
+    rhs = np.random.default_rng(5).standard_normal(40)
+    plain = pcg(m, rhs=rhs, max_iters=5000)
+    jac = pcg(m, rhs=rhs, precond=jacobi_scaling(m), max_iters=5000)
     assert jac.converged
     assert plain.iterations >= 1
 
@@ -121,7 +125,7 @@ def test_sampling_rejects_bad_ratio(rng):
 
 
 def test_concentration_identity_sigma_small_gap():
-    table = concentration_experiment(p=3, n_grid=[200, 2000],
+    table = concentration_experiment(n_grid=[200, 2000],
                                      sigma_spec=np.ones(3), trials=10,
                                      seed=1)
     assert table[1]["mean_gap"] < table[0]["mean_gap"]
@@ -129,18 +133,18 @@ def test_concentration_identity_sigma_small_gap():
 
 
 def test_concentration_gap_shrinks_with_n():
-    table = concentration_experiment(p=5, n_grid=[400, 40000],
+    table = concentration_experiment(n_grid=[400, 40000],
                                      sigma_spec=np.arange(1.0, 6.0),
                                      trials=50, seed=7)
     assert table[1]["mean_gap"] < table[0]["mean_gap"]
 
 
 def test_concentration_deterministic():
-    kw = dict(p=2, n_grid=[100], sigma_spec=[1.0, 2.0], trials=3, seed=42)
+    kw = dict(n_grid=[100], sigma_spec=[1.0, 2.0], trials=3, seed=42)
     assert concentration_experiment(**kw) == concentration_experiment(**kw)
 
 
 def test_concentration_validates_grid():
     with pytest.raises(ValueError):
-        concentration_experiment(p=5, n_grid=[4], sigma_spec=np.ones(5),
+        concentration_experiment(n_grid=[4], sigma_spec=np.ones(5),
                                  trials=1, seed=0)

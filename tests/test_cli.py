@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import optiprecond
 from optiprecond import cli
@@ -71,6 +72,32 @@ def test_cond_missing_file_exit_2(tmp_path, capsys):
     code, out, err = run_cli(
         ["cond", "--input", str(tmp_path / "nope.mtx")], capsys)
     assert code == 2
+
+
+def test_cond_out_keeps_old_file_when_rename_fails(tmp_path, capsys,
+                                                   monkeypatch):
+    path = write_mtx(tmp_path, [4.0, 1.0])
+    out_path = tmp_path / "cond.json"
+    out_path.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+    monkeypatch.setattr(os, "replace", fail)
+    code, out, err = run_cli(
+        ["cond", "--input", str(path), "--out", str(out_path)], capsys)
+    assert code != 0
+    assert out_path.read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_cond_eigensolver_failure_exit_3(tmp_path, capsys, monkeypatch):
+    def fail(a):
+        raise scipy.linalg.LinAlgError("eigenvalues did not converge")
+    monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
+    path = write_mtx(tmp_path, [4.0, 1.0])
+    code, out, err = run_cli(["cond", "--input", str(path)], capsys)
+    assert code == 3
+    assert "solver failure" in err
 
 
 def test_precond_jacobi_diagonal(tmp_path, capsys):

@@ -394,16 +394,12 @@ def test_serial_blas_as_decorator(two_blas_threads):
 
 
 def test_blas_backend_on_this_install():
-    if linalg.threadpoolctl is not None:
-        assert blas_backend() == "threadpoolctl"
-    elif not _openblas_thread_functions():
+    if not _openblas_thread_functions():
         pytest.skip("no bundled OpenBLAS exports its thread functions")
-    else:
-        assert blas_backend() == "openblas-ctypes"
+    assert blas_backend() == "openblas-ctypes"
 
 
 def test_blas_backend_none_warns(monkeypatch, caplog):
-    monkeypatch.setattr(linalg, "threadpoolctl", None)
     monkeypatch.setattr(linalg, "_openblas_controls", lambda: ())
     with caplog.at_level(logging.WARNING, logger="optiprecond.linalg"):
         assert blas_backend.__wrapped__() == "none"
