@@ -10,11 +10,13 @@ one primal-dual loop, which maximizes x_0 for dsdp's one-sided SDPs and the
 two-sided level test; ``compute_center`` holds the one damped-Newton loop.
 Both solve by Cholesky only: the primal-dual loop stops at a Schur matrix
 that does not factor, and compute_center raises NotPositiveDefiniteError
-at such a Hessian. A factored point holds each cone as a linalg.Factored,
-its inverse formed by one dpotri on first use. Each LmiBarrier assembles
-its Newton system in place, in a workspace allocated on the first
-derivatives call, with the arithmetic of a fresh assembly: the Hessian it
-returns is valid only until its next derivatives call.
+at such a Hessian. A factored point holds each cone as a linalg.Factored:
+its matrix, its factor and its inverse, formed by one dpotri on first use.
+Step lengths reduce only the cones that fail max_step_chol's Cholesky
+test. Each LmiBarrier assembles its Newton system in place, in a
+workspace allocated on the first derivatives call, with the arithmetic of
+a fresh assembly: the Hessian it returns is valid only until its next
+derivatives call.
 
 For a PD matrix M and a level kappa, the scaling region is
 {d > 0 : M - D > 0, kappa D - M > 0} with D = diag(d). The barrier over this
@@ -29,6 +31,7 @@ Programming, SIAM Rev. 1996, section 3).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,7 +73,8 @@ class FeasibilityResult:
     A feasible level carries its witness pair (witness_left = d1, witness =
     d2) and the pair's kappa, at most the level; an infeasible one carries
     the checked certificate (X, Y) of _certificate. Both are given in the
-    coordinates of the input A.
+    coordinates of the input A. newton_steps counts the primal-dual
+    iterations, step_reductions the cone reductions of their step lengths.
     """
 
     verdict: str
@@ -79,6 +83,7 @@ class FeasibilityResult:
     kappa: float = float("nan")
     certificate: tuple[np.ndarray, np.ndarray] | None = None
     newton_steps: int = 0
+    step_reductions: int = 0
 
     @property
     def feasible(self) -> bool:
@@ -201,7 +206,7 @@ class LmiBarrier:
             lower = chol_pd(mat)
             if lower is None:
                 return None
-            factors.append(Factored(lower))
+            factors.append(Factored(mat, lower))
         return factors, slack
 
     def value(self, state):
@@ -247,11 +252,12 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
-def _max_step(lowers, deltas, v, dv):
-    """Largest step keeping every cone matrix L L^T + alpha delta PSD and
-    v >= 0, capped at 1."""
-    return min([1.0, *(v[dv < 0] / -dv[dv < 0]),
-                max_step_chol(lowers, deltas)])
+def _max_step(mats, lowers, deltas, v, dv, tally=None):
+    """Largest step keeping every cone matrix mat + alpha delta PSD and
+    v >= 0, capped at 1: max_step_chol under the bound of 1 and v / -dv,
+    with its reductions counted in tally."""
+    return max_step_chol(mats, lowers, deltas,
+                         min([1.0, *(v[dv < 0] / -dv[dv < 0])]), tally)
 
 
 def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
@@ -263,19 +269,20 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
     Vanderbei & Wolkowicz, SIAM J. Optim. 1996): each iteration factors the
     Schur matrix once and solves it for the predictor, then the corrector;
     both take their step lengths from one factor of each X and the state's
-    factors of Z. The primal direction keeps barrier.adjoint(xs, v) fixed.
+    factors of Z, reducing only a cone that fails max_step_chol's Cholesky
+    test. The primal direction keeps barrier.adjoint(xs, v) fixed.
     Stops when done(y, xs) holds, before the first iteration or after any,
     after max_iter iterations, or when an X, the Schur matrix or the dual
     step is no longer numerically PD (at the previous point). Every
     returned y has been factored, so it is strictly feasible. Returns (y,
-    xs, iterations); the inputs are not modified.
+    xs, iterations, step reductions); the inputs are not modified.
     """
     b, pos = barrier, barrier.positive
     c = np.eye(1, b.nvar)[0]
     state = b.factor(y)
     if state is None:
         raise CenteringError("strictly feasible start recipe failed")
-    iterations = 0
+    iterations, tally = 0, Counter()
     while not done(y, xs) and iterations < max_iter:
         iterations += 1
         factors, z = state
@@ -297,8 +304,9 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
             dxs = [tz - x - _sym(x @ dz @ zi)
                    for tz, x, dz, zi in zip(tzs, xs, dzs, zinv)]
             dv = tv - v - v * dy[pos] / z
-            return (dy, dzs, dxs, dv), (_max_step(xls, dxs, v, dv),
-                                        _max_step(zls, dzs, z, dy[pos]))
+            return (dy, dzs, dxs, dv), (
+                _max_step(xs, xls, dxs, v, dv, tally),
+                _max_step(zs, zls, dzs, z, dy[pos], tally))
 
         (dy, dzs, dxs, dv), (alpha, beta) = direction(c, [0.0] * len(xs),
                                                       0.0)
@@ -319,7 +327,7 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
         xs = [x + gamma * alpha * dx for x, dx in zip(xs, dxs)]
         v = v + gamma * alpha * dv
         y, state = y + gamma * beta * dy, new_state
-    return y, xs, iterations
+    return y, xs, iterations, tally["step_reductions"]
 
 
 def _one_sided(m_arr, kappa) -> LmiBarrier:
@@ -389,7 +397,8 @@ def compute_center(m: SymMatrix, kappa: float, d0,
                     break
             if attempt == 0:
                 factors, slack = state
-                alpha = 0.9 * _max_step([f.lower for f in factors],
+                alpha = 0.9 * _max_step([f.mat for f in factors],
+                                        [f.lower for f in factors],
                                         barrier.linear(step), slack,
                                         step[barrier.positive])
             else:
@@ -480,8 +489,9 @@ def two_sided_feasibility(a: RectMatrix, kappa: float,
         certificate[:] = _certificate(scaled, kappa, xs[0], xs[1]) or ()
         return bool(certificate)
 
-    y, _, steps = primal_dual_ascent(
+    y, _, steps, reductions = primal_dual_ascent(
         _level_barrier(scaled, kappa), y0, xs0, v0, done, _LEVEL_MAX_ITER)
+    counts = {"newton_steps": steps, "step_reductions": reductions}
     if y[0] > 0:    # the dual iterate was factored: its cones are PD
         d1, d2 = y[1:m_rows + 1], y[m_rows + 1:]
         r2 = 1.0 / np.sqrt(d2)
@@ -490,11 +500,11 @@ def two_sided_feasibility(a: RectMatrix, kappa: float,
         return FeasibilityResult(
             "feasible", witness_left=w1, witness=w2 * d2,
             kappa=condition_number(r2[:, None] * gram * r2[None, :]),
-            newton_steps=steps)
+            **counts)
     if certificate:
         r2 = 1.0 / np.sqrt(w2)
         return FeasibilityResult(
             "infeasible", certificate=tuple(
                 r2[:, None] * c * r2[None, :] for c in certificate),
-            newton_steps=steps)
-    return FeasibilityResult("undecided", newton_steps=steps)
+            **counts)
+    return FeasibilityResult("undecided", **counts)

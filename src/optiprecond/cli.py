@@ -142,7 +142,8 @@ def cmd_precond(args) -> int:
     if eps:
         report.extra["epsilon"] = eps
     if args.emit_scaling:
-        np.savetxt(args.emit_scaling, scaling.values, delimiter=",")
+        write_text(args.emit_scaling,
+                   "".join(f"{v:.18e}\n" for v in scaling.values))
     _emit(args, [report])
     return EXIT_OK
 

@@ -120,10 +120,11 @@ def barrier_path_solve(p: DsdpProblem, gap_tol: float = GAP_FLOOR
     """Primal-dual solve to (tau*, d*) by barrier.primal_dual_ascent; the
     report has kappa = 1/tau* and the lower bound 1 / p.tau_bound(X), and
     the solve stops once kappa <= (1 + gap_tol) times that bound, gap_tol
-    raised to GAP_FLOOR."""
+    raised to GAP_FLOOR. extra["step_reductions"] counts the cones whose
+    step length took an eigensolve (see linalg.max_step_chol)."""
     t0 = time.perf_counter()
     gap_tol = max(gap_tol, GAP_FLOOR)
-    y, xs, iterations = primal_dual_ascent(
+    y, xs, iterations, reductions = primal_dual_ascent(
         p.barrier, p.start, *p.primal_start,
         lambda y, xs: p.tau_bound(xs) - y[0] <= gap_tol * y[0], _MAX_ITER)
     upper = p.tau_bound(xs)
@@ -136,5 +137,6 @@ def barrier_path_solve(p: DsdpProblem, gap_tol: float = GAP_FLOOR
                "certified": upper - y[0] <= gap_tol * y[0],
                "gap_tolerance": gap_tol,
                "newton_steps": iterations,
+               "step_reductions": reductions,
                "blas_backend": blas_backend()})
     return float(y[0]), y[1:].copy(), report

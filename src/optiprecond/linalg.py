@@ -6,11 +6,13 @@ applies the one full-rank rule; ``condition_number`` is the one kappa
 helper. The positive-definite kernels are ``chol_pd`` (dpotrf),
 ``inv_from_chol`` and ``inv_pd`` (dpotri), ``solve_pd`` (dposv, which
 refuses a matrix that is not PD), ``solve_chol`` (dpotrs),
-``logdet_from_chol``, ``max_step_chol`` (the one step-length kernel:
-dsygst and dsyevx on factors the caller already holds), ``sym_pow``,
+``logdet_from_chol``, ``max_step_chol`` (the one step-length kernel: a
+dpotrf test of each cone at the step in force, and dsygst and dsyevx on the
+caller's factor only for a cone that fails it), ``sym_pow``,
 ``proximity_delta``, ``geomean_inv`` and ``scaled_eigh`` (the eigenbasis
 of D^{-1/2} M D^{-1/2}). They take and return plain float64 arrays;
-``Factored`` holds one factor with its inverse, formed at most once.
+``Factored`` holds one PD matrix with its factor and its inverse, formed
+at most once.
 ``serial_blas`` runs a solve on one BLAS thread by calling the thread
 functions of the OpenBLAS copies that the numpy and scipy wheels bundle.
 """
@@ -228,8 +230,8 @@ def logcond_subgradient(m: SymMatrix, d) -> np.ndarray:
 # Positive-definite kernels shared by every solver. Cholesky (dpotrf)
 # factors, inverts (dpotri) and solves (dposv), eigh runs only for
 # fractional powers, the geometric means of the Nesterov-Todd scalings and
-# the scaled Gram's eigenbasis, and step lengths reduce by factors the
-# caller already holds.
+# the scaled Gram's eigenbasis, and step lengths are tested by Cholesky
+# and reduced by factors the caller already holds only where a cone binds.
 
 
 def chol_pd(a):
@@ -255,12 +257,13 @@ def inv_from_chol(lower):
 
 
 class Factored:
-    """A PD matrix's lower Cholesky factor, and its inverse, formed by
+    """A PD matrix, its lower Cholesky factor, and its inverse, formed by
     inv_from_chol on first use and kept: callers share one dpotri."""
 
-    __slots__ = ("lower", "_inv")
+    __slots__ = ("mat", "lower", "_inv")
 
-    def __init__(self, lower):
+    def __init__(self, mat, lower):
+        self.mat = mat
         self.lower = lower
         self._inv = None
 
@@ -298,22 +301,35 @@ def logdet_from_chol(lower):
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
-def max_step_chol(lowers, deltas):
-    """Largest alpha keeping every L L^T + alpha*delta PSD (inf if
-    unbounded), over pairs of a lower Cholesky factor L and a delta: the
-    top eigenvalue of L^-1 (-delta) L^-T, reduced by dsygst and found by
-    one dsyevx (dsygvx without its dpotrf), or by all eigenvalues where
-    that subset solve fails."""
-    top = -np.inf
-    for lower, delta in zip(lowers, deltas):
+def max_step_chol(mats, lowers, deltas, bound=np.inf, tally=None):
+    """Largest alpha <= bound keeping every mat + alpha*delta PSD (inf if
+    unbounded), over triples of a PD matrix, its lower Cholesky factor L
+    and a delta.
+
+    Screened: each cone in turn is tested by one dpotrf of mat +
+    alpha*delta at the alpha in force; a cone that factors does not bind
+    and keeps alpha. Only a cone that fails the test (or any cone while
+    alpha is inf) is reduced: alpha falls to 1 / the top eigenvalue of
+    L^-1 (-delta) L^-T, formed by dsygst and found by one dsyevx (dsygvx
+    without its dpotrf), or by all eigenvalues where that subset solve
+    fails. Later cones are tested at the lowered alpha. tally, a
+    collections.Counter, counts the reductions under "step_reductions"."""
+    alpha = float(bound)
+    for mat, lower, delta in zip(mats, lowers, deltas):
+        if alpha < np.inf and chol_pd(mat + alpha * delta) is not None:
+            continue
         n = len(lower)
         c = scipy.linalg.lapack.dsygst(-delta, lower, lower=1,
                                        overwrite_a=1)[0]
         w, _, found, _, info = scipy.linalg.lapack.dsyevx(
             c, compute_v=0, range="I", lower=1, il=n, iu=n)
-        top = max(top, w[0] if info == 0 and found == 1
-                  else extreme_eigenvalues(c, rtol=None)[1])
-    return np.inf if top <= 0 else 1.0 / float(top)
+        top = w[0] if info == 0 and found == 1 \
+            else extreme_eigenvalues(c, rtol=None)[1]
+        if tally is not None:
+            tally["step_reductions"] += 1
+        if top > 0:
+            alpha = min(alpha, 1.0 / float(top))
+    return alpha
 
 
 def sym_pow(a, power):

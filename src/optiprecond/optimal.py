@@ -129,12 +129,13 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
     best_d1, best_d2 = np.ones(x.shape[0]), np.ones(x.shape[1])
     lo, hi = 1.0, kappa0
     kappa_lb = 1.0
-    iterations = steps = undecided = 0
+    iterations = steps = reductions = undecided = 0
     while hi / lo - 1 >= req.epsilon:
         iterations += 1
         mid = 0.5 * (lo + hi)
         res = two_sided_feasibility(rect, mid, (best_d1, best_d2))
         steps += res.newton_steps
+        reductions += res.step_reductions
         if res.feasible:
             hi = min(mid, res.kappa)
             best_d1, best_d2 = res.witness_left, res.witness
@@ -153,7 +154,7 @@ def bisect_two_sided(a: RectMatrix, req: OptimalRequest | None = None
          "kappa_lower_bound": kappa_lb, "certified_gap": hi / kappa_lb - 1,
          "gap_tolerance": req.epsilon, "certified": undecided == 0,
          "undecided_levels": undecided,
-         "newton_steps": steps})
+         "newton_steps": steps, "step_reductions": reductions})
 
 
 @serial_blas()

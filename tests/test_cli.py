@@ -134,6 +134,23 @@ def test_precond_emit_and_apply_roundtrip(tmp_path, capsys):
     assert json.loads(out)["kappa"] == pytest.approx(kappa_after, abs=1e-8)
 
 
+def test_precond_emit_scaling_keeps_old_file_when_rename_fails(
+        tmp_path, capsys, monkeypatch):
+    path = write_mtx(tmp_path, [4.0, 2.0, 1.0])
+    scaling_path = tmp_path / "scaling.csv"
+    scaling_path.write_text("old\n")
+
+    def fail(src, dst):
+        raise OSError("rename failed")
+    monkeypatch.setattr(os, "replace", fail)
+    code, out, err = run_cli(
+        ["precond", "--input", str(path), "--method", "optimal-right",
+         "--emit-scaling", str(scaling_path)], capsys)
+    assert code != 0
+    assert scaling_path.read_text() == "old\n"
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 def test_precond_optimal_right_fixture(tmp_path, capsys):
     code, out, err = run_cli(
         ["precond", "--input", str(fixture_path("trefethen_20b")),

@@ -134,7 +134,7 @@ def test_uncertified_stop_still_bounds_kappa(rng):
 def test_report_keys(rng):
     tau, d, rep = barrier_path_solve(build_right(random_spd(4, rng)))
     assert {"kappa_lower_bound", "certified_gap", "certified",
-            "newton_steps"} <= set(rep.extra)
+            "newton_steps", "step_reductions"} <= set(rep.extra)
     assert not {"mu_final", "duality_gap_proxy", "tau_path"} & \
         set(rep.extra)
 
@@ -175,21 +175,23 @@ def test_gap_tolerance_respected(rng):
 
 
 def test_step_lengths_reuse_the_iterate_factors(monkeypatch):
-    # one optimal_left solve: no generalized eigensolve, and per iteration
-    # one dpotrf of each X cone, shared by the predictor's and the
-    # corrector's step lengths, on top of the Schur matrix and the two Z
-    # cones of the next dual point
+    # one optimal_left solve: no generalized eigensolve; per iteration one
+    # dpotrf of each X cone, shared by the predictor's and the corrector's
+    # step lengths, on top of the Schur matrix and the two Z cones of the
+    # next dual point; one Cholesky test per cone per step length, and a
+    # dsygst only right after a test that failed
     a = RectMatrix(np.random.default_rng(5).standard_normal((30, 5)))
-    orders, reduced = [], []
+    calls = []
     dpotrf, dsygst = scipy.linalg.lapack.dpotrf, scipy.linalg.lapack.dsygst
     eigvalsh, eigh = scipy.linalg.eigvalsh, scipy.linalg.eigh
 
     def counted_dpotrf(mat, *args, **kwargs):
-        orders.append(mat.shape[0])
-        return dpotrf(mat, *args, **kwargs)
+        out = dpotrf(mat, *args, **kwargs)
+        calls.append(("dpotrf", mat.shape[0], out[1] == 0))
+        return out
 
     def counted_dsygst(*args, **kwargs):
-        reduced.append(args[0].shape[0])
+        calls.append(("dsygst", args[0].shape[0]))
         return dsygst(*args, **kwargs)
 
     def standard_only(solver):
@@ -210,11 +212,18 @@ def test_step_lengths_reuse_the_iterate_factors(monkeypatch):
     _, rep = optimal_left(a, OptimalRequest(epsilon=1e-8))
     iterations = rep.iterations
     assert rep.extra["certified"] and iterations > 5
+    orders = [c[1] for c in calls if c[0] == "dpotrf"]
     assert orders.count(31) == iterations    # one Schur factor each
-    # the start's two Z cones, then per iteration two X and two Z cones
-    assert orders.count(5) == 2 + 4 * iterations
-    # two cones each of X and Z, for the predictor and the corrector
-    assert reduced == [5] * (8 * iterations)
+    # the start's two Z cones, then per iteration two X and two Z cones,
+    # and a test of each of the four cones for the predictor and the
+    # corrector
+    assert orders.count(5) == 2 + 12 * iterations
+    reduced = [k for k, c in enumerate(calls) if c[0] == "dsygst"]
+    failed = [k for k, c in enumerate(calls) if c == ("dpotrf", 5, False)]
+    assert [k - 1 for k in reduced] == failed
+    assert [calls[k] for k in reduced] == [("dsygst", 5)] * len(reduced)
+    assert len(reduced) == rep.extra["step_reductions"]
+    assert 0 < len(reduced) < 8 * iterations
 
 
 def test_primal_starts_are_strictly_feasible(rng):

@@ -1,4 +1,5 @@
 import ast
+import collections
 import ctypes
 import importlib
 import logging
@@ -239,11 +240,12 @@ def test_solve_pd_refuses_a_matrix_that_is_not_pd():
 
 
 def test_max_step_cone():
-    lower = chol_pd(np.diag([1.0, 4.0]))
+    a = np.diag([1.0, 4.0])
+    lower = chol_pd(a)
     # diag(1, 4) - alpha diag(2, -1) stays PSD up to alpha = 1/2
-    assert max_step_chol([lower], [-np.diag([2.0, -1.0])]) == \
+    assert max_step_chol([a], [lower], [-np.diag([2.0, -1.0])]) == \
         pytest.approx(0.5)
-    assert max_step_chol([lower], [np.diag([1.0, 1.0])]) == np.inf
+    assert max_step_chol([a], [lower], [np.diag([1.0, 1.0])]) == np.inf
 
 
 def test_solve_chol_reuses_one_factor(rng):
@@ -256,20 +258,21 @@ def test_solve_chol_reuses_one_factor(rng):
 
 def test_max_step_pd(rng):
     # diag(1, 4) + alpha diag(-2, 1) stays PSD up to alpha = 1/2
-    base = chol_pd(np.diag([1.0, 4.0]))
-    assert max_step_chol([base], [np.diag([-2.0, 1.0])]) == \
+    b = np.diag([1.0, 4.0])
+    base = chol_pd(b)
+    assert max_step_chol([b], [base], [np.diag([-2.0, 1.0])]) == \
         pytest.approx(0.5)
     a = random_spd(8, rng, cond=100.0).mat
     delta = rng.standard_normal((8, 8))
     delta = delta + delta.T
-    alpha = max_step_chol([chol_pd(a)], [delta])
+    alpha = max_step_chol([a], [chol_pd(a)], [delta])
     assert np.linalg.eigvalsh(a + alpha * delta)[0] == \
         pytest.approx(0.0, abs=1e-12 * np.abs(a).max())
-    # over several pairs, the smallest step; an unbounded pair adds none
-    assert max_step_chol([base, chol_pd(a), base],
+    # over several triples, the smallest step; an unbounded one adds none
+    assert max_step_chol([b, a, b], [base, chol_pd(a), base],
                          [np.diag([-1.0, 1.0]), delta, np.eye(2)]) == \
         pytest.approx(min(1.0, alpha), rel=1e-14)
-    assert max_step_chol([], []) == np.inf
+    assert max_step_chol([], [], []) == np.inf
 
 
 def test_max_step_pd_survives_a_failed_subset_solve(monkeypatch):
@@ -279,8 +282,9 @@ def test_max_step_pd_survives_a_failed_subset_solve(monkeypatch):
     q, _ = np.linalg.qr(np.random.default_rng(4).standard_normal((20, 20)))
     delta = -0.0557 * (q @ q.T)
     delta = 0.5 * (delta + delta.T)
-    lower = chol_pd(0.1 * np.eye(20))
-    assert max_step_chol([lower], [delta]) == \
+    base = 0.1 * np.eye(20)
+    lower = chol_pd(base)
+    assert max_step_chol([base], [lower], [delta]) == \
         pytest.approx(0.1 / 0.0557, rel=1e-12)
     # the same answers when every subset solve fails
     a = np.diag([1.0, 4.0])
@@ -290,9 +294,9 @@ def test_max_step_pd_survives_a_failed_subset_solve(monkeypatch):
         return (*dsyevx(*args, **kwargs)[:4], 1)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dsyevx", failing)
-    assert max_step_chol([lower], [delta]) == \
+    assert max_step_chol([base], [lower], [delta]) == \
         pytest.approx(0.1 / 0.0557, rel=1e-12)
-    assert max_step_chol([chol_pd(a)], [np.diag([-2.0, 1.0])]) == \
+    assert max_step_chol([a], [chol_pd(a)], [np.diag([-2.0, 1.0])]) == \
         pytest.approx(0.5, rel=1e-14)
 
 
@@ -308,13 +312,58 @@ def test_max_step_chol_matches_the_generalized_eigensolve():
         g = rng.standard_normal((n, n))
         delta = g @ g.T if k % 4 == 0 else 0.5 * (g + g.T)
         w = scipy.linalg.eigvalsh(-delta, a)
-        step = max_step_chol([chol_pd(a)], [delta])
+        step = max_step_chol([a], [chol_pd(a)], [delta])
         if w[-1] <= 0:
             unbounded += 1
             assert step == np.inf, (k, n)
         else:
             assert 1.0 / step == pytest.approx(w[-1], rel=1e-12), (k, n)
     assert unbounded >= 12
+
+
+def _two_cones(steps):
+    """Two PD cones of orders 7 and 5, with deltas scaled so that the
+    unscreened step of each alone is the given one."""
+    rng = np.random.default_rng(29)
+    mats, lowers, deltas = [], [], []
+    for n, step in zip((7, 5), steps):
+        a = random_spd(n, rng, cond=30.0).mat
+        g = rng.standard_normal((n, n))
+        g = 0.5 * (g + g.T)
+        lower = chol_pd(a)
+        mats.append(a)
+        lowers.append(lower)
+        deltas.append(g * (max_step_chol([a], [lower], [g]) / step))
+    return mats, lowers, deltas
+
+
+@pytest.mark.parametrize("steps, bound, reductions", [
+    ((3.0, 2.0), 1.0, 0),       # capped at 1: no cone binds
+    ((0.6, 0.8), 0.25, 0),      # a v / -dv ratio binds below both cones
+    ((3.0, 0.4), 1.0, 1),       # the second cone binds, the first passes
+    ((0.6, 0.3), 1.0, 2),       # both fail the test at the cap
+    ((0.4, 0.6), 1.0, 1),       # the second fails at the cap, not at 0.4
+])
+def test_screened_step_matches_the_eigensolve(steps, bound, reductions):
+    # min(bound, 1 / lambda_max) of the unscreened eigensolve, reducing
+    # only the cones whose Cholesky test fails at the step in force
+    mats, lowers, deltas = _two_cones(steps)
+    tally = collections.Counter()
+    step = max_step_chol(mats, lowers, deltas, bound, tally)
+    assert step == pytest.approx(
+        min(bound, max_step_chol(mats, lowers, deltas)), rel=1e-14)
+    assert step == pytest.approx(min(bound, *steps), rel=1e-12)
+    assert tally["step_reductions"] == reductions
+
+
+def test_capped_step_runs_no_eigensolve(monkeypatch):
+    mats, lowers, deltas = _two_cones((3.0, 2.0))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reduced a cone that does not bind")
+    for name in ("dsygst", "dsyevx"):
+        monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
+    assert max_step_chol(mats, lowers, deltas, 1.0) == 1.0
 
 
 def _openblas_thread_functions():

@@ -5,6 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg.lapack
 
 from optiprecond import (
     RectMatrix,
@@ -342,6 +343,29 @@ def test_bisect_reports_undecided_levels(monkeypatch):
     assert rep.extra["undecided_levels"] > 0
     assert not rep.extra["certified"]
     assert rep.extra["kappa_lower_bound"] < rep.extra["bracket"][0]
+
+
+def test_bisect_reports_step_reductions(monkeypatch):
+    # extra["step_reductions"] sums the levels' counts, each counted
+    # reduction is one dsygst, and the Cholesky test spares most of the
+    # four cones of each of the four step lengths per iteration
+    levels, reduced = [], []
+    real, dsygst = optimal.two_sided_feasibility, scipy.linalg.lapack.dsygst
+
+    def recorded(a, kappa, witness=None):
+        levels.append(real(a, kappa, witness))
+        return levels[-1]
+
+    def counted_dsygst(*args, **kwargs):
+        reduced.append(args[0].shape[0])
+        return dsygst(*args, **kwargs)
+
+    monkeypatch.setattr(optimal, "two_sided_feasibility", recorded)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsygst", counted_dsygst)
+    _, rep = bisect_two_sided(_trefethen_20b())
+    assert rep.extra["step_reductions"] == len(reduced) > 0
+    assert sum(res.step_reductions for res in levels) == len(reduced)
+    assert len(reduced) < 4 * rep.extra["newton_steps"]
 
 
 def test_bisect_two_sided_retains_no_memory():
