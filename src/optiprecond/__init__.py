@@ -54,7 +54,6 @@ from .potential import (
 )
 from .dsdp import (
     DsdpProblem,
-    build_right,
     build_left,
     barrier_path_solve,
 )

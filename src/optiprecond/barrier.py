@@ -95,7 +95,8 @@ class Term:
     """Variables x[sl] entering one LMI, x_j as coef * F_j.
 
     F_j = e_j e_j^T by default, a_j a_j^T for row j of ``rows``, or the
-    matrix ``dense`` when sl holds a single variable.
+    matrix ``dense`` when sl holds a single variable. A dense -I is applied
+    as a negation, not as a matrix product.
     """
 
     sl: slice
@@ -103,25 +104,39 @@ class Term:
     rows: np.ndarray | None = None
     dense: np.ndarray | None = None
 
-    def matrix(self, xs):
-        """sum_j coef * xs_j F_j."""
+    def __post_init__(self):
+        object.__setattr__(self, "_minus_eye", self.dense is not None and
+                           np.array_equal(self.dense,
+                                          -np.eye(len(self.dense))))
+
+    def matrix(self, xs, grams):
+        """sum_j coef * xs_j F_j. A row term's U^T diag(xs) U is formed
+        once per dict grams and scaled by coef, so the terms on the same
+        rows and variables share it; for coef +-1 this is bit-equal to
+        forming each term's own product."""
         if self.dense is not None:
             return (self.coef * xs[0]) * self.dense
         if self.rows is None:
             return np.diag(self.coef * xs)
-        g = self.rows.T @ ((self.coef * xs)[:, None] * self.rows)
-        return 0.5 * (g + g.T)
+        key = (id(self.rows), self.sl.start, self.sl.stop)
+        g = grams.get(key)
+        if g is None:
+            g = self.rows.T @ (xs[:, None] * self.rows)
+            g = grams[key] = 0.5 * (g + g.T)
+        return g if self.coef == 1.0 else self.coef * g
 
-    def kernels(self, p):
-        """tr(P F_j) per variable, and the image P B (dense) or U P, where
-        U is ``rows`` or the identity."""
+    def image(self, p):
+        """P B (dense), or U P where U is ``rows`` or the identity."""
         if self.dense is not None:
-            img = p @ self.dense
-            return np.trace(img), img
-        if self.rows is None:
-            return np.diag(p), p
-        img = self.rows @ p
-        return np.einsum("ij,ij->i", img, self.rows), img
+            return -p if self._minus_eye else p @ self.dense
+        return p if self.rows is None else self.rows @ p
+
+    def trace(self, p):
+        """tr(P F_j) per variable."""
+        if self.dense is not None:
+            return np.trace(self.image(p))
+        return np.diag(p) if self.rows is None else \
+            np.einsum("ij,ij->i", self.rows @ p, self.rows)
 
 
 def _cross(ti, ki, tj, kj, scratch):
@@ -144,9 +159,12 @@ def _cross(ti, ki, tj, kj, scratch):
     return np.multiply(w, wq, out=scratch(w.shape))
 
 
-def _linear(terms, x):
-    """sum_j x_j F_j over the terms of one LMI."""
-    return sum(t.matrix(x[t.sl]) for t in terms)
+def _linear(cones, x):
+    """sum_j x_j F_j over the terms of each LMI, each row term's
+    U^T diag(x) U formed once (see Term.matrix)."""
+    grams = {}
+    return [sum(t.matrix(x[t.sl], grams) for t in terms)
+            for _, terms in cones]
 
 
 class LmiBarrier:
@@ -181,7 +199,7 @@ class LmiBarrier:
 
     def linear(self, dx):
         """The change of each cone's F along dx."""
-        return [_linear(terms, dx) for _, terms in self.cones]
+        return _linear(self.cones, dx)
 
     def adjoint(self, mats, v):
         """sum over cones of tr(G F_j) per variable for the cone matrices
@@ -189,7 +207,7 @@ class LmiBarrier:
         out = np.zeros(self.nvar)
         for (_, terms), g in zip(self.cones, mats):
             for t in terms:
-                out[t.sl] += t.coef * t.kernels(g)[0]
+                out[t.sl] += t.coef * t.trace(g)
         out[self.positive] += v
         return out
 
@@ -200,7 +218,8 @@ class LmiBarrier:
             return None
         # numpy and scipy each run their own BLAS thread pool; grouping the
         # calls of each library avoids paying for a hand-over per cone
-        mats = [_linear(terms, x) + f0 for f0, terms in self.cones]
+        mats = [mat + f0 for mat, (f0, _) in
+                zip(_linear(self.cones, x), self.cones)]
         factors = []
         for mat in mats:
             lower = chol_pd(mat)
@@ -224,9 +243,8 @@ class LmiBarrier:
         nh = self._hessian
         nh.fill(0.0)
         for (_, terms), (p, q) in zip(self.cones, pairs):
-            ker = [t.kernels(p) for t in terms]
-            imgs = [(pi, pi if q is p else t.kernels(q)[1])
-                    for t, (_, pi) in zip(terms, ker)]
+            imgs = [(t.image(p),) * 2 if q is p else
+                    (t.image(p), t.image(q)) for t in terms]
             for i, ti in enumerate(terms):
                 for tj, kj in zip(terms[i:], imgs[i:]):
                     k = _cross(ti, imgs[i], tj, kj, self._scratch)

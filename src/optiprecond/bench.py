@@ -124,7 +124,8 @@ def sampling_sweep(a: RectMatrix, ratios, seed: int = 0
     for the optimal right preconditioner of the sampled Gram, and measures
     kappa of the full Gram under that scaling. The sampled Gram is rescaled
     by m/m_tilde in the reported estimation gap so it estimates the full
-    Gram. Samples that fail the full-rank rule are flagged, not fatal.
+    Gram. A sample whose Gram does not factor, or whose factor L fails the
+    full-rank rule on L^T L, is flagged rank-deficient, not fatal.
     """
     req = OptimalRequest(method="dsdp")
     m_rows = a.rows
@@ -142,7 +143,7 @@ def sampling_sweep(a: RectMatrix, ratios, seed: int = 0
             full_gram.mat - (m_rows / count) * sub_gram, ord="fro"))
         try:
             scaling, _ = optimal_right(SymMatrix(sub_gram), req)
-        except NotPositiveDefiniteError:     # build_right's full-rank rule
+        except NotPositiveDefiniteError:   # no L, or L^T L not full rank
             points.append(SamplingPoint(ratio=float(ratio), gram_gap=gap,
                                         kappa_preconditioned=float("nan"),
                                         rank_deficient=True))

@@ -1,19 +1,19 @@
-"""Primal-dual interior point for the one-sided dual SDP reformulations.
+"""Primal-dual interior point for the one-sided dual SDP reformulation.
 
-After the change of variable tau = 1/kappa, both one-sided problems maximize
-tau over linear matrix inequalities in (tau, d):
+After the change of variable tau = 1/kappa, the left problem maximizes tau
+over linear matrix inequalities in (tau, d):
 
-  right:  D <= M,          tau M <= D,  d >= 0   (d in R^n, D = diag(d))
-  left:   sum_i A_i A_i^T d_i >= tau I, <= I,  d >= 0   (d in R^m, rows A_i)
+  sum_i d_i a_i a_i^T >= tau I,  <= I,  d >= 0   (d in R^m, rows a_i of A)
 
-Their primal SDPs over X_k >= 0, one per cone, are min tr(M X1) s.t.
-tr(M X2) = 1, diag X1 >= diag X2 (right) and min tr X2 s.t. tr X1 = 1,
-a_i^T X1 a_i <= a_i^T X2 a_i (left). ``barrier_path_solve`` runs
-barrier.primal_dual_ascent, Mehrotra's predictor-corrector on the HKM
-direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996;
-Todd, Toh & Tutuncu, SIAM J. Optim. 1998), from strictly feasible starts on
-both sides, and stops on the gap to a primal point repaired to exact
-feasibility, which bounds tau* from above.
+Its primal SDP over X1, X2 >= 0 is min tr X2 s.t. tr X1 = 1, a_i^T X1 a_i
+<= a_i^T X2 a_i. The right problem, min kappa(D^-1/2 M D^-1/2), is the same
+problem on a Cholesky factor M = L L^T: D^-1/2 M D^-1/2 has the spectrum of
+L^T D^-1 L, so optimal_right solves build_left on the rows of L and takes
+d = 1/w. ``barrier_path_solve`` runs barrier.primal_dual_ascent, Mehrotra's
+predictor-corrector on the HKM direction (Helmberg, Rendl, Vanderbei &
+Wolkowicz, SIAM J. Optim. 1996; Todd, Toh & Tutuncu, SIAM J. Optim. 1998),
+from strictly feasible starts on both sides, and stops on the gap to a
+primal point repaired to exact feasibility, which bounds tau* from above.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .barrier import LmiBarrier, Term, primal_dual_ascent
-from .linalg import SymMatrix, blas_backend, extreme_eigenvalues, serial_blas
+from .linalg import blas_backend, extreme_eigenvalues, serial_blas
 from .matrixio import RectMatrix, SolveReport
 
 # The tightest certified gap kappa_after / kappa_lower_bound - 1 a solve
@@ -38,7 +38,8 @@ _MAX_ITER = 100
 class DsdpProblem:
     """One-sided dual SDP over x = (tau, d): its barrier, strictly feasible
     dual and primal starts, the repaired primal objective (a bound on tau*)
-    and kappa of the unscaled Gram matrix."""
+    and kappa of the unscaled Gram matrix. side names the problem posed:
+    'right' when the rows are a Cholesky factor of the right Gram."""
 
     side: str                  # 'left' | 'right'
     barrier: LmiBarrier
@@ -46,35 +47,6 @@ class DsdpProblem:
     primal_start: tuple[list[np.ndarray], np.ndarray]
     tau_bound: Callable[[list[np.ndarray]], float]
     kappa_before: float
-
-
-def build_right(m: SymMatrix) -> DsdpProblem:
-    """max tau s.t. D <= M, tau M <= D over diagonal D, for full-rank M;
-    the dual start is built on J = diag(M)^-1/2 M diag(M)^-1/2."""
-    m_arr = m.mat.copy()
-    lamn, lam1 = extreme_eigenvalues(m_arr)
-    n = m.order
-    tau, d = slice(0, 1), slice(1, n + 1)
-    barrier = LmiBarrier(
-        n + 1, [(m_arr, (Term(d, -1.0),)),
-                (np.zeros((n, n)),
-                 (Term(d, 1.0), Term(tau, 1.0, dense=-m_arr)))],
-        d)
-    eye = np.eye(n) / np.trace(m_arr)
-
-    def tau_bound(xs):
-        # scale X2 to tr(M X2) = 1, then lift diag X1 to diag X2
-        x1, x2 = xs
-        lift = np.diag(x2) / np.sum(m_arr * x2) - np.diag(x1)
-        return float(np.sum(m_arr * x1) + m_arr.diagonal() @
-                     np.maximum(lift, 0.0))
-
-    jd = m_arr.diagonal()
-    jn, j1 = extreme_eigenvalues(m_arr / np.sqrt(np.outer(jd, jd)))
-    return DsdpProblem("right", barrier,
-                       np.concatenate([[jn / (4.0 * j1)], 0.5 * jn * jd]),
-                       ([2.0 * eye, eye], np.diag(eye).copy()), tau_bound,
-                       lam1 / lamn)
 
 
 def build_left(a: RectMatrix) -> DsdpProblem:

@@ -25,6 +25,7 @@ import functools
 import importlib
 import logging
 import threading
+from collections import Counter
 
 import numpy as np
 import scipy.linalg
@@ -313,9 +314,12 @@ def max_step_chol(mats, lowers, deltas, bound=np.inf, tally=None):
     L^-1 (-delta) L^-T, formed by dsygst and found by one dsyevx (dsygvx
     without its dpotrf), or by all eigenvalues where that subset solve
     fails. Later cones are tested at the lowered alpha. tally, a
-    collections.Counter, counts the reductions under "step_reductions"."""
-    alpha = float(bound)
-    for mat, lower, delta in zip(mats, lowers, deltas):
+    collections.Counter kept over the calls of one loop, counts the
+    reductions under "step_reductions" and holds under "binding" the cone
+    whose reduction set the last alpha; each call tests that cone first."""
+    alpha, tally = float(bound), Counter() if tally is None else tally
+    for k in sorted(range(len(lowers)), key=lambda k: k != tally["binding"]):
+        mat, lower, delta = mats[k], lowers[k], deltas[k]
         if alpha < np.inf and chol_pd(mat + alpha * delta) is not None:
             continue
         n = len(lower)
@@ -325,10 +329,9 @@ def max_step_chol(mats, lowers, deltas, bound=np.inf, tally=None):
             c, compute_v=0, range="I", lower=1, il=n, iu=n)
         top = w[0] if info == 0 and found == 1 \
             else extreme_eigenvalues(c, rtol=None)[1]
-        if tally is not None:
-            tally["step_reductions"] += 1
-        if top > 0:
-            alpha = min(alpha, 1.0 / float(top))
+        tally["step_reductions"] += 1
+        if top > 0 and 1.0 / float(top) < alpha:
+            alpha, tally["binding"] = 1.0 / float(top), k
     return alpha
 
 

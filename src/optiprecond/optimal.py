@@ -10,19 +10,20 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .barrier import two_sided_feasibility
-from .dsdp import GAP_FLOOR, barrier_path_solve, build_left, build_right
+from .dsdp import GAP_FLOOR, barrier_path_solve, build_left
 from .heuristics import (
     DiagScaling,
     SIDE_LEFT,
     SIDE_RIGHT,
     finish_solve,
 )
-from .linalg import SymMatrix, condition_number, serial_blas
+from .linalg import (NotPositiveDefiniteError, SymMatrix, chol_pd,
+                     condition_number, serial_blas)
 from .matrixio import RectMatrix, SolveReport
 from .potential import solve_right_pr
 
@@ -61,9 +62,10 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
     """Optimal right preconditioner of a PD Gram matrix.
 
     auto dispatches to potential reduction for n <= 200 and the dual SDP
-    solver above that; the dual SDP solver stops at a certified gap of
-    ``req.epsilon`` (never below dsdp.GAP_FLOOR). The result's condition
-    number is re-measured and never exceeds kappa(M).
+    solver above that. The dual SDP solver solves the left problem on the
+    rows of L for M = L L^T (see dsdp) and takes d = 1/w; it stops at a
+    certified gap of ``req.epsilon`` (never below dsdp.GAP_FLOOR). The
+    result's condition number is re-measured and never exceeds kappa(M).
     """
     req = req or OptimalRequest()
     method = req.method
@@ -76,11 +78,14 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
     if method != "dsdp":
         raise ValueError(f"unsupported right-side method {method!r}")
     t0 = time.perf_counter()
-    problem = build_right(m)
-    _, d, inner = barrier_path_solve(problem, req.epsilon)
+    lower = chol_pd(m.mat)
+    if lower is None:
+        raise NotPositiveDefiniteError("Gram matrix is not numerically PD")
+    problem = replace(build_left(RectMatrix(lower)), side="right")
+    _, w, inner = barrier_path_solve(problem, req.epsilon)
     return finish_solve("optimal_right[dsdp]", t0, m, problem.kappa_before,
-                        DiagScaling(d, side=SIDE_RIGHT), inner.iterations,
-                        inner.extra)
+                        DiagScaling(1.0 / w, side=SIDE_RIGHT),
+                        inner.iterations, inner.extra)
 
 
 @serial_blas()

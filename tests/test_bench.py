@@ -12,6 +12,8 @@ from optiprecond import (
     sampling_sweep,
 )
 from optiprecond.bench import PcgBreakdownError
+from optiprecond.linalg import chol_pd
+from optiprecond.matrixio import sample_rows
 from conftest import random_spd
 
 
@@ -112,6 +114,20 @@ def test_sampling_rank_deficient_flagged():
     a = RectMatrix(np.vstack([np.eye(4), np.eye(4)]))
     # a 1-row sample of an 8x4 matrix cannot have full column rank
     points = sampling_sweep(a, [1.0 / 8.0], seed=0)
+    assert points[0].rank_deficient
+    assert np.isnan(points[0].kappa_preconditioned)
+
+
+@pytest.mark.parametrize("seed, factors", [(0, False), (4, True)])
+def test_sampling_flags_both_failures_of_a_rank_deficient_sample(seed,
+                                                                 factors):
+    # a 3-row sample of a 6x5 matrix has rank 3: its Gram does not factor
+    # (seed 0), or it factors with a pivot at rounding level and the
+    # full-rank rule refuses L^T L (seed 4)
+    a = RectMatrix(np.random.default_rng(seed).standard_normal((6, 5)))
+    sub = sample_rows(a, 3, 0).mat
+    assert (chol_pd(sub.T @ sub) is not None) == factors
+    points = sampling_sweep(a, [0.5], seed=0)
     assert points[0].rank_deficient
     assert np.isnan(points[0].kappa_preconditioned)
 

@@ -356,6 +356,19 @@ def test_screened_step_matches_the_eigensolve(steps, bound, reductions):
     assert tally["step_reductions"] == reductions
 
 
+def test_step_tests_the_last_binding_cone_first():
+    # both cones fail the test at the cap, so the first call reduces both
+    # and records the second as binding; the next call of the loop tests
+    # that cone first, and the first cone then passes at its step
+    mats, lowers, deltas = _two_cones((0.6, 0.3))
+    tally = collections.Counter()
+    steps = [max_step_chol(mats, lowers, deltas, 1.0, tally)
+             for _ in range(2)]
+    assert steps[0] == steps[1] == pytest.approx(0.3, rel=1e-12)
+    assert tally["binding"] == 1
+    assert tally["step_reductions"] == 2 + 1
+
+
 def test_capped_step_runs_no_eigensolve(monkeypatch):
     mats, lowers, deltas = _two_cones((3.0, 2.0))
 

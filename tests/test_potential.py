@@ -8,7 +8,6 @@ import scipy.linalg.lapack
 from optiprecond import SymMatrix, gram_matrix, potential, read_matrix_market
 from optiprecond.barrier import (InfeasiblePointError, _one_sided,
                                  compute_center, initial_feasible_point)
-from optiprecond.dsdp import build_right, barrier_path_solve
 from optiprecond.fixtures import fixture_path
 from optiprecond.linalg import geomean_inv, inv_pd, sym_pow
 from optiprecond.potential import (
@@ -23,7 +22,8 @@ from optiprecond.potential import (
     solve_right_pr,
     state_from_center,
 )
-from conftest import grid_optimal_right, perturbed_center_state, random_spd
+from conftest import (grid_optimal_right, perturbed_center_state, random_spd,
+                      solve_right)
 
 
 def test_prconfig_validation():
@@ -424,7 +424,7 @@ def test_solve_right_pr_kappa_within_terminal(rng):
 def test_solve_right_pr_agrees_with_dsdp(rng):
     m = random_spd(12, rng, cond=200.0)
     _, rep_pr = solve_right_pr(m, PRConfig(kappa_tol=1e-5))
-    _, _, rep_ds = barrier_path_solve(build_right(m))
+    _, _, rep_ds = solve_right(m)
     assert rep_pr.kappa_after == pytest.approx(rep_ds.kappa_after, rel=1e-2)
 
 
@@ -434,7 +434,7 @@ def test_potential_monotone_in_kappa(rng):
         local = np.random.default_rng(6000 + trial)
         n = int(local.integers(2, 11))
         m = random_spd(n, local, cond=float(local.uniform(5, 100)))
-        tau, d_star, rep = barrier_path_solve(build_right(m))
+        tau, d_star, rep = solve_right(m)
         kappa_star = rep.kappa_after
         kappas = np.sort(local.uniform(kappa_star + 0.05,
                                        3 * kappa_star + 1, 4))[::-1]
