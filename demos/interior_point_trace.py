@@ -10,15 +10,14 @@ solve gives the reference optimum with a certified lower bound.
 import numpy as np
 
 from optiprecond import SymMatrix
-from optiprecond.dsdp import GAP_FLOOR
-from optiprecond.optimal import OptimalRequest, optimal_right
+from optiprecond.dsdp import barrier_path_solve, build_right
 from optiprecond.potential import PRConfig, solve_right_pr
 
 rng = np.random.default_rng(3)
 q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
 m = SymMatrix((q * np.geomspace(1.0, 120.0, 8)) @ q.T)
 
-_, ds = optimal_right(m, OptimalRequest(method="dsdp", epsilon=GAP_FLOOR))
+_, _, ds = barrier_path_solve(build_right(m))
 print(f"kappa(M) = {np.linalg.cond(m.mat):.3f}, "
       f"optimal kappa* = {ds.kappa_after:.3f} (dual SDP reference)")
 print(f"certified: {ds.kappa_after:.9f} >= kappa* >= "

@@ -54,6 +54,7 @@ from .potential import (
 )
 from .dsdp import (
     DsdpProblem,
+    build_right,
     build_left,
     barrier_path_solve,
 )

@@ -3,7 +3,7 @@
 Every interior-point solver in the package works on LMIs F(x) = F0 +
 sum_j x_j F_j > 0 plus a block of x kept positive, and on the log-det
 barrier phi of that set. The coefficients F_j come in three kinds: diagonal
-e_j e_j^T, rank-one rows a_j a_j^T, or one dense matrix on a single
+e_j e_j^T, rank-one rows a_j a_j^T, or the identity on a single
 variable. ``LmiBarrier.kernel_sum`` forms tr(P F_a Q F_b): the Hessian,
 and the Schur matrix of a primal-dual step. ``primal_dual_ascent`` is the
 one primal-dual loop, which maximizes x_0 for dsdp's one-sided SDPs and the
@@ -95,27 +95,19 @@ class Term:
     """Variables x[sl] entering one LMI, x_j as coef * F_j.
 
     F_j = e_j e_j^T by default, a_j a_j^T for row j of ``rows``, or the
-    matrix ``dense`` when sl holds a single variable. A dense -I is applied
-    as a negation, not as a matrix product.
+    identity when ``eye`` is set and sl holds a single variable.
     """
 
     sl: slice
     coef: float
     rows: np.ndarray | None = None
-    dense: np.ndarray | None = None
+    eye: bool = False
 
-    def __post_init__(self):
-        object.__setattr__(self, "_minus_eye", self.dense is not None and
-                           np.array_equal(self.dense,
-                                          -np.eye(len(self.dense))))
-
-    def matrix(self, xs, grams):
-        """sum_j coef * xs_j F_j. A row term's U^T diag(xs) U is formed
-        once per dict grams and scaled by coef, so the terms on the same
-        rows and variables share it; for coef +-1 this is bit-equal to
-        forming each term's own product."""
-        if self.dense is not None:
-            return (self.coef * xs[0]) * self.dense
+    def matrix(self, xs, grams, n):
+        """sum_j coef * xs_j F_j, of order n; a row term's U^T diag(xs) U
+        is formed once per dict grams, and shared with sign coef = +-1."""
+        if self.eye:
+            return (self.coef * xs[0]) * np.eye(n)
         if self.rows is None:
             return np.diag(self.coef * xs)
         key = (id(self.rows), self.sl.start, self.sl.stop)
@@ -126,15 +118,13 @@ class Term:
         return g if self.coef == 1.0 else self.coef * g
 
     def image(self, p):
-        """P B (dense), or U P where U is ``rows`` or the identity."""
-        if self.dense is not None:
-            return -p if self._minus_eye else p @ self.dense
+        """U P, where U is ``rows`` or the identity."""
         return p if self.rows is None else self.rows @ p
 
     def trace(self, p):
         """tr(P F_j) per variable."""
-        if self.dense is not None:
-            return np.trace(self.image(p))
+        if self.eye:
+            return np.trace(p)
         return np.diag(p) if self.rows is None else \
             np.einsum("ij,ij->i", self.rows @ p, self.rows)
 
@@ -142,14 +132,14 @@ class Term:
 def _cross(ti, ki, tj, kj, scratch):
     """tr(P F_a Q F_b) for F_a of term ti and F_b of tj, as a 2-d block,
     from the images (of P, of Q) ki of ti and kj of tj; a block between two
-    non-dense terms is formed in scratch(shape), with U Q U^T in
-    scratch(shape, "q")."""
+    terms that are not the identity is formed in scratch(shape), with
+    U Q U^T in scratch(shape, "q")."""
     (pi, qi), (pj, qj) = ki, kj
-    if ti.dense is not None and tj.dense is not None:
+    if ti.eye and tj.eye:
         return np.array([[np.sum(pi * qj.T)]])
-    if ti.dense is not None:
+    if ti.eye:
         return _cross(tj, kj, ti, ki, scratch).T
-    if tj.dense is not None:
+    if tj.eye:
         uqb = qj if ti.rows is None else ti.rows @ qj
         return np.einsum("ij,ij->i", uqb, pi)[:, None]
     w = pi if tj.rows is None else np.matmul(
@@ -163,8 +153,8 @@ def _linear(cones, x):
     """sum_j x_j F_j over the terms of each LMI, each row term's
     U^T diag(x) U formed once (see Term.matrix)."""
     grams = {}
-    return [sum(t.matrix(x[t.sl], grams) for t in terms)
-            for _, terms in cones]
+    return [sum(t.matrix(x[t.sl], grams, len(f0)) for t in terms)
+            for f0, terms in cones]
 
 
 class LmiBarrier:
@@ -270,12 +260,11 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
-def _max_step(mats, lowers, deltas, v, dv, tally=None):
-    """Largest step keeping every cone matrix mat + alpha delta PSD and
-    v >= 0, capped at 1: max_step_chol under the bound of 1 and v / -dv,
-    with its reductions counted in tally."""
-    return max_step_chol(mats, lowers, deltas,
-                         min([1.0, *(v[dv < 0] / -dv[dv < 0])]), tally)
+def _max_step(mats, lowers, deltas, v, dv, tally=None, first=0):
+    """max_step_chol's (alpha, binding cone) for every mat + alpha delta
+    PSD and v + alpha dv >= 0, under the bound of 1 and v / -dv."""
+    return max_step_chol(mats, lowers, deltas, min(
+        [1.0, *(v[dv < 0] / -dv[dv < 0])]), tally, first)
 
 
 def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
@@ -300,7 +289,7 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
     state = b.factor(y)
     if state is None:
         raise CenteringError("strictly feasible start recipe failed")
-    iterations, tally = 0, Counter()
+    iterations, tally, first = 0, Counter(), 0
     while not done(y, xs) and iterations < max_iter:
         iterations += 1
         factors, z = state
@@ -317,14 +306,15 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
 
         def direction(rhs, tzs, tv):
             # the step to T (T Z^-1 per cone, T / z) with A(X + dX) = -c
+            nonlocal first
             dy = solve_chol(lower, rhs)
             dzs = b.linear(dy)
             dxs = [tz - x - _sym(x @ dz @ zi)
                    for tz, x, dz, zi in zip(tzs, xs, dzs, zinv)]
             dv = tv - v - v * dy[pos] / z
-            return (dy, dzs, dxs, dv), (
-                _max_step(xs, xls, dxs, v, dv, tally),
-                _max_step(zs, zls, dzs, z, dy[pos], tally))
+            alpha, first = _max_step(xs, xls, dxs, v, dv, tally, first)
+            beta, first = _max_step(zs, zls, dzs, z, dy[pos], tally, first)
+            return (dy, dzs, dxs, dv), (alpha, beta)
 
         (dy, dzs, dxs, dv), (alpha, beta) = direction(c, [0.0] * len(xs),
                                                       0.0)
@@ -362,13 +352,13 @@ def _level_barrier(a_arr, kappa) -> LmiBarrier:
     m_rows, n = a_arr.shape
     s, d1, d2 = slice(0, 1), slice(1, m_rows + 1), \
         slice(m_rows + 1, m_rows + n + 1)
-    zero, minus_eye, ones = np.zeros((n, n)), -np.eye(n), np.ones((n, 1))
+    zero, ones = np.zeros((n, n)), np.ones((n, 1))
     return LmiBarrier(
         m_rows + n + 1,
         [(zero, (Term(d1, 1.0, rows=a_arr), Term(d2, -1.0),
-                 Term(s, 1.0, dense=minus_eye))),
+                 Term(s, -1.0, eye=True))),
          (zero, (Term(d2, kappa), Term(d1, -1.0, rows=a_arr),
-                 Term(s, 1.0, dense=minus_eye))),
+                 Term(s, -1.0, eye=True))),
          (np.array([[-float(n)]]), (Term(d2, 1.0, rows=ones),)),
          (np.array([[_SCALE_CAP * n]]), (Term(d2, -1.0, rows=ones),))],
         slice(1, m_rows + n + 1))
@@ -418,7 +408,7 @@ def compute_center(m: SymMatrix, kappa: float, d0,
                 alpha = 0.9 * _max_step([f.mat for f in factors],
                                         [f.lower for f in factors],
                                         barrier.linear(step), slack,
-                                        step[barrier.positive])
+                                        step[barrier.positive])[0]
             else:
                 alpha *= 0.5
         else:

@@ -8,24 +8,26 @@ over linear matrix inequalities in (tau, d):
 Its primal SDP over X1, X2 >= 0 is min tr X2 s.t. tr X1 = 1, a_i^T X1 a_i
 <= a_i^T X2 a_i. The right problem, min kappa(D^-1/2 M D^-1/2), is the same
 problem on a Cholesky factor M = L L^T: D^-1/2 M D^-1/2 has the spectrum of
-L^T D^-1 L, so optimal_right solves build_left on the rows of L and takes
-d = 1/w. ``barrier_path_solve`` runs barrier.primal_dual_ascent, Mehrotra's
-predictor-corrector on the HKM direction (Helmberg, Rendl, Vanderbei &
-Wolkowicz, SIAM J. Optim. 1996; Todd, Toh & Tutuncu, SIAM J. Optim. 1998),
-from strictly feasible starts on both sides, and stops on the gap to a
-primal point repaired to exact feasibility, which bounds tau* from above.
+L^T D^-1 L, so build_right poses build_left on the rows of L, whose row
+weights w give d = 1/w. ``barrier_path_solve`` runs
+barrier.primal_dual_ascent, Mehrotra's predictor-corrector on the HKM
+direction (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 1996;
+Todd, Toh & Tutuncu, SIAM J. Optim. 1998), from strictly feasible starts
+on both sides, and stops on the gap to a primal point repaired to exact
+feasibility, which bounds tau* from above.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from .barrier import LmiBarrier, Term, primal_dual_ascent
-from .linalg import blas_backend, extreme_eigenvalues, serial_blas
+from .linalg import (NotPositiveDefiniteError, SymMatrix, blas_backend,
+                     chol_pd, extreme_eigenvalues, serial_blas)
 from .matrixio import RectMatrix, SolveReport
 
 # The tightest certified gap kappa_after / kappa_lower_bound - 1 a solve
@@ -38,8 +40,7 @@ _MAX_ITER = 100
 class DsdpProblem:
     """One-sided dual SDP over x = (tau, d): its barrier, strictly feasible
     dual and primal starts, the repaired primal objective (a bound on tau*)
-    and kappa of the unscaled Gram matrix. side names the problem posed:
-    'right' when the rows are a Cholesky factor of the right Gram."""
+    and kappa of the unscaled Gram matrix."""
 
     side: str                  # 'left' | 'right'
     barrier: LmiBarrier
@@ -66,7 +67,7 @@ def build_left(a: RectMatrix) -> DsdpProblem:
     barrier = LmiBarrier(
         m_rows + 1,
         [(np.zeros((n, n)),
-          (Term(d, 1.0, rows=x), Term(tau, 1.0, dense=-eye))),
+          (Term(d, 1.0, rows=x), Term(tau, -1.0, eye=True))),
          (eye, (Term(d, -1.0, rows=x),))],
         d)
 
@@ -84,6 +85,15 @@ def build_left(a: RectMatrix) -> DsdpProblem:
                                        w0 / (2.0 * l10)]),
                        ([eye / n, 2.0 * eye / n], norms / n), tau_bound,
                        lam1 / lamn)
+
+
+def build_right(m: SymMatrix) -> DsdpProblem:
+    """build_left on the rows of L, M = L L^T, whose weights w give d = 1/w;
+    raises NotPositiveDefiniteError when M does not factor."""
+    lower = chol_pd(m.mat)
+    if lower is None:
+        raise NotPositiveDefiniteError("Gram matrix is not numerically PD")
+    return replace(build_left(RectMatrix(lower)), side="right")
 
 
 @serial_blas()

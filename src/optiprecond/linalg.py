@@ -25,7 +25,6 @@ import functools
 import importlib
 import logging
 import threading
-from collections import Counter
 
 import numpy as np
 import scipy.linalg
@@ -302,23 +301,22 @@ def logdet_from_chol(lower):
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
-def max_step_chol(mats, lowers, deltas, bound=np.inf, tally=None):
-    """Largest alpha <= bound keeping every mat + alpha*delta PSD (inf if
-    unbounded), over triples of a PD matrix, its lower Cholesky factor L
-    and a delta.
+def max_step_chol(mats, lowers, deltas, bound=np.inf, tally=None, first=0):
+    """(alpha, binding): the largest alpha <= bound keeping every mat +
+    alpha*delta PSD (inf if unbounded), over triples of a PD matrix, its
+    lower Cholesky factor L and a delta, and the cone whose reduction set
+    alpha (first when none did; a loop passes it on as the next first).
 
-    Screened: each cone in turn is tested by one dpotrf of mat +
-    alpha*delta at the alpha in force; a cone that factors does not bind
-    and keeps alpha. Only a cone that fails the test (or any cone while
-    alpha is inf) is reduced: alpha falls to 1 / the top eigenvalue of
-    L^-1 (-delta) L^-T, formed by dsygst and found by one dsyevx (dsygvx
-    without its dpotrf), or by all eigenvalues where that subset solve
-    fails. Later cones are tested at the lowered alpha. tally, a
-    collections.Counter kept over the calls of one loop, counts the
-    reductions under "step_reductions" and holds under "binding" the cone
-    whose reduction set the last alpha; each call tests that cone first."""
-    alpha, tally = float(bound), Counter() if tally is None else tally
-    for k in sorted(range(len(lowers)), key=lambda k: k != tally["binding"]):
+    Screened: each cone in turn, cone first, is tested by one dpotrf of
+    mat + alpha*delta at the alpha in force; a cone that factors does not
+    bind and keeps alpha. Only a cone that fails the test (or any cone
+    while alpha is inf) is reduced: alpha falls to 1 / the top eigenvalue
+    of L^-1 (-delta) L^-T, formed by dsygst and found by one dsyevx
+    (dsygvx without its dpotrf), or by all eigenvalues where that subset
+    solve fails. Later cones are tested at the lowered alpha. tally, a
+    collections.Counter, counts the reductions under "step_reductions"."""
+    alpha, binding = float(bound), first
+    for k in sorted(range(len(lowers)), key=lambda k: k != first):
         mat, lower, delta = mats[k], lowers[k], deltas[k]
         if alpha < np.inf and chol_pd(mat + alpha * delta) is not None:
             continue
@@ -329,10 +327,11 @@ def max_step_chol(mats, lowers, deltas, bound=np.inf, tally=None):
             c, compute_v=0, range="I", lower=1, il=n, iu=n)
         top = w[0] if info == 0 and found == 1 \
             else extreme_eigenvalues(c, rtol=None)[1]
-        tally["step_reductions"] += 1
+        if tally is not None:
+            tally["step_reductions"] += 1
         if top > 0 and 1.0 / float(top) < alpha:
-            alpha, tally["binding"] = 1.0 / float(top), k
-    return alpha
+            alpha, binding = 1.0 / float(top), k
+    return alpha, binding
 
 
 def sym_pow(a, power):

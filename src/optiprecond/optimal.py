@@ -10,20 +10,19 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .barrier import two_sided_feasibility
-from .dsdp import GAP_FLOOR, barrier_path_solve, build_left
+from .dsdp import GAP_FLOOR, barrier_path_solve, build_left, build_right
 from .heuristics import (
     DiagScaling,
     SIDE_LEFT,
     SIDE_RIGHT,
     finish_solve,
 )
-from .linalg import (NotPositiveDefiniteError, SymMatrix, chol_pd,
-                     condition_number, serial_blas)
+from .linalg import SymMatrix, condition_number, serial_blas
 from .matrixio import RectMatrix, SolveReport
 from .potential import solve_right_pr
 
@@ -62,9 +61,8 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
     """Optimal right preconditioner of a PD Gram matrix.
 
     auto dispatches to potential reduction for n <= 200 and the dual SDP
-    solver above that. The dual SDP solver solves the left problem on the
-    rows of L for M = L L^T (see dsdp) and takes d = 1/w; it stops at a
-    certified gap of ``req.epsilon`` (never below dsdp.GAP_FLOOR). The
+    solver (dsdp.build_right, d = 1/w) above that; the dual SDP solver stops
+    at a certified gap of ``req.epsilon`` (never below dsdp.GAP_FLOOR). The
     result's condition number is re-measured and never exceeds kappa(M).
     """
     req = req or OptimalRequest()
@@ -78,10 +76,7 @@ def optimal_right(m: SymMatrix, req: OptimalRequest | None = None
     if method != "dsdp":
         raise ValueError(f"unsupported right-side method {method!r}")
     t0 = time.perf_counter()
-    lower = chol_pd(m.mat)
-    if lower is None:
-        raise NotPositiveDefiniteError("Gram matrix is not numerically PD")
-    problem = replace(build_left(RectMatrix(lower)), side="right")
+    problem = build_right(m)
     _, w, inner = barrier_path_solve(problem, req.epsilon)
     return finish_solve("optimal_right[dsdp]", t0, m, problem.kappa_before,
                         DiagScaling(1.0 / w, side=SIDE_RIGHT),

@@ -1,14 +1,12 @@
 """Shared helpers: random SPD instances, dsdp right solves, grid-search
 oracles, perturbed centers."""
 
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
-from optiprecond import NotPositiveDefiniteError, RectMatrix, SymMatrix
-from optiprecond.dsdp import GAP_FLOOR, barrier_path_solve, build_left
-from optiprecond.linalg import chol_pd, sym_pow
+from optiprecond import SymMatrix
+from optiprecond.dsdp import GAP_FLOOR, barrier_path_solve, build_right
+from optiprecond.linalg import sym_pow
 from optiprecond.potential import CenterState, state_from_center
 
 
@@ -19,20 +17,10 @@ def random_spd(n, rng, cond=50.0):
     return SymMatrix((q * w) @ q.T)
 
 
-def right_as_left(m):
-    """dsdp's right problem as optimal_right poses it: for M = L L^T, the
-    left problem on the rows of L; its row weights w give the right
-    scaling d = 1/w."""
-    lower = chol_pd(m.mat)
-    if lower is None:
-        raise NotPositiveDefiniteError("M is not numerically PD")
-    return replace(build_left(RectMatrix(lower)), side="right")
-
-
 def solve_right(m, gap_tol=GAP_FLOOR):
-    """(tau, d, report) of barrier_path_solve on right_as_left(m), with d =
+    """(tau, d, report) of barrier_path_solve on build_right(m), with d =
     tau / w: tau I <= L^T W L <= I is D <= M <= D / tau in these d."""
-    tau, w, report = barrier_path_solve(right_as_left(m), gap_tol)
+    tau, w, report = barrier_path_solve(build_right(m), gap_tol)
     return tau, tau / w, report
 
 

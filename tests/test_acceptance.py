@@ -26,6 +26,7 @@ from optiprecond import (
     scaled_condition,
 )
 from optiprecond.barrier import _one_sided
+from optiprecond.dsdp import barrier_path_solve, build_right
 from optiprecond.optimal import (
     OptimalRequest,
     alternate_two_sided,
@@ -48,7 +49,6 @@ from conftest import (
     grid_optimal_two_sided_3x3,
     perturbed_center_state,
     random_spd,
-    solve_right,
 )
 
 # bisection runs recorded across the suite; criterion 7 audits all of them
@@ -227,7 +227,7 @@ def test_criterion_4_cross_solver_agreement():
             local = np.random.default_rng(500 + trial)
             m = random_spd(20, local, cond=float(local.uniform(10, 1e3)))
             _, rep_pr = solve_right_pr(m, config)
-            _, _, rep_ds = solve_right(m)
+            _, _, rep_ds = barrier_path_solve(build_right(m))
             assert rep_pr.kappa_after == pytest.approx(rep_ds.kappa_after,
                                                        rel=1e-2)
         assert time.perf_counter() - t0 < 120.0
@@ -294,7 +294,7 @@ def test_criterion_6_potential_reduction_per_step():
             local = np.random.default_rng(700 + trial)
             n = int(local.integers(3, 11))
             m = random_spd(n, local, cond=float(local.uniform(10, 200)))
-            _, _, rep_ds = solve_right(m)
+            _, _, rep_ds = barrier_path_solve(build_right(m))
             kappa_star = rep_ds.kappa_after
             epsilon = 1e-3 * kappa_star
             for mode in ("exact", "approximate"):

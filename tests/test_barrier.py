@@ -14,11 +14,11 @@ from optiprecond import (
     two_sided_feasibility,
 )
 from optiprecond.barrier import LmiBarrier, _level_barrier, _one_sided
-from optiprecond.dsdp import build_left
+from optiprecond.dsdp import build_left, build_right
 from optiprecond.fixtures import fixture_path
 from optiprecond.linalg import inv_from_chol
 from optiprecond.optimal import alternate_two_sided
-from conftest import grid_optimal_two_sided_3x3, random_spd, right_as_left
+from conftest import grid_optimal_two_sided_3x3, random_spd
 
 # root of -12 d^2 + 10 d - 1 inside (1/4, 1): the 1x1, kappa=4 center
 SCALAR_CENTER = (10 + np.sqrt(52)) / 24
@@ -327,7 +327,7 @@ def _phase_one_two_sided(rng):
 
 
 def _dsdp_right(rng):
-    p = right_as_left(random_spd(5, rng, cond=20.0))
+    p = build_right(random_spd(5, rng, cond=20.0))
     return p.barrier, p.start
 
 
@@ -393,11 +393,11 @@ def _fresh_derivatives(barrier, state):
     nh = np.zeros((barrier.nvar, barrier.nvar))
 
     def cross(ti, pi, tj, pj):
-        if ti.dense is not None and tj.dense is not None:
+        if ti.eye and tj.eye:
             return np.array([[np.sum(pi * pj.T)]])
-        if ti.dense is not None:
+        if ti.eye:
             return cross(tj, pj, ti, pi).T
-        if tj.dense is not None:
+        if tj.eye:
             upb = pj if ti.rows is None else ti.rows @ pj
             return np.einsum("ij,ij->i", upb, pi)[:, None]
         w = pi if tj.rows is None else pi @ tj.rows.T
@@ -437,11 +437,12 @@ def test_workspace_derivatives_are_bit_equal_to_fresh_assembly(make, rng):
         assert np.array_equal(neg_h, ref_h)
 
 
-def _term_product(t, xs):
-    """sum_j coef * xs_j F_j of one term, with coef folded into xs: the
-    reference for the row products that Term.matrix shares."""
-    if t.dense is not None:
-        return (t.coef * xs[0]) * t.dense
+def _term_product(t, xs, n):
+    """sum_j coef * xs_j F_j of one term of an order-n cone, with coef
+    folded into xs: the reference for the row products that Term.matrix
+    shares."""
+    if t.eye:
+        return (t.coef * xs[0]) * np.eye(n)
     if t.rows is None:
         return np.diag(t.coef * xs)
     g = t.rows.T @ ((t.coef * xs)[:, None] * t.rows)
@@ -452,25 +453,17 @@ def _term_product(t, xs):
                                   _dsdp_left])
 def test_shared_row_products_are_bit_equal_to_per_term_products(make, rng):
     # factor and linear form U^T diag(x) U once for the terms of coef 1 and
-    # -1 on the same rows, and a dense -I acts as a negation; both give the
-    # bits of forming each term's own product
+    # -1 on the same rows; this gives the bits of forming each term's own
+    # product
     barrier, x0 = make(rng)
     x = x0 * (1 + 1e-3 * rng.uniform(-1, 1, x0.size))
     dx = rng.standard_normal(x0.size)
     for got, point, shift in ((barrier.factor(x)[0], x, True),
                               (barrier.linear(dx), dx, False)):
         for g, (f0, terms) in zip(got, barrier.cones):
-            ref = sum(_term_product(t, point[t.sl]) for t in terms)
+            ref = sum(_term_product(t, point[t.sl], len(f0)) for t in terms)
             assert np.array_equal(g.mat if shift else g,
                                   ref + f0 if shift else ref)
-    minus_eyes = 0
-    for f0, terms in barrier.cones:
-        p = random_spd(len(f0), rng).mat
-        for t in (t for t in terms if t.dense is not None):
-            minus_eyes += np.array_equal(t.dense, -np.eye(len(f0)))
-            assert np.array_equal(t.image(p), p @ t.dense)
-            assert t.trace(p) == np.trace(p @ t.dense)
-    assert minus_eyes == (2 if make is _phase_one_two_sided else 1)
 
 
 def test_derivatives_allocate_less_than_one_hessian():

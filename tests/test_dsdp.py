@@ -7,17 +7,16 @@ from optiprecond import (NotPositiveDefiniteError, RectMatrix, SymMatrix,
                          gram_matrix, solve_right_pr, two_sided_feasibility)
 from optiprecond import dsdp
 from optiprecond.barrier import CenteringError
-from optiprecond.dsdp import barrier_path_solve, build_left
+from optiprecond.dsdp import barrier_path_solve, build_left, build_right
 from optiprecond.optimal import OptimalRequest, optimal_left, optimal_right
-from conftest import (grid_optimal_right, random_spd, right_as_left,
-                      scaled_kappa, solve_right)
+from conftest import (grid_optimal_right, random_spd, scaled_kappa,
+                      solve_right)
 
 
-def test_dsdp_right_requires_pd():
+def test_build_right_requires_pd():
     with pytest.raises(NotPositiveDefiniteError):
-        optimal_right(SymMatrix([[1.0, 2.0], [2.0, 1.0]]),
-                      OptimalRequest(method="dsdp"))
-    p = right_as_left(SymMatrix.identity(3))
+        build_right(SymMatrix([[1.0, 2.0], [2.0, 1.0]]))
+    p = build_right(SymMatrix.identity(3))
     assert p.side == "right"
     assert p.start.size == 1 + 3
 
@@ -43,16 +42,15 @@ def _design_with_ratio(ratio):
 def test_full_rank_rule_boundary():
     # full rank means lambda_min > 1e-12 lambda_max, for every solver
     a = _design_with_ratio(1e-13)
-    for solve in (lambda: optimal_right(gram_matrix(a),
-                                        OptimalRequest(method="dsdp")),
+    for solve in (lambda: build_right(gram_matrix(a)),
                   lambda: build_left(a),
                   lambda: two_sided_feasibility(a, 10.0),
                   lambda: solve_right_pr(gram_matrix(a))):
         with pytest.raises(NotPositiveDefiniteError):
             solve()
     a = _design_with_ratio(1e-10)
-    _, rep = optimal_right(gram_matrix(a), OptimalRequest(method="dsdp"))
-    assert rep.kappa_before == pytest.approx(1e10, rel=1e-3)
+    assert build_right(gram_matrix(a)).kappa_before == \
+        pytest.approx(1e10, rel=1e-3)
     assert build_left(a).kappa_before == pytest.approx(1e10, rel=1e-3)
 
 
@@ -67,7 +65,7 @@ def test_right_identity_and_diagonal():
 def test_right_matches_grid_oracle():
     m = np.array([[1.0, 0.5], [0.5, 2.0]])
     oracle = grid_optimal_right(m)
-    tau, d, rep = solve_right(SymMatrix(m))
+    tau, d, rep = barrier_path_solve(build_right(SymMatrix(m)))
     assert 1.0 / tau == pytest.approx(oracle, rel=1e-3)
 
 
@@ -102,10 +100,10 @@ def test_left_never_worse_than_unpreconditioned(rng):
 def test_certified_gap_brackets_kappa(rng):
     # kappa_lb comes from a primal point repaired to exact feasibility; a
     # certified solve has kappa_lb <= kappa_after <= (1 + tol) kappa_lb
-    grams = [random_spd(n, rng, cond=cond)
-             for n in (1, 2, 5, 8, 20) for cond in (1.0, 30.0, 1e3)]
-    for m in grams:
-        tau, d, rep = solve_right(m)
+    problems = [build_right(random_spd(n, rng, cond=cond))
+                for n in (1, 2, 5, 8, 20) for cond in (1.0, 30.0, 1e3)]
+    for p in problems:
+        tau, d, rep = barrier_path_solve(p)
         extra = rep.extra
         assert extra["certified"]
         assert extra["kappa_lower_bound"] <= rep.kappa_after == 1.0 / tau
@@ -120,7 +118,8 @@ def test_certified_gap_brackets_kappa(rng):
 def test_ill_conditioned_right_solves_certify(rng):
     # at kappa(M) = 1e6 to 1e9 every draw reaches the floor gap: the left
     # form on the Cholesky factor keeps both cones normalized to I
-    reports = [solve_right(random_spd(n, rng, cond=c), 1e-8)[2]
+    reports = [barrier_path_solve(build_right(random_spd(n, rng, cond=c)),
+                                  1e-8)[2]
                for n in (2, 3, 5, 8) for c in (1e6, 1e9)]
     for rep in reports:
         extra = rep.extra
@@ -131,7 +130,7 @@ def test_ill_conditioned_right_solves_certify(rng):
 
 
 def test_report_keys(rng):
-    tau, d, rep = solve_right(random_spd(4, rng))
+    tau, d, rep = barrier_path_solve(build_right(random_spd(4, rng)))
     assert {"kappa_lower_bound", "certified_gap", "certified",
             "newton_steps", "step_reductions"} <= set(rep.extra)
     assert not {"mu_final", "duality_gap_proxy", "tau_path"} & \
@@ -228,7 +227,7 @@ def test_step_lengths_reuse_the_iterate_factors(monkeypatch):
 def test_primal_starts_are_strictly_feasible(rng):
     # A(X) = -c with X > 0 and bound multipliers v > 0, so the repaired
     # bound at the start is the start's own primal objective
-    for p in (right_as_left(random_spd(5, rng, cond=20.0)),
+    for p in (build_right(random_spd(5, rng, cond=20.0)),
               build_left(RectMatrix(rng.standard_normal((7, 3))))):
         xs, v = p.primal_start
         assert np.all(v > 0)
@@ -250,7 +249,7 @@ def test_build_left_refuses_a_zero_row(rng):
 
 def test_infeasible_start_raises_centering_error():
     # tau = 2 needs 2 I <= L^T W L <= I: no strictly feasible dual start
-    p = right_as_left(SymMatrix.identity(3))
+    p = build_right(SymMatrix.identity(3))
     p.start[0] = 2.0
     with pytest.raises(CenteringError, match="strictly feasible start"):
         barrier_path_solve(p)

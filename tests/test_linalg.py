@@ -243,9 +243,9 @@ def test_max_step_cone():
     a = np.diag([1.0, 4.0])
     lower = chol_pd(a)
     # diag(1, 4) - alpha diag(2, -1) stays PSD up to alpha = 1/2
-    assert max_step_chol([a], [lower], [-np.diag([2.0, -1.0])]) == \
+    assert max_step_chol([a], [lower], [-np.diag([2.0, -1.0])])[0] == \
         pytest.approx(0.5)
-    assert max_step_chol([a], [lower], [np.diag([1.0, 1.0])]) == np.inf
+    assert max_step_chol([a], [lower], [np.diag([1.0, 1.0])])[0] == np.inf
 
 
 def test_solve_chol_reuses_one_factor(rng):
@@ -260,19 +260,19 @@ def test_max_step_pd(rng):
     # diag(1, 4) + alpha diag(-2, 1) stays PSD up to alpha = 1/2
     b = np.diag([1.0, 4.0])
     base = chol_pd(b)
-    assert max_step_chol([b], [base], [np.diag([-2.0, 1.0])]) == \
+    assert max_step_chol([b], [base], [np.diag([-2.0, 1.0])])[0] == \
         pytest.approx(0.5)
     a = random_spd(8, rng, cond=100.0).mat
     delta = rng.standard_normal((8, 8))
     delta = delta + delta.T
-    alpha = max_step_chol([a], [chol_pd(a)], [delta])
+    alpha = max_step_chol([a], [chol_pd(a)], [delta])[0]
     assert np.linalg.eigvalsh(a + alpha * delta)[0] == \
         pytest.approx(0.0, abs=1e-12 * np.abs(a).max())
     # over several triples, the smallest step; an unbounded one adds none
     assert max_step_chol([b, a, b], [base, chol_pd(a), base],
-                         [np.diag([-1.0, 1.0]), delta, np.eye(2)]) == \
+                         [np.diag([-1.0, 1.0]), delta, np.eye(2)])[0] == \
         pytest.approx(min(1.0, alpha), rel=1e-14)
-    assert max_step_chol([], [], []) == np.inf
+    assert max_step_chol([], [], []) == (np.inf, 0)
 
 
 def test_max_step_pd_survives_a_failed_subset_solve(monkeypatch):
@@ -284,7 +284,7 @@ def test_max_step_pd_survives_a_failed_subset_solve(monkeypatch):
     delta = 0.5 * (delta + delta.T)
     base = 0.1 * np.eye(20)
     lower = chol_pd(base)
-    assert max_step_chol([base], [lower], [delta]) == \
+    assert max_step_chol([base], [lower], [delta])[0] == \
         pytest.approx(0.1 / 0.0557, rel=1e-12)
     # the same answers when every subset solve fails
     a = np.diag([1.0, 4.0])
@@ -294,9 +294,9 @@ def test_max_step_pd_survives_a_failed_subset_solve(monkeypatch):
         return (*dsyevx(*args, **kwargs)[:4], 1)
 
     monkeypatch.setattr(scipy.linalg.lapack, "dsyevx", failing)
-    assert max_step_chol([base], [lower], [delta]) == \
+    assert max_step_chol([base], [lower], [delta])[0] == \
         pytest.approx(0.1 / 0.0557, rel=1e-12)
-    assert max_step_chol([a], [chol_pd(a)], [np.diag([-2.0, 1.0])]) == \
+    assert max_step_chol([a], [chol_pd(a)], [np.diag([-2.0, 1.0])])[0] == \
         pytest.approx(0.5, rel=1e-14)
 
 
@@ -312,7 +312,7 @@ def test_max_step_chol_matches_the_generalized_eigensolve():
         g = rng.standard_normal((n, n))
         delta = g @ g.T if k % 4 == 0 else 0.5 * (g + g.T)
         w = scipy.linalg.eigvalsh(-delta, a)
-        step = max_step_chol([a], [chol_pd(a)], [delta])
+        step = max_step_chol([a], [chol_pd(a)], [delta])[0]
         if w[-1] <= 0:
             unbounded += 1
             assert step == np.inf, (k, n)
@@ -333,7 +333,7 @@ def _two_cones(steps):
         lower = chol_pd(a)
         mats.append(a)
         lowers.append(lower)
-        deltas.append(g * (max_step_chol([a], [lower], [g]) / step))
+        deltas.append(g * (max_step_chol([a], [lower], [g])[0] / step))
     return mats, lowers, deltas
 
 
@@ -349,24 +349,28 @@ def test_screened_step_matches_the_eigensolve(steps, bound, reductions):
     # only the cones whose Cholesky test fails at the step in force
     mats, lowers, deltas = _two_cones(steps)
     tally = collections.Counter()
-    step = max_step_chol(mats, lowers, deltas, bound, tally)
+    step = max_step_chol(mats, lowers, deltas, bound, tally)[0]
     assert step == pytest.approx(
-        min(bound, max_step_chol(mats, lowers, deltas)), rel=1e-14)
+        min(bound, max_step_chol(mats, lowers, deltas)[0]), rel=1e-14)
     assert step == pytest.approx(min(bound, *steps), rel=1e-12)
     assert tally["step_reductions"] == reductions
 
 
-def test_step_tests_the_last_binding_cone_first():
-    # both cones fail the test at the cap, so the first call reduces both
-    # and records the second as binding; the next call of the loop tests
-    # that cone first, and the first cone then passes at its step
+def test_step_tests_the_binding_cone_first():
+    # both cones fail the test at the cap, so a call that tests the first
+    # cone first reduces both and returns the second as binding; a call
+    # that tests that cone first reduces it alone, and the first cone then
+    # passes at its step
     mats, lowers, deltas = _two_cones((0.6, 0.3))
     tally = collections.Counter()
-    steps = [max_step_chol(mats, lowers, deltas, 1.0, tally)
-             for _ in range(2)]
-    assert steps[0] == steps[1] == pytest.approx(0.3, rel=1e-12)
-    assert tally["binding"] == 1
+    step, binding = max_step_chol(mats, lowers, deltas, 1.0, tally)
+    assert binding == 1 and tally["step_reductions"] == 2
+    assert max_step_chol(mats, lowers, deltas, 1.0, tally, first=binding) \
+        == (step, 1)
+    assert step == pytest.approx(0.3, rel=1e-12)
     assert tally["step_reductions"] == 2 + 1
+    # a call where no reduction sets alpha returns first as binding
+    assert max_step_chol(mats, lowers, deltas, 0.1, first=1) == (0.1, 1)
 
 
 def test_capped_step_runs_no_eigensolve(monkeypatch):
@@ -376,7 +380,7 @@ def test_capped_step_runs_no_eigensolve(monkeypatch):
         raise AssertionError("reduced a cone that does not bind")
     for name in ("dsygst", "dsyevx"):
         monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
-    assert max_step_chol(mats, lowers, deltas, 1.0) == 1.0
+    assert max_step_chol(mats, lowers, deltas, 1.0) == (1.0, 0)
 
 
 def _openblas_thread_functions():

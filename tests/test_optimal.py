@@ -23,10 +23,10 @@ from optiprecond.optimal import (
     optimal_right,
 )
 from optiprecond import barrier, dsdp, heuristics, optimal, potential
+from optiprecond.dsdp import barrier_path_solve, build_right
 from optiprecond.linalg import _openblas_controls, blas_backend
 from optiprecond.potential import PRConfig, solve_right_pr
-from conftest import (grid_optimal_right, grid_optimal_two_sided_3x3,
-                      random_spd, solve_right)
+from conftest import grid_optimal_right, grid_optimal_two_sided_3x3, random_spd
 
 
 def test_request_validates_epsilon():
@@ -223,7 +223,7 @@ def test_dsdp_stops_when_the_schur_matrix_does_not_factor(monkeypatch):
     # ends the solve at the last factored point, as an X that does not
     m = random_spd(8, np.random.default_rng(3), cond=20.0)
     monkeypatch.setattr(dsdp, "_MAX_ITER", 2)
-    tau2, d2, _ = solve_right(m)
+    tau2, d2, _ = barrier_path_solve(build_right(m))
     monkeypatch.undo()
     real, schur_calls = barrier.chol_pd, []
 
@@ -235,7 +235,7 @@ def test_dsdp_stops_when_the_schur_matrix_does_not_factor(monkeypatch):
         return real(a)
 
     monkeypatch.setattr(barrier, "chol_pd", third_schur_fails)
-    tau, d, rep = solve_right(m)
+    tau, d, rep = barrier_path_solve(build_right(m))
     assert rep.iterations == len(schur_calls) == 3
     assert not rep.extra["certified"]
     assert tau == tau2 and np.array_equal(d, d2)
@@ -396,7 +396,7 @@ def test_entry_points_report_blas_backend():
         optimal_left(a)[1],
         bisect_two_sided(a, OptimalRequest(side="two_sided", epsilon=0.1))[1],
         alternate_two_sided(a)[1],
-        solve_right(m)[2],
+        barrier_path_solve(build_right(m))[2],
         solve_right_pr(m)[1],
     ]
     assert [r.extra["blas_backend"] for r in reports] == [blas_backend()] * 7

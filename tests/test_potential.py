@@ -8,6 +8,7 @@ import scipy.linalg.lapack
 from optiprecond import SymMatrix, gram_matrix, potential, read_matrix_market
 from optiprecond.barrier import (InfeasiblePointError, _one_sided,
                                  compute_center, initial_feasible_point)
+from optiprecond.dsdp import build_right, barrier_path_solve
 from optiprecond.fixtures import fixture_path
 from optiprecond.linalg import geomean_inv, inv_pd, sym_pow
 from optiprecond.potential import (
@@ -424,7 +425,7 @@ def test_solve_right_pr_kappa_within_terminal(rng):
 def test_solve_right_pr_agrees_with_dsdp(rng):
     m = random_spd(12, rng, cond=200.0)
     _, rep_pr = solve_right_pr(m, PRConfig(kappa_tol=1e-5))
-    _, _, rep_ds = solve_right(m)
+    _, _, rep_ds = barrier_path_solve(build_right(m))
     assert rep_pr.kappa_after == pytest.approx(rep_ds.kappa_after, rel=1e-2)
 
 
