@@ -4,15 +4,14 @@ The package minimizes the condition number kappa(D1^{1/2} A D2^{-1/2}) over
 positive diagonal scalings, via bisection over SDP feasibility, potential
 reduction with Nesterov-Todd steps, and a primal-dual interior point method
 on the one-sided SDPs, and benchmarks the effect on preconditioned conjugate
-gradient convergence. Spectra and the one full-rank rule, whose failure
-raises NotPositiveDefiniteError, live in ``linalg``, the only module that
-binds scipy.linalg."""
+gradient convergence. Spectra, from one symmetric eigensolver, and the one
+full-rank rule, whose failure raises NotPositiveDefiniteError, live in
+``linalg``, the only module that binds LAPACK."""
 
 from .linalg import (
     SymMatrix,
     NotPositiveDefiniteError,
     condition_number,
-    logcond_subgradient,
     proximity_delta,
 )
 from .matrixio import (

@@ -31,7 +31,6 @@ Programming, SIAM Rev. 1996, section 3).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -260,11 +259,11 @@ def _sym(a):
     return 0.5 * (a + a.T)
 
 
-def _max_step(mats, lowers, deltas, v, dv, tally=None, first=0):
-    """max_step_chol's (alpha, binding cone) for every mat + alpha delta
-    PSD and v + alpha dv >= 0, under the bound of 1 and v / -dv."""
+def _max_step(mats, lowers, deltas, v, dv, first=0):
+    """max_step_chol's (alpha, binding, reductions) for every mat + alpha
+    delta PSD and v + alpha dv >= 0, under the bound of 1 and v / -dv."""
     return max_step_chol(mats, lowers, deltas, min(
-        [1.0, *(v[dv < 0] / -dv[dv < 0])]), tally, first)
+        [1.0, *(v[dv < 0] / -dv[dv < 0])]), first)
 
 
 def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
@@ -289,7 +288,7 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
     state = b.factor(y)
     if state is None:
         raise CenteringError("strictly feasible start recipe failed")
-    iterations, tally, first = 0, Counter(), 0
+    iterations, reductions, first = 0, 0, 0
     while not done(y, xs) and iterations < max_iter:
         iterations += 1
         factors, z = state
@@ -306,14 +305,15 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
 
         def direction(rhs, tzs, tv):
             # the step to T (T Z^-1 per cone, T / z) with A(X + dX) = -c
-            nonlocal first
+            nonlocal first, reductions
             dy = solve_chol(lower, rhs)
             dzs = b.linear(dy)
             dxs = [tz - x - _sym(x @ dz @ zi)
                    for tz, x, dz, zi in zip(tzs, xs, dzs, zinv)]
             dv = tv - v - v * dy[pos] / z
-            alpha, first = _max_step(xs, xls, dxs, v, dv, tally, first)
-            beta, first = _max_step(zs, zls, dzs, z, dy[pos], tally, first)
+            alpha, first, primal = _max_step(xs, xls, dxs, v, dv, first)
+            beta, first, dual = _max_step(zs, zls, dzs, z, dy[pos], first)
+            reductions += primal + dual
             return (dy, dzs, dxs, dv), (alpha, beta)
 
         (dy, dzs, dxs, dv), (alpha, beta) = direction(c, [0.0] * len(xs),
@@ -335,7 +335,7 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
         xs = [x + gamma * alpha * dx for x, dx in zip(xs, dxs)]
         v = v + gamma * alpha * dv
         y, state = y + gamma * beta * dy, new_state
-    return y, xs, iterations, tally["step_reductions"]
+    return y, xs, iterations, reductions
 
 
 def _one_sided(m_arr, kappa) -> LmiBarrier:

@@ -122,12 +122,14 @@ def sampling_sweep(a: RectMatrix, ratios, seed: int = 0
 
     For each ratio, samples round(ratio*m) rows without replacement, solves
     for the optimal right preconditioner of the sampled Gram, and measures
-    kappa of the full Gram under that scaling. The sampled Gram is rescaled
-    by m/m_tilde in the reported estimation gap so it estimates the full
-    Gram. A sample whose Gram does not factor, or whose factor L fails the
-    full-rank rule on L^T L, is flagged rank-deficient, not fatal.
+    kappa of the full Gram under that scaling; rows are those of a.tall(),
+    as in gram_matrix. The sampled Gram is rescaled by m/m_tilde in the
+    reported estimation gap so it estimates the full Gram. A sample whose
+    Gram does not factor, or whose factor L fails the full-rank rule on
+    L^T L, is flagged rank-deficient, not fatal.
     """
     req = OptimalRequest(method="dsdp")
+    a = RectMatrix(a.tall())
     m_rows = a.rows
     full_gram = gram_matrix(a)
     points = []

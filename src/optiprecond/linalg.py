@@ -1,18 +1,19 @@
 """Dense symmetric linear algebra shared by all solver modules.
 
-The package's only binding of scipy.linalg. ``SymMatrix`` validates
-symmetric input; ``extreme_eigenvalues`` is the one spectrum helper and
-applies the one full-rank rule; ``condition_number`` is the one kappa
-helper. The positive-definite kernels are ``chol_pd`` (dpotrf),
-``inv_from_chol`` and ``inv_pd`` (dpotri), ``solve_pd`` (dposv, which
-refuses a matrix that is not PD), ``solve_chol`` (dpotrs),
-``logdet_from_chol``, ``max_step_chol`` (the one step-length kernel: a
-dpotrf test of each cone at the step in force, and dsygst and dsyevx on the
-caller's factor only for a cone that fails it), ``sym_pow``,
-``proximity_delta``, ``geomean_inv`` and ``scaled_eigh`` (the eigenbasis
-of D^{-1/2} M D^{-1/2}). They take and return plain float64 arrays;
-``Factored`` holds one PD matrix with its factor and its inverse, formed
-at most once.
+The package's only LAPACK binding, through scipy.linalg.lapack alone.
+``SymMatrix`` validates symmetric input; ``_eigh`` (dsyevd) is the one
+symmetric eigensolver, under ``extreme_eigenvalues`` (the one spectrum
+helper, which applies the one full-rank rule), ``sym_pow``,
+``geomean_inv`` and ``scaled_eigh`` (the eigenbasis of D^{-1/2} M
+D^{-1/2}); ``condition_number`` is the one kappa helper. The
+positive-definite kernels are ``chol_pd`` (dpotrf), ``inv_from_chol`` and
+``inv_pd`` (dpotri), ``solve_pd`` (dposv, which refuses a matrix that is
+not PD), ``solve_chol`` (dpotrs), ``logdet_from_chol``, ``max_step_chol``
+(the one step-length kernel: a dpotrf test of each cone at the step in
+force, and dsygst and dsyevx on the caller's factor only for a cone that
+fails it) and ``proximity_delta``. They take and return plain float64
+arrays; ``Factored`` holds one PD matrix with its factor and its inverse,
+formed at most once.
 ``serial_blas`` runs a solve on one BLAS thread by calling the thread
 functions of the OpenBLAS copies that the numpy and scipy wheels bundle.
 """
@@ -27,7 +28,6 @@ import logging
 import threading
 
 import numpy as np
-import scipy.linalg
 import scipy.linalg.lapack
 
 logger = logging.getLogger(__name__)
@@ -179,6 +179,30 @@ class SymMatrix:
 FULL_RANK_RTOL = 1e-12
 
 
+def _eigh(a, vectors=True):
+    """Ascending eigenvalues of a symmetric array's lower triangle and,
+    with vectors, its eigenvectors as C-contiguous columns, by one dsyevd.
+    Raises EigenConvergenceError when dsyevd fails and
+    NotPositiveDefiniteError when the diagonal or an eigenvalue is not
+    finite (2n checks, not an n^2 scan: a non-finite entry shows in the
+    eigenvalues unless it is on the diagonal of a diagonal a)."""
+    # with vectors, the workspace of numpy's eigh (which runs dsyevd);
+    # without, the 28n that scipy's eigvalsh (dsyevr) leaves dsytrd, which
+    # then blocks as there: both return the same bits as those
+    n = len(a)
+    w, v, info = scipy.linalg.lapack.dsyevd(
+        a, compute_v=int(vectors), lower=1,
+        lwork=1 + 6 * n + 2 * n * n if vectors else 1 + 30 * n)
+    if not (np.isfinite(w).all() and np.isfinite(np.diagonal(a)).all()):
+        raise NotPositiveDefiniteError(
+            f"order-{n} matrix has a non-finite diagonal entry or "
+            "eigenvalue: its entries must be finite")
+    if info != 0:
+        raise EigenConvergenceError(
+            f"symmetric eigensolver failed on order-{n} matrix")
+    return (w, np.ascontiguousarray(v)) if vectors else w
+
+
 def extreme_eigenvalues(m: SymMatrix | np.ndarray, *,
                         rtol=FULL_RANK_RTOL) -> tuple[float, float]:
     """(lambda_min, lambda_max) of a symmetric matrix from one eigensolve;
@@ -186,12 +210,7 @@ def extreme_eigenvalues(m: SymMatrix | np.ndarray, *,
     max(lambda_max, 0), and rtol=None skips the check. An array is read as
     symmetric from its lower triangle, unvalidated."""
     a = m.mat if isinstance(m, SymMatrix) else np.asarray(m, dtype=float)
-    try:
-        w = scipy.linalg.eigvalsh(a)
-    except scipy.linalg.LinAlgError as exc:
-        raise EigenConvergenceError(
-            f"symmetric eigensolver failed on order-{a.shape[0]} matrix"
-        ) from exc
+    w = _eigh(a, vectors=False)
     lamn, lam1 = float(w[0]), float(w[-1])
     if rtol is not None and not lamn > rtol * max(lam1, 0.0):
         raise NotPositiveDefiniteError(
@@ -207,28 +226,8 @@ def condition_number(m: SymMatrix | np.ndarray) -> float:
     return lam1 / lamn
 
 
-def logcond_subgradient(m: SymMatrix, d) -> np.ndarray:
-    """A subgradient of d -> log kappa(D M D) at the diagonal d.
-
-    Uses vv^T in the subdifferential of lambda_max (and uu^T for
-    lambda_min) through the chain rule on D M D:
-    g_i = 2 v_i (M D v)_i / lambda_max - 2 u_i (M D u)_i / lambda_min.
-    Eigenvalue ties are broken by the first eigenvector returned.
-    """
-    d = np.asarray(d, dtype=float)
-    m_arr = m.mat
-    dmd = d[:, None] * m_arr * d[None, :]
-    w, vecs = scipy.linalg.eigh(0.5 * (dmd + dmd.T))
-    lmin, u, lmax, v = float(w[0]), vecs[:, 0], float(w[-1]), vecs[:, -1]
-    if lmin <= 0:
-        raise NotPositiveDefiniteError("D M D is not positive definite")
-    mdv = m_arr @ (d * v)
-    mdu = m_arr @ (d * u)
-    return 2.0 * v * mdv / lmax - 2.0 * u * mdu / lmin
-
-
 # Positive-definite kernels shared by every solver. Cholesky (dpotrf)
-# factors, inverts (dpotri) and solves (dposv), eigh runs only for
+# factors, inverts (dpotri) and solves (dposv), _eigh runs only for
 # fractional powers, the geometric means of the Nesterov-Todd scalings and
 # the scaled Gram's eigenbasis, and step lengths are tested by Cholesky
 # and reduced by factors the caller already holds only where a cone binds.
@@ -301,11 +300,12 @@ def logdet_from_chol(lower):
     return 2.0 * float(np.sum(np.log(np.diag(lower))))
 
 
-def max_step_chol(mats, lowers, deltas, bound=np.inf, tally=None, first=0):
-    """(alpha, binding): the largest alpha <= bound keeping every mat +
-    alpha*delta PSD (inf if unbounded), over triples of a PD matrix, its
-    lower Cholesky factor L and a delta, and the cone whose reduction set
-    alpha (first when none did; a loop passes it on as the next first).
+def max_step_chol(mats, lowers, deltas, bound=np.inf, first=0):
+    """(alpha, binding, reductions): the largest alpha <= bound keeping
+    every mat + alpha*delta PSD (inf if unbounded), over triples of a PD
+    matrix, its lower Cholesky factor L and a delta; the cone whose
+    reduction set alpha (first when none did; a loop passes it on as the
+    next first); and the number of cones reduced.
 
     Screened: each cone in turn, cone first, is tested by one dpotrf of
     mat + alpha*delta at the alpha in force; a cone that factors does not
@@ -313,9 +313,8 @@ def max_step_chol(mats, lowers, deltas, bound=np.inf, tally=None, first=0):
     while alpha is inf) is reduced: alpha falls to 1 / the top eigenvalue
     of L^-1 (-delta) L^-T, formed by dsygst and found by one dsyevx
     (dsygvx without its dpotrf), or by all eigenvalues where that subset
-    solve fails. Later cones are tested at the lowered alpha. tally, a
-    collections.Counter, counts the reductions under "step_reductions"."""
-    alpha, binding = float(bound), first
+    solve fails. Later cones are tested at the lowered alpha."""
+    alpha, binding, reductions = float(bound), first, 0
     for k in sorted(range(len(lowers)), key=lambda k: k != first):
         mat, lower, delta = mats[k], lowers[k], deltas[k]
         if alpha < np.inf and chol_pd(mat + alpha * delta) is not None:
@@ -327,16 +326,15 @@ def max_step_chol(mats, lowers, deltas, bound=np.inf, tally=None, first=0):
             c, compute_v=0, range="I", lower=1, il=n, iu=n)
         top = w[0] if info == 0 and found == 1 \
             else extreme_eigenvalues(c, rtol=None)[1]
-        if tally is not None:
-            tally["step_reductions"] += 1
+        reductions += 1
         if top > 0 and 1.0 / float(top) < alpha:
             alpha, binding = 1.0 / float(top), k
-    return alpha, binding
+    return alpha, binding, reductions
 
 
 def sym_pow(a, power):
     """a**power for a symmetric PD matrix, by eigendecomposition."""
-    w, v = scipy.linalg.eigh(a)
+    w, v = _eigh(a)
     if w[0] <= 0:
         raise NotPositiveDefiniteError("matrix power needs a PD argument")
     return (v * w ** power) @ v.T
@@ -366,7 +364,7 @@ def geomean_inv(a, b):
     lower = chol_pd(a)
     if lower is None:
         raise NotPositiveDefiniteError("first argument is not numerically PD")
-    w, v = np.linalg.eigh(lower.T @ b @ lower)
+    w, v = _eigh(lower.T @ b @ lower)
     if not w[0] > 0:
         raise NotPositiveDefiniteError("second argument is not PD")
     f = (lower @ v) * w ** -0.25
@@ -378,5 +376,5 @@ def scaled_eigh(m, d):
     for a positive vector d, from one eigensolve: returns w (ascending) and
     D^{-1/2} Q."""
     s = 1.0 / np.sqrt(d)
-    w, q = np.linalg.eigh(s[:, None] * m * s[None, :])
+    w, q = _eigh(s[:, None] * m * s[None, :])
     return w, s[:, None] * q

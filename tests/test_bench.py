@@ -110,6 +110,15 @@ def test_sampling_deterministic(rng):
     assert [p.gram_gap for p in p1] == [p.gram_gap for p in p2]
 
 
+def test_sampling_sweeps_a_wide_input_as_its_transpose():
+    # the rows of a.tall(), the orientation gram_matrix uses: a 3x5 input
+    # samples the 5 rows of its transpose
+    a = np.random.default_rng(12).standard_normal((3, 5))
+    wide = sampling_sweep(RectMatrix(a), [0.6, 1.0], seed=2)
+    assert wide == sampling_sweep(RectMatrix(a.T), [0.6, 1.0], seed=2)
+    assert wide[1].gram_gap == pytest.approx(0.0, abs=1e-12)
+
+
 def test_sampling_rank_deficient_flagged():
     a = RectMatrix(np.vstack([np.eye(4), np.eye(4)]))
     # a 1-row sample of an 8x4 matrix cannot have full column rank

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy.linalg
+import scipy.linalg.lapack
 
 import optiprecond
 from optiprecond import cli
@@ -91,9 +91,11 @@ def test_cond_out_keeps_old_file_when_rename_fails(tmp_path, capsys,
 
 
 def test_cond_eigensolver_failure_exit_3(tmp_path, capsys, monkeypatch):
-    def fail(a):
-        raise scipy.linalg.LinAlgError("eigenvalues did not converge")
-    monkeypatch.setattr(scipy.linalg, "eigvalsh", fail)
+    dsyevd = scipy.linalg.lapack.dsyevd
+
+    def fail(*args, **kwargs):
+        return (*dsyevd(*args, **kwargs)[:2], 1)
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevd", fail)
     path = write_mtx(tmp_path, [4.0, 1.0])
     code, out, err = run_cli(["cond", "--input", str(path)], capsys)
     assert code == 3

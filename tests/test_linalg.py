@@ -1,5 +1,4 @@
 import ast
-import collections
 import ctypes
 import importlib
 import logging
@@ -10,9 +9,12 @@ import pytest
 import scipy.linalg
 import scipy.linalg.lapack
 
-from optiprecond import NotPositiveDefiniteError, SymMatrix, condition_number
+from optiprecond import (NotPositiveDefiniteError, SymMatrix,
+                         condition_number, gram_matrix, read_matrix_market)
 from optiprecond import linalg
+from optiprecond.fixtures import fixture_path
 from optiprecond.linalg import (
+    EigenConvergenceError,
     blas_backend,
     chol_pd,
     geomean_inv,
@@ -28,6 +30,7 @@ from optiprecond.linalg import (
     sym_pow,
 )
 from conftest import random_spd
+from test_fixtures import PINNED_RIGHT_PR
 
 
 def test_symmatrix_rejects_asymmetric():
@@ -182,6 +185,57 @@ def test_scaled_eigh_diagonalizes_m_and_d_together(n):
     assert np.allclose(p.T @ m @ p, np.diag(w), rtol=0, atol=1e-12 * w[-1])
     assert np.allclose(p.T @ (d[:, None] * p), np.eye(n), rtol=0, atol=1e-12)
 
+
+@pytest.mark.parametrize("name", PINNED_RIGHT_PR)
+def test_eigh_matches_numpy_eigh_and_scipy_eigvalsh(name):
+    # one dsyevd on the lower triangle, with the workspace of numpy's eigh
+    # (also dsyevd) or, for eigenvalues only, with dsytrd blocked as in
+    # scipy's eigvalsh (dsyevr): on the benchmark's eight right Grams and on
+    # their Jacobi-scaled forms, whose two triangles differ in rounding, the
+    # results are bit-identical and the vectors C-contiguous
+    g = gram_matrix(read_matrix_market(fixture_path(name))).mat
+    s = 1.0 / np.sqrt(np.diag(g))
+    for a in (g, s[:, None] * g * s[None, :]):
+        w, v = linalg._eigh(a)
+        expected_w, expected_v = np.linalg.eigh(a)
+        assert np.array_equal(w, expected_w)
+        assert np.array_equal(v, expected_v) and v.flags.c_contiguous
+        assert np.array_equal(linalg._eigh(a, vectors=False),
+                              scipy.linalg.eigvalsh(a))
+
+
+def test_eigh_failure_raises_in_every_spectrum(monkeypatch):
+    dsyevd = scipy.linalg.lapack.dsyevd
+
+    def failing(*args, **kwargs):
+        return (*dsyevd(*args, **kwargs)[:2], 1)
+
+    monkeypatch.setattr(scipy.linalg.lapack, "dsyevd", failing)
+    m = random_spd(4, np.random.default_rng(6), cond=10.0).mat
+    for spectrum in (lambda: condition_number(m), lambda: sym_pow(m, 0.5),
+                     lambda: geomean_inv(m, m),
+                     lambda: scaled_eigh(m, np.ones(4))):
+        with pytest.raises(EigenConvergenceError):
+            spectrum()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8])
+def test_eigh_rejects_non_finite_entries(n):
+    # every position of the lower triangle, in a dense and in a diagonal
+    # matrix: the diagonal check catches the NaN that dsyevd loses on the
+    # diagonal of a diagonal matrix, the eigenvalues every other entry
+    local = np.random.default_rng(n)
+    dense = random_spd(n, local, cond=10.0).mat
+    for base in (dense, np.diag(np.diag(dense))):
+        for i, j in zip(*np.tril_indices(n)):
+            for value in (np.nan, np.inf, -np.inf):
+                a = base.copy()
+                a[i, j] = a[j, i] = value
+                for vectors in (True, False):
+                    with pytest.raises(NotPositiveDefiniteError):
+                        linalg._eigh(a, vectors)
+
+
 @pytest.mark.parametrize("a, b", [
     (np.diag([1.0, -1.0]), np.eye(2)),
     (np.diag([1.0, 0.0]), np.eye(2)),
@@ -272,7 +326,7 @@ def test_max_step_pd(rng):
     assert max_step_chol([b, a, b], [base, chol_pd(a), base],
                          [np.diag([-1.0, 1.0]), delta, np.eye(2)])[0] == \
         pytest.approx(min(1.0, alpha), rel=1e-14)
-    assert max_step_chol([], [], []) == (np.inf, 0)
+    assert max_step_chol([], [], []) == (np.inf, 0, 0)
 
 
 def test_max_step_pd_survives_a_failed_subset_solve(monkeypatch):
@@ -348,12 +402,11 @@ def test_screened_step_matches_the_eigensolve(steps, bound, reductions):
     # min(bound, 1 / lambda_max) of the unscreened eigensolve, reducing
     # only the cones whose Cholesky test fails at the step in force
     mats, lowers, deltas = _two_cones(steps)
-    tally = collections.Counter()
-    step = max_step_chol(mats, lowers, deltas, bound, tally)[0]
+    step, _, reduced = max_step_chol(mats, lowers, deltas, bound)
     assert step == pytest.approx(
         min(bound, max_step_chol(mats, lowers, deltas)[0]), rel=1e-14)
     assert step == pytest.approx(min(bound, *steps), rel=1e-12)
-    assert tally["step_reductions"] == reductions
+    assert reduced == reductions
 
 
 def test_step_tests_the_binding_cone_first():
@@ -362,15 +415,13 @@ def test_step_tests_the_binding_cone_first():
     # that tests that cone first reduces it alone, and the first cone then
     # passes at its step
     mats, lowers, deltas = _two_cones((0.6, 0.3))
-    tally = collections.Counter()
-    step, binding = max_step_chol(mats, lowers, deltas, 1.0, tally)
-    assert binding == 1 and tally["step_reductions"] == 2
-    assert max_step_chol(mats, lowers, deltas, 1.0, tally, first=binding) \
-        == (step, 1)
+    step, binding, reduced = max_step_chol(mats, lowers, deltas, 1.0)
+    assert binding == 1 and reduced == 2
+    assert max_step_chol(mats, lowers, deltas, 1.0, first=binding) \
+        == (step, 1, 1)
     assert step == pytest.approx(0.3, rel=1e-12)
-    assert tally["step_reductions"] == 2 + 1
     # a call where no reduction sets alpha returns first as binding
-    assert max_step_chol(mats, lowers, deltas, 0.1, first=1) == (0.1, 1)
+    assert max_step_chol(mats, lowers, deltas, 0.1, first=1) == (0.1, 1, 0)
 
 
 def test_capped_step_runs_no_eigensolve(monkeypatch):
@@ -380,7 +431,7 @@ def test_capped_step_runs_no_eigensolve(monkeypatch):
         raise AssertionError("reduced a cone that does not bind")
     for name in ("dsygst", "dsyevx"):
         monkeypatch.setattr(scipy.linalg.lapack, name, forbidden)
-    assert max_step_chol(mats, lowers, deltas, 1.0) == (1.0, 0)
+    assert max_step_chol(mats, lowers, deltas, 1.0) == (1.0, 0, 0)
 
 
 def _openblas_thread_functions():
@@ -495,6 +546,38 @@ def _binds_lapack(tree):
     return False
 
 
+def _routes_around_lapack_module(tree):
+    """The dotted names by which a module imports scipy other than as
+    scipy.linalg.lapack, reaches scipy.linalg other than through its lapack
+    module, or reaches numpy.linalg other than its norm and LinAlgError."""
+    lapack = ["scipy", "linalg", "lapack"]
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif isinstance(node, ast.Attribute):
+            names = [ast.unparse(node)]
+        else:
+            continue
+        for name in names:
+            parts = name.split(".")
+            if parts[0] == "scipy":
+                # an attribute chain may stop short of lapack: scipy.linalg
+                # is a node of scipy.linalg.lapack.dsyevd
+                if isinstance(node, ast.Attribute):
+                    through_lapack = parts[:3] == lapack[:len(parts)]
+                else:
+                    through_lapack = parts == lapack
+                if not through_lapack:
+                    found.add(name)
+            elif parts[0] in ("np", "numpy") and parts[1:2] == ["linalg"] \
+                    and parts[2:3] not in ([], ["norm"], ["LinAlgError"]):
+                found.add(name)
+    return found
+
+
 def test_only_linalg_binds_lapack():
     # spectra, factorizations and the full-rank rule live in linalg; the
     # fixtures subpackage, which builds data with np.linalg.qr, is not
@@ -511,3 +594,18 @@ def test_only_linalg_binds_lapack():
                           ("from numpy.linalg import norm", False),
                           ("np.linalg.norm(a)", False)):
         assert _binds_lapack(ast.parse(source)) == binds, source
+    # and linalg itself reaches LAPACK only through scipy.linalg.lapack, so
+    # every eigensolve is _eigh's dsyevd or the step kernel's dsyevx
+    assert _routes_around_lapack_module(
+        ast.parse(Path(linalg.__file__).read_text())) == set()
+    for source, routes in (
+            ("import scipy.linalg.lapack\nscipy.linalg.lapack.dsyevd(a)",
+             set()),
+            ("np.linalg.norm(a)\nraise np.linalg.LinAlgError('x')", set()),
+            ("import scipy.linalg", {"scipy.linalg"}),
+            ("from scipy.linalg.lapack import dsyevd",
+             {"scipy.linalg.lapack.dsyevd"}),
+            ("scipy.linalg.eigvalsh(a)", {"scipy.linalg.eigvalsh"}),
+            ("np.linalg.eigh(a)", {"np.linalg.eigh"})):
+        assert _routes_around_lapack_module(ast.parse(source)) == routes, \
+            source
