@@ -167,6 +167,8 @@ def concentration_experiment(n_grid, sigma_spec, trials: int,
     against the population normalization D = diag(Sigma). Singular draws are
     redrawn at most 3 times.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     sigma = np.asarray(sigma_spec, dtype=float)
     if sigma.ndim == 1:
         sigma = np.diag(sigma)

@@ -74,16 +74,14 @@ class SolveReport:
     extra: dict = field(default_factory=dict)
 
 
-_ALLOWED_FORMATS = ("coordinate", "array")
-_ALLOWED_FIELDS = ("real",)
-_ALLOWED_SYMMETRIES = ("general", "symmetric")
-
-
 def read_matrix_market(path) -> RectMatrix:
-    """Read a real Matrix Market file (coordinate or array variant).
+    """Read a real Matrix Market file: coordinate or array, general or
+    symmetric.
 
-    Symmetric coordinate entries are mirrored; 1-based indices converted.
-    Pattern, integer, and complex fields are rejected rather than coerced.
+    Both layouts become 1-based (row, column, value, line) entries that one
+    loop checks and fills. A symmetric file must be square and list only
+    its lower triangle, which is mirrored. Pattern, integer and complex
+    fields are rejected. Each error is a MatrixMarketError naming its line.
     """
     with open(path, "r", encoding="ascii") as fh:
         lines = fh.readlines()
@@ -94,12 +92,11 @@ def read_matrix_market(path) -> RectMatrix:
             header[1].lower() != "matrix":
         raise MatrixMarketError(f"bad header {lines[0].strip()!r}", line=1)
     fmt, fld, sym = (h.lower() for h in header[2:5])
-    if fmt not in _ALLOWED_FORMATS:
-        raise MatrixMarketError(f"unsupported format {fmt!r}", line=1)
-    if fld not in _ALLOWED_FIELDS:
-        raise MatrixMarketError(f"unsupported field {fld!r}", line=1)
-    if sym not in _ALLOWED_SYMMETRIES:
-        raise MatrixMarketError(f"unsupported symmetry {sym!r}", line=1)
+    for kind, value, allowed in (("format", fmt, ("coordinate", "array")),
+                                 ("field", fld, ("real",)),
+                                 ("symmetry", sym, ("general", "symmetric"))):
+        if value not in allowed:
+            raise MatrixMarketError(f"unsupported {kind} {value!r}", line=1)
 
     # skip comments and blank lines, remembering source line numbers
     body = [(i + 1, ln.strip()) for i, ln in enumerate(lines[1:], start=1)
@@ -108,84 +105,82 @@ def read_matrix_market(path) -> RectMatrix:
         raise MatrixMarketError("missing size line", line=len(lines))
     size_no, size_line = body[0]
     parts = size_line.split()
-
-    if fmt == "coordinate":
-        if len(parts) != 3:
-            raise MatrixMarketError(
-                f"coordinate size line needs 'rows cols nnz', got {size_line!r}",
-                line=size_no)
-        try:
-            nrows, ncols, nnz = (int(p) for p in parts)
-        except ValueError:
-            raise MatrixMarketError(
-                f"non-integer size entry in {size_line!r}", line=size_no)
-        if len(body) - 1 != nnz:
-            raise MatrixMarketError(
-                f"expected {nnz} entries, found {len(body) - 1}", line=size_no)
-        a = np.zeros((nrows, ncols))
-        for lineno, entry in body[1:]:
-            items = entry.split()
-            if len(items) != 3:
-                raise MatrixMarketError(
-                    f"expected 'i j value', got {entry!r}", line=lineno)
-            try:
-                i, j = int(items[0]), int(items[1])
-                val = float(items[2])
-            except ValueError:
-                raise MatrixMarketError(
-                    f"non-numeric entry {entry!r}", line=lineno)
-            if not (1 <= i <= nrows and 1 <= j <= ncols):
-                raise MatrixMarketError(
-                    f"index ({i}, {j}) out of bounds for "
-                    f"{nrows}x{ncols}", line=lineno)
-            a[i - 1, j - 1] = val
-            if sym == "symmetric":
-                if i < j:
-                    raise MatrixMarketError(
-                        "symmetric entries must lie in the lower triangle",
-                        line=lineno)
-                a[j - 1, i - 1] = val
-        return RectMatrix(a)
-
-    # array format: column-major dense values
-    if len(parts) != 2:
+    shape = "rows cols nnz" if fmt == "coordinate" else "rows cols"
+    if len(parts) != len(shape.split()):
         raise MatrixMarketError(
-            f"array size line needs 'rows cols', got {size_line!r}",
+            f"{fmt} size line needs {shape!r}, got {size_line!r}",
             line=size_no)
     try:
-        nrows, ncols = (int(p) for p in parts)
+        nrows, ncols, *nnz = sizes = [int(p) for p in parts]
     except ValueError:
         raise MatrixMarketError(
             f"non-integer size entry in {size_line!r}", line=size_no)
-    if sym == "symmetric" and nrows != ncols:
-        raise MatrixMarketError("symmetric array must be square", line=size_no)
-    expected = nrows * ncols if sym == "general" else \
-        nrows * (nrows + 1) // 2
+    if min(sizes) < 0:
+        raise MatrixMarketError(
+            f"negative size entry in {size_line!r}", line=size_no)
+    symmetric = sym == "symmetric"
+    if symmetric and nrows != ncols:
+        raise MatrixMarketError("symmetric matrix must be square",
+                                line=size_no)
+    if nnz:
+        if len(body) - 1 != nnz[0]:
+            raise MatrixMarketError(
+                f"expected {nnz[0]} entries, found {len(body) - 1}",
+                line=size_no)
+        entries = _coordinate_entries(body[1:])
+    else:
+        entries = _array_entries(body, nrows, ncols, symmetric)
+
+    a = np.zeros((nrows, ncols))
+    for i, j, val, lineno in entries:
+        if not (1 <= i <= nrows and 1 <= j <= ncols):
+            raise MatrixMarketError(
+                f"index ({i}, {j}) out of bounds for {nrows}x{ncols}",
+                line=lineno)
+        if symmetric and i < j:
+            raise MatrixMarketError(
+                "symmetric entries must lie in the lower triangle",
+                line=lineno)
+        a[i - 1, j - 1] = val
+        if symmetric:
+            a[j - 1, i - 1] = val
+    return RectMatrix(a)
+
+
+def _coordinate_entries(lines):
+    """(i, j, value, line) of each 'i j value' line, parsed as it is read."""
+    for lineno, entry in lines:
+        items = entry.split()
+        if len(items) != 3:
+            raise MatrixMarketError(
+                f"expected 'i j value', got {entry!r}", line=lineno)
+        try:
+            i, j, val = int(items[0]), int(items[1]), float(items[2])
+        except ValueError:
+            raise MatrixMarketError(
+                f"non-numeric entry {entry!r}", line=lineno)
+        yield i, j, val, lineno
+
+
+def _array_entries(body, nrows, ncols, symmetric):
+    """(i, j, value, line) of the column-major values after the size line
+    body[0]: every cell, or the lower triangle when symmetric."""
     values = []
     for lineno, entry in body[1:]:
         for item in entry.split():
             try:
-                values.append(float(item))
+                values.append((float(item), lineno))
             except ValueError:
                 raise MatrixMarketError(
                     f"non-numeric value {item!r}", line=lineno)
-    if len(values) != expected:
+    cells = [(i, j) for j in range(1, ncols + 1)
+             for i in range(j if symmetric else 1, nrows + 1)]
+    if len(values) != len(cells):
         raise MatrixMarketError(
-            f"expected {expected} values, found {len(values)}",
+            f"expected {len(cells)} values, found {len(values)}",
             line=body[-1][0])
-    a = np.zeros((nrows, ncols))
-    it = iter(values)
-    if sym == "general":
-        for j in range(ncols):
-            for i in range(nrows):
-                a[i, j] = next(it)
-    else:
-        for j in range(ncols):
-            for i in range(j, nrows):
-                v = next(it)
-                a[i, j] = v
-                a[j, i] = v
-    return RectMatrix(a)
+    return [(i, j, val, lineno)
+            for (i, j), (val, lineno) in zip(cells, values)]
 
 
 def gram_matrix(a: RectMatrix) -> SymMatrix:

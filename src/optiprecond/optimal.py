@@ -51,8 +51,8 @@ class OptimalRequest:
     epsilon: float = 1e-2
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        if not 0 < self.epsilon < math.inf:
+            raise ValueError("epsilon must be a finite positive number")
 
 
 @serial_blas()

@@ -173,3 +173,9 @@ def test_concentration_validates_grid():
     with pytest.raises(ValueError):
         concentration_experiment(n_grid=[4], sigma_spec=np.ones(5),
                                  trials=1, seed=0)
+
+
+def test_concentration_needs_a_trial():
+    with pytest.raises(ValueError, match="trials must be at least 1"):
+        concentration_experiment(n_grid=[50], sigma_spec=[1.0, 2.0],
+                                 trials=0, seed=0)

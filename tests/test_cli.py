@@ -68,6 +68,15 @@ def test_cond_parse_error_exit_2(tmp_path, capsys):
     assert "input error" in err
 
 
+def test_cond_non_square_symmetric_exit_2(tmp_path, capsys):
+    bad = tmp_path / "bad.mtx"
+    bad.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
+                   "3 2 1\n3 1 5.0\n")
+    code, out, err = run_cli(["cond", "--input", str(bad)], capsys)
+    assert code == 2
+    assert "input error: line 2: symmetric matrix must be square" in err
+
+
 def test_cond_missing_file_exit_2(tmp_path, capsys):
     code, out, err = run_cli(
         ["cond", "--input", str(tmp_path / "nope.mtx")], capsys)
@@ -188,6 +197,18 @@ def test_precond_epsilon_reaches_the_left_solve(capsys):
         assert "epsilon" not in tight["extra"]
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("method", ["optimal-right", "optimal-two-sided"])
+def test_precond_non_finite_epsilon_exit_2(value, method, tmp_path, capsys):
+    path = write_mtx(tmp_path, [4.0, 1.0])
+    code, out, err = run_cli(
+        ["precond", "--input", str(path), "--method", method,
+         "--epsilon", value], capsys)
+    assert code == 2
+    assert "epsilon must be a finite positive number" in err
+    assert out == ""
+
+
 def test_precond_csv_output(tmp_path, capsys):
     path = write_mtx(tmp_path, [4.0, 1.0])
     code, out, err = run_cli(
@@ -270,6 +291,15 @@ def test_concentration_deterministic(tmp_path, capsys):
     assert out1 == out2
     records = json.loads(out1)
     assert [r["extra"]["n"] for r in records] == [50, 100]
+
+
+def test_concentration_zero_trials_exit_2(capsys):
+    code, out, err = run_cli(
+        ["concentration", "--n-grid", "50", "--sigma-diag", "1,2",
+         "--trials", "0"], capsys)
+    assert code == 2
+    assert "trials must be at least 1" in err
+    assert out == ""
 
 
 def test_precond_singular_gram_exit_3(tmp_path, capsys):

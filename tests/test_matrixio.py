@@ -78,6 +78,115 @@ def test_read_comments_skipped(tmp_path):
     assert a.mat[0, 1] == 7.0
 
 
+def test_read_array_symmetric_mirrors(tmp_path):
+    # column-major lower triangle: (1,1) (2,1) (3,1) (2,2) (3,2) (3,3)
+    path = write(tmp_path, "%%MatrixMarket matrix array real symmetric\n"
+                           "3 3\n1\n2\n3\n4\n5\n6\n")
+    a = read_matrix_market(path)
+    assert np.array_equal(a.mat, [[1.0, 2.0, 3.0],
+                                  [2.0, 4.0, 5.0],
+                                  [3.0, 5.0, 6.0]])
+
+
+@pytest.mark.parametrize("fmt, size_line, body", [
+    ("array", "3 2", "1\n2\n3\n4\n5\n"),
+    ("coordinate", "3 2 1", "3 1 5.0\n"),
+], ids=["array", "coordinate"])
+def test_read_symmetric_must_be_square(tmp_path, fmt, size_line, body):
+    path = write(tmp_path, f"%%MatrixMarket matrix {fmt} real symmetric\n"
+                           f"{size_line}\n{body}")
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line == 2
+    assert "must be square" in str(err.value)
+
+
+def test_read_array_value_count_names_last_line(tmp_path):
+    path = write(tmp_path, "%%MatrixMarket matrix array real general\n"
+                           "2 2\n1\n2\n% comment\n3\n")
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line == 6
+    assert "expected 4 values, found 3" in str(err.value)
+
+
+def test_read_symmetric_entry_above_diagonal(tmp_path):
+    path = write(tmp_path, "%%MatrixMarket matrix coordinate real symmetric\n"
+                           "2 2 2\n1 1 1\n1 2 0.5\n")
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line == 4
+    assert "lower triangle" in str(err.value)
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("coordinate real general\n2 2 2\n1 1 1\n2 x 3\n", 4,
+     "non-numeric entry '2 x 3'"),
+    ("coordinate real general\n2 2 1\n1 1 1.5.0\n", 3,
+     "non-numeric entry '1 1 1.5.0'"),
+    ("array real general\n1 2\n1\nabc\n", 4, "non-numeric value 'abc'"),
+], ids=["coordinate-index", "coordinate-value", "array"])
+def test_read_non_numeric_names_line(tmp_path, text, line, message):
+    path = write(tmp_path, "%%MatrixMarket matrix " + text)
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line == line
+    assert message in str(err.value)
+
+
+def test_read_coordinate_token_count(tmp_path):
+    path = write(tmp_path, "%%MatrixMarket matrix coordinate real general\n"
+                           "2 2 1\n1 1\n")
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line == 3
+    assert "expected 'i j value'" in str(err.value)
+
+
+def test_read_coordinate_entry_count(tmp_path):
+    path = write(tmp_path, "%%MatrixMarket matrix coordinate real general\n"
+                           "2 2 3\n1 1 1\n2 2 1\n")
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line == 2
+    assert "expected 3 entries, found 2" in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("coordinate real general\n2 2.0 1\n1 1 1\n", "non-integer size entry"),
+    ("array real general\n2 x\n1\n", "non-integer size entry"),
+    ("coordinate real general\n2 2\n1 1 1\n",
+     "coordinate size line needs 'rows cols nnz'"),
+    ("array real general\n2 2 4\n1\n2\n3\n4\n",
+     "array size line needs 'rows cols'"),
+    ("coordinate real general\n-1 2 0\n", "negative size entry"),
+    ("array real general\n2 -1\n", "negative size entry"),
+], ids=["coordinate-integer", "array-integer", "coordinate-length",
+        "array-length", "coordinate-negative", "array-negative"])
+def test_read_bad_size_line(tmp_path, text, message):
+    path = write(tmp_path, "%%MatrixMarket matrix " + text)
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line == 2
+    assert message in str(err.value)
+
+
+def test_read_empty_file(tmp_path):
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(write(tmp_path, ""))
+    assert err.value.line == 1
+    assert "empty file" in str(err.value)
+
+
+def test_read_missing_size_line(tmp_path):
+    path = write(tmp_path, "%%MatrixMarket matrix array real general\n"
+                           "% only a comment\n\n")
+    with pytest.raises(MatrixMarketError) as err:
+        read_matrix_market(path)
+    assert err.value.line == 3
+    assert "missing size line" in str(err.value)
+
+
 def test_gram_matrix_shapes():
     assert np.allclose(gram_matrix(RectMatrix(np.eye(3))).mat, np.eye(3))
     assert np.allclose(gram_matrix(RectMatrix([[1.0], [2.0]])).mat, [[5.0]])

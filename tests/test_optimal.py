@@ -30,8 +30,9 @@ from conftest import grid_optimal_right, grid_optimal_two_sided_3x3, random_spd
 
 
 def test_request_validates_epsilon():
-    with pytest.raises(ValueError):
-        OptimalRequest(epsilon=0.0)
+    for epsilon in (0.0, -1e-3, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite positive"):
+            OptimalRequest(epsilon=epsilon)
 
 
 def test_optimal_right_diagonal():
