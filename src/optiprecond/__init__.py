@@ -37,13 +37,13 @@ from .heuristics import (
 )
 from .barrier import (
     FeasibilityResult,
-    InfeasiblePointError,
     CenteringError,
-    compute_center,
-    initial_feasible_point,
     two_sided_feasibility,
 )
 from .potential import (
+    InfeasiblePointError,
+    compute_center,
+    initial_feasible_point,
     CenterState,
     PRConfig,
     delta_kappa,

@@ -1,26 +1,18 @@
-"""Log-det barrier over linear matrix inequalities, and its two loops.
+"""Log-det barrier over linear matrix inequalities, and its primal-dual loop.
 
-Every interior-point solver in the package works on LMIs F(x) = F0 +
-sum_j x_j F_j > 0 plus a block of x kept positive, and on the log-det
-barrier phi of that set. The coefficients F_j come in three kinds: diagonal
-e_j e_j^T, rank-one rows a_j a_j^T, or the identity on a single
-variable. ``LmiBarrier.kernel_sum`` forms tr(P F_a Q F_b): the Hessian,
-and the Schur matrix of a primal-dual step. ``primal_dual_ascent`` is the
-one primal-dual loop, which maximizes x_0 for dsdp's one-sided SDPs and the
-two-sided level test; ``compute_center`` holds the one damped-Newton loop.
-Both solve by Cholesky only: the primal-dual loop stops at a Schur matrix
-that does not factor, and compute_center raises NotPositiveDefiniteError
-at such a Hessian. A factored point holds each cone as a linalg.Factored:
-its matrix, its factor and its inverse, formed by one dpotri on first use.
-Step lengths reduce only the cones that fail max_step_chol's Cholesky
-test. Each LmiBarrier assembles its Newton system in place, in a
-workspace allocated on the first derivatives call, with the arithmetic of
-a fresh assembly: the Hessian it returns is valid only until its next
-derivatives call.
-
-For a PD matrix M and a level kappa, the scaling region is
-{d > 0 : M - D > 0, kappa D - M > 0} with D = diag(d). The barrier over this
-region has the analytic center as its unique maximizer.
+The semidefinite programs of dsdp and of the two-sided level test are posed
+on LMIs F(x) = F0 + sum_j x_j F_j > 0 plus a block of x kept positive. The
+coefficients F_j come in three kinds: diagonal e_j e_j^T, rank-one rows
+a_j a_j^T, or the identity on a single variable. ``LmiBarrier.factor``
+factors each cone at a point, and ``LmiBarrier.kernel_sum`` forms
+tr(P F_a Q F_b), the Schur matrix of a primal-dual step, in place, in a
+workspace allocated on its first call. ``primal_dual_ascent`` is the one
+primal-dual loop, which maximizes x_0 for dsdp's one-sided SDPs and the
+two-sided level test. It solves by Cholesky only and stops at a Schur
+matrix that does not factor; it inverts each cone by one dpotri per
+iteration, and its step lengths reduce only the cones that fail
+max_step_chol's Cholesky test. Potential reduction's centering on the
+region {d > 0 : M - D > 0, kappa D - M > 0} lives in ``potential``.
 
 ``two_sided_feasibility`` decides whether D2 < A^T D1 A < kappa D2 has a
 solution: it maximizes s over A^T D1 A - D2 > sI, kappa D2 - A^T D1 A > sI
@@ -35,26 +27,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import (Factored, SymMatrix, chol_pd, condition_number,
-                     extreme_eigenvalues, logdet_from_chol, max_step_chol,
-                     serial_blas, solve_chol, solve_pd)
+from .linalg import (chol_pd, condition_number, extreme_eigenvalues,
+                     inv_from_chol, max_step_chol, serial_blas, solve_chol)
 from .matrixio import RectMatrix
-
-# A line-search trial is accepted when it loses at most this fraction of
-# (1 + |value|): the rounding noise of the barrier value near a center.
-_ACCEPT_RTOL = 1e-12
-
-# compute_center takes at most 200 Newton steps.
-_CENTER_NEWTON_CAP = 200
 
 # The level test keeps the scale of d2 in the band n < sum(d2) < 100 n, and
 # leaves a level undecided after 100 primal-dual iterations.
 _SCALE_CAP = 100.0
 _LEVEL_MAX_ITER = 100
-
-
-class InfeasiblePointError(ValueError):
-    """A point violates strict feasibility of the barrier cones."""
 
 
 class CenteringError(RuntimeError):
@@ -143,7 +123,7 @@ def _cross(ti, ki, tj, kj, scratch):
         return np.einsum("ij,ij->i", uqb, pi)[:, None]
     w = pi if tj.rows is None else np.matmul(
         pi, tj.rows.T, out=scratch((len(pi), len(tj.rows))))
-    wq = w if qi is pi else qi if tj.rows is None else np.matmul(
+    wq = qi if tj.rows is None else np.matmul(
         qi, tj.rows.T, out=scratch(w.shape, "q"))
     return np.multiply(w, wq, out=scratch(w.shape))
 
@@ -157,19 +137,19 @@ def _linear(cones, x):
 
 
 class LmiBarrier:
-    """sum of log det F(x) over the cones + sum log x_j over x[positive].
+    """The set F(x) > 0 over the cones and x[positive] > 0, on which the
+    log-det barrier sum log det F(x) + sum log x[positive] is finite.
 
-    Each cone is a pair (F0, terms) with F(x) = F0 + sum_j x_j F_j. With
-    P = F^{-1}, d phi/dx_j = tr(P F_j) and d2 phi/dx_j dx_k = -tr(P F_j P F_k)
-    (Vandenberghe & Boyd, Semidefinite Programming, SIAM Rev. 1996). A
-    factored point, or state, is (one Factored per cone, x[positive]).
+    Each cone is a pair (F0, terms) with F(x) = F0 + sum_j x_j F_j. A
+    factored point, or state, is (the lower Cholesky factor of each cone's
+    F(x), x[positive]).
     """
 
     def __init__(self, nvar, cones, positive: slice):
         self.nvar = nvar
         self.cones = cones
         self.positive = positive
-        self._hessian = None
+        self._schur = None
         self._blocks = {}
 
     def _scratch(self, shape, slot="p"):
@@ -209,50 +189,37 @@ class LmiBarrier:
         # calls of each library avoids paying for a hand-over per cone
         mats = [mat + f0 for mat, (f0, _) in
                 zip(_linear(self.cones, x), self.cones)]
-        factors = []
+        lowers = []
         for mat in mats:
             lower = chol_pd(mat)
             if lower is None:
                 return None
-            factors.append(Factored(mat, lower))
-        return factors, slack
-
-    def value(self, state):
-        factors, slack = state
-        return sum([*(logdet_from_chol(f.lower) for f in factors),
-                    float(np.sum(np.log(slack)))])
+            lowers.append(lower)
+        return lowers, slack
 
     def kernel_sum(self, pairs, bound):
         """The workspace set to sum over cones of tr(P F_a Q F_b) for each
-        cone's pair (P, Q), plus diag(bound) over x[positive]. The Hessian
-        has P = Q = F^-1, and the HKM Schur matrix of a primal-dual step
-        P = F^-1, Q = X, bound = v / x."""
-        if self._hessian is None:
-            self._hessian = np.empty((self.nvar, self.nvar))
-        nh = self._hessian
-        nh.fill(0.0)
+        cone's pair (P, Q), plus diag(bound) over x[positive]: the HKM Schur
+        matrix of a primal-dual step for P = F^-1, Q = X, bound = v / x
+        (Vandenberghe & Boyd, Semidefinite Programming, SIAM Rev. 1996). It
+        is valid until the next kernel_sum call on this barrier."""
+        if self._schur is None:
+            self._schur = np.empty((self.nvar, self.nvar))
+        schur = self._schur
+        schur.fill(0.0)
         for (_, terms), (p, q) in zip(self.cones, pairs):
-            imgs = [(t.image(p),) * 2 if q is p else
-                    (t.image(p), t.image(q)) for t in terms]
+            imgs = [(t.image(p), t.image(q)) for t in terms]
             for i, ti in enumerate(terms):
                 for tj, kj in zip(terms[i:], imgs[i:]):
                     k = _cross(ti, imgs[i], tj, kj, self._scratch)
                     if ti.coef * tj.coef != 1.0:
                         k *= ti.coef * tj.coef
-                    nh[ti.sl, tj.sl] += k
+                    schur[ti.sl, tj.sl] += k
                     if tj is not ti:
-                        nh[tj.sl, ti.sl] += k.T
+                        schur[tj.sl, ti.sl] += k.T
         idx = np.arange(self.positive.start, self.positive.stop)
-        nh[idx, idx] += bound
-        return nh
-
-    def derivatives(self, state):
-        """Gradient and negated (positive definite) Hessian; the Hessian is
-        the workspace's, valid until the next call on this barrier."""
-        factors, slack = state
-        invs = [f.inv for f in factors]
-        return (self.adjoint(invs, 1.0 / slack),
-                self.kernel_sum([(p, p) for p in invs], 1.0 / slack ** 2))
+        schur[idx, idx] += bound
+        return schur
 
 
 def _sym(a):
@@ -291,13 +258,12 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
     iterations, reductions, first = 0, 0, 0
     while not done(y, xs) and iterations < max_iter:
         iterations += 1
-        factors, z = state
+        zls, z = state
         xls = [chol_pd(x) for x in xs]
         if any(xl is None for xl in xls):
             break
-        zls = [f.lower for f in factors]
         zs = [zl @ zl.T for zl in zls]
-        zinv = [f.inv for f in factors]
+        zinv = [inv_from_chol(zl) for zl in zls]
         mu = (sum(np.sum(x * zm) for x, zm in zip(xs, zs)) + v @ z) / b.dim
         schur = b.kernel_sum([(zi, x) for zi, x in zip(zinv, xs)], v / z)
         if (lower := chol_pd(schur)) is None:
@@ -338,14 +304,6 @@ def primal_dual_ascent(barrier: LmiBarrier, y, xs, v, done, max_iter):
     return y, xs, iterations, reductions
 
 
-def _one_sided(m_arr, kappa) -> LmiBarrier:
-    """Cones M - D, kappa D - M and bound d > 0, over d."""
-    n = m_arr.shape[0]
-    d = slice(0, n)
-    return LmiBarrier(n, [(m_arr, (Term(d, -1.0),)),
-                          (-m_arr, (Term(d, kappa),))], d)
-
-
 def _level_barrier(a_arr, kappa) -> LmiBarrier:
     """Cones A^T D1 A - D2 - sI, kappa D2 - A^T D1 A - sI and the band
     n < sum(d2) < 100 n (two 1x1 cones) over x = (s, d1 > 0, d2 > 0)."""
@@ -362,73 +320,6 @@ def _level_barrier(a_arr, kappa) -> LmiBarrier:
          (np.array([[-float(n)]]), (Term(d2, 1.0, rows=ones),)),
          (np.array([[_SCALE_CAP * n]]), (Term(d2, -1.0, rows=ones),))],
         slice(1, m_rows + n + 1))
-
-
-def compute_center(m: SymMatrix, kappa: float, d0,
-                   tol: float = 1e-8) -> np.ndarray:
-    """Analytic center d of the region at level kappa, from a strictly
-    feasible d0, by damped Newton maximization of the barrier to a gradient
-    whose infinity norm is at most tol.
-
-    Each step tries the full Newton step, then 0.9 of the step to the
-    nearest boundary (at most 1), then halves (at most 40 trials). Raises
-    ValueError when d0 does not have length m.order, InfeasiblePointError
-    when (d0, kappa) is not strictly feasible, CenteringError when no trial
-    passes the line search or after _CENTER_NEWTON_CAP steps, and
-    NotPositiveDefiniteError when a Newton system does not factor.
-    """
-    x = np.array(d0, dtype=float)
-    if x.shape != (m.order,):
-        raise ValueError("d0 has the wrong length")
-    barrier = _one_sided(m.mat, kappa)
-    state = barrier.factor(x)
-    if state is None:
-        raise InfeasiblePointError(
-            f"(d0, kappa={kappa:.6g}) is not strictly feasible")
-    val = barrier.value(state)
-    gnorm = np.inf
-    for _ in range(_CENTER_NEWTON_CAP):
-        g, nh = barrier.derivatives(state)
-        gnorm = float(np.abs(g).max())
-        if gnorm <= tol:
-            return x
-        step = solve_pd(nh, g)
-        # try the full step before paying for the exact boundary computation
-        alpha = 1.0
-        for attempt in range(40):
-            x_new = x + alpha * step
-            s_new = barrier.factor(x_new)
-            if s_new is not None:
-                v_new = barrier.value(s_new)
-                if v_new >= val - _ACCEPT_RTOL * (1.0 + abs(val)):
-                    x, state, val = x_new, s_new, v_new
-                    break
-            if attempt == 0:
-                factors, slack = state
-                alpha = 0.9 * _max_step([f.mat for f in factors],
-                                        [f.lower for f in factors],
-                                        barrier.linear(step), slack,
-                                        step[barrier.positive])[0]
-            else:
-                alpha *= 0.5
-        else:
-            break   # no trial passed the line search
-    raise CenteringError(f"centering did not reach tol={tol:.1e} "
-                         f"(last gradient norm {gnorm:.3e})", grad_norm=gnorm)
-
-
-def initial_feasible_point(m: SymMatrix, kappa: float,
-                           spectrum=None) -> np.ndarray:
-    """Uniform start d = c * ones, c = sqrt(lam1*lamn/kappa), inside the
-    region for kappa > kappa(M) (else InfeasiblePointError), unfactored;
-    spectrum is (lamn, lam1) of M when the caller already has it."""
-    lamn, lam1 = spectrum or extreme_eigenvalues(m)
-    if kappa <= lam1 / lamn:
-        raise InfeasiblePointError(
-            f"kappa={kappa:.6g} is not above the condition number "
-            f"{lam1 / lamn:.6g}")
-    c = np.sqrt(lam1 * lamn / kappa)
-    return np.full(m.order, c)
 
 
 def _certificate(a_arr, kappa, x, y):

@@ -33,9 +33,10 @@ def pcg(m: SymMatrix, rhs, precond: DiagScaling | None = None,
 
     The preconditioner is applied by explicit congruence, solving
     D^{-1/2} M D^{-1/2} y = D^{-1/2} b; convergence means the scaled
-    relative residual drops to tol. Returns the iteration count, whether
-    it converged (a Python bool) and the last scaled relative residual; the
-    iterate itself is not formed.
+    relative residual drops to tol, which must be finite and non-negative
+    (else ValueError; 0 runs to max_iters unless the residual vanishes).
+    Returns the iteration count, whether it converged (a Python bool) and
+    the last scaled relative residual; the iterate itself is not formed.
 
     In exact arithmetic CG stops within n iterations. In floating point the
     search directions lose conjugacy, so an ill-conditioned system can take
@@ -44,6 +45,8 @@ def pcg(m: SymMatrix, rhs, precond: DiagScaling | None = None,
     rounding too: a scaling changed in its last digits can shift it by a
     few iterations.
     """
+    if not 0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol}")
     scaled = apply_scaling(m, precond).mat
     n = scaled.shape[0]
     rhs = np.asarray(rhs, dtype=float)
@@ -162,7 +165,8 @@ def concentration_experiment(n_grid, sigma_spec, trials: int,
     counterpart, per sample size.
 
     Rows of X are N(0, Sigma); sigma_spec is the p x p Sigma or its length-p
-    diagonal, and every n in n_grid must exceed p. The normalized matrix is
+    diagonal, finite, symmetric and positive definite (else ValueError), and
+    every n in n_grid must exceed p. The normalized matrix is
     X0 = X Dhat^{-1/2} with Dhat the squared sample column norms, compared
     against the population normalization D = diag(Sigma). Singular draws are
     redrawn at most 3 times.
@@ -174,8 +178,13 @@ def concentration_experiment(n_grid, sigma_spec, trials: int,
         sigma = np.diag(sigma)
     if sigma.ndim != 2 or sigma.shape[0] != sigma.shape[1]:
         raise ValueError("sigma_spec must be length p or a p x p matrix")
+    sigma = SymMatrix(sigma).mat
     p = sigma.shape[0]
-    sigma_half = sym_pow(sigma, 0.5)
+    try:
+        sigma_half = sym_pow(sigma, 0.5)
+    except NotPositiveDefiniteError as exc:   # bad input, not a solver fault
+        raise ValueError(f"sigma_spec is not positive definite: {exc}"
+                         ) from None
     kappa_sigma = condition_number(sigma)
     d_pop = np.diag(sigma)
     s = 1.0 / np.sqrt(d_pop)

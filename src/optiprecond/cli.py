@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .barrier import CenteringError, InfeasiblePointError
+from .barrier import CenteringError
 from .bench import PcgBreakdownError, concentration_experiment, pcg_compare, sampling_sweep
 from .heuristics import (
     SIDE_LEFT,
@@ -44,6 +44,7 @@ from .optimal import (
     optimal_left,
     optimal_right,
 )
+from .potential import InfeasiblePointError
 
 EXIT_OK = 0
 EXIT_INPUT = 2

@@ -12,8 +12,7 @@ not PD), ``solve_chol`` (dpotrs), ``logdet_from_chol``, ``max_step_chol``
 (the one step-length kernel: a dpotrf test of each cone at the step in
 force, and dsygst and dsyevx on the caller's factor only for a cone that
 fails it) and ``proximity_delta``. They take and return plain float64
-arrays; ``Factored`` holds one PD matrix with its factor and its inverse,
-formed at most once.
+arrays.
 ``serial_blas`` runs a solve on one BLAS thread by calling the thread
 functions of the OpenBLAS copies that the numpy and scipy wheels bundle.
 """
@@ -253,24 +252,6 @@ def inv_from_chol(lower):
     out = inv + inv.T
     np.fill_diagonal(out, inv.diagonal())
     return out
-
-
-class Factored:
-    """A PD matrix, its lower Cholesky factor, and its inverse, formed by
-    inv_from_chol on first use and kept: callers share one dpotri."""
-
-    __slots__ = ("mat", "lower", "_inv")
-
-    def __init__(self, mat, lower):
-        self.mat = mat
-        self.lower = lower
-        self._inv = None
-
-    @property
-    def inv(self) -> np.ndarray:
-        if self._inv is None:
-            self._inv = inv_from_chol(self.lower)
-        return self._inv
 
 
 def inv_pd(a):

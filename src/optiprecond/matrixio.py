@@ -193,14 +193,16 @@ def regularize_cap(m: SymMatrix, kappa_cap: float) -> GramSpec:
     """Add the smallest eps*I that brings the condition number under the cap.
 
     Closed form: eps solves lam1 + eps = cap * (lamn + eps) exactly, clipped
-    at zero when the input already satisfies the cap.
+    at zero when the input already satisfies the cap. An infinite cap is no
+    cap; a NaN one is refused with the caps not above 1.
     """
-    if kappa_cap <= 1:
+    if not kappa_cap > 1:
         raise ValueError("kappa_cap must exceed 1")
     lamn, lam1 = extreme_eigenvalues(m, rtol=None)
     if lam1 <= 0:
         raise ValueError("matrix must have a positive largest eigenvalue")
-    eps = max(0.0, (lam1 - kappa_cap * lamn) / (kappa_cap - 1.0))
+    eps = max(0.0, (lam1 - kappa_cap * lamn) / (kappa_cap - 1.0)) \
+        if kappa_cap < np.inf else 0.0
     gram = SymMatrix(m.mat + eps * np.eye(m.order)) if eps > 0 else m
     return GramSpec(gram=gram, epsilon=eps)
 

@@ -7,9 +7,11 @@ nt_step and shift_state exist to test those statements directly. Its
 analytic center has a closed form, D = t(kappa) M, so it needs no centering
 solve.
 
-solve_right_pr produces diagonal preconditioners. It keeps D diagonal,
-centers once with barrier.compute_center and steps in the basis of the
-scaled Gram G = D^{-1/2} M D^{-1/2} = Q diag(gamma) Q^T, where R, S and D
+solve_right_pr produces diagonal preconditioners on the region {d > 0 :
+R = M - D > 0, S = kappa D - M > 0}. It centers once with compute_center,
+the one damped-Newton loop, which maximizes log det R + log det S +
+sum log d from the Cholesky factors of R and S, and steps in the basis of
+the scaled Gram G = D^{-1/2} M D^{-1/2} = Q diag(gamma) Q^T, where R, S and D
 become Gamma - I, kappa I - Gamma and I. At an iterate X, Y and Z are the
 exact inverses of R, S and D, so the shift, the three NT scalings, the
 right-hand side and the potential are all read from gamma and
@@ -25,21 +27,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .barrier import (
-    CenteringError,
-    InfeasiblePointError,
-    compute_center,
-    initial_feasible_point,
-)
+from .barrier import CenteringError
 from .heuristics import DiagScaling, SIDE_RIGHT, finish_solve
 from .linalg import (SymMatrix, NotPositiveDefiniteError, chol_pd,
-                     extreme_eigenvalues, geomean_inv, inv_pd,
-                     proximity_delta, scaled_eigh, serial_blas, solve_pd)
+                     extreme_eigenvalues, geomean_inv, inv_from_chol, inv_pd,
+                     logdet_from_chol, max_step_chol, proximity_delta,
+                     scaled_eigh, serial_blas, solve_pd)
 from .matrixio import SolveReport
 
 _MAX_OUTER = 10000   # outer steps of solve_right_pr
 _BETA_MIN = 1e-12    # at most 40 failed steps in a row halve beta < 1 below it
 _VALIDATE_RTOL = 1e-8  # CenterState.validate's relative slack
+_CENTER_NEWTON_CAP = 200   # Newton steps of compute_center
+# A line-search trial is accepted when it loses at most this fraction of
+# (1 + |value|): the rounding noise of the barrier value near a center.
+_ACCEPT_RTOL = 1e-12
+
+
+class InfeasiblePointError(ValueError):
+    """A point violates strict feasibility of the barrier cones."""
 
 
 class StepTooLargeError(RuntimeError):
@@ -247,6 +253,104 @@ def scaled_nt_step(m_arr, point: ScaledGram, kappa: float,
         raise StepTooLargeError(
             "NT step left the cone; proximity exceeded the step's basin")
     return new
+
+
+def _region_factors(m_arr, kappa, d):
+    """([R, S], their lower Cholesky factors) at d, or None unless d > 0
+    and R, then S, factor."""
+    if d.min() <= 0:
+        return None
+    cones = [m_arr - np.diag(d), np.diag(kappa * d) - m_arr]
+    lowers = []
+    for cone in cones:
+        lower = chol_pd(cone)
+        if lower is None:
+            return None
+        lowers.append(lower)
+    return cones, lowers
+
+
+def _barrier_value(d, lowers):
+    """log det R + log det S + sum log d from the factors of R and S."""
+    return (logdet_from_chol(lowers[0]) + logdet_from_chol(lowers[1])
+            + float(np.sum(np.log(d))))
+
+
+def _barrier_derivatives(kappa, d, lowers):
+    """The barrier's gradient and its negated (positive definite) Hessian,
+    from the factors of R and S."""
+    r_inv, s_inv = (inv_from_chol(lower) for lower in lowers)
+    grad = -np.diag(r_inv) + kappa * np.diag(s_inv) + 1.0 / d
+    hess = r_inv * r_inv + (s_inv * s_inv) * (kappa * kappa)
+    hess[np.diag_indices_from(hess)] += 1.0 / d ** 2
+    return grad, hess
+
+
+def compute_center(m: SymMatrix, kappa: float, d0,
+                   tol: float = 1e-8) -> np.ndarray:
+    """Analytic center d of the region at level kappa, from a strictly
+    feasible d0, by damped Newton maximization of the barrier to a gradient
+    whose infinity norm is at most tol.
+
+    Each step tries the full Newton step, then 0.9 of the step to the
+    nearest boundary (at most 1, by max_step_chol), then halves (at most 40
+    trials). Raises ValueError when d0 does not have length m.order,
+    InfeasiblePointError when (d0, kappa) is not strictly feasible,
+    CenteringError when no trial passes the line search or after
+    _CENTER_NEWTON_CAP steps, and NotPositiveDefiniteError when a Newton
+    system does not factor.
+    """
+    d = np.array(d0, dtype=float)
+    if d.shape != (m.order,):
+        raise ValueError("d0 has the wrong length")
+    m_arr = m.mat
+    factors = _region_factors(m_arr, kappa, d)
+    if factors is None:
+        raise InfeasiblePointError(
+            f"(d0, kappa={kappa:.6g}) is not strictly feasible")
+    val = _barrier_value(d, factors[1])
+    gnorm = np.inf
+    for _ in range(_CENTER_NEWTON_CAP):
+        g, nh = _barrier_derivatives(kappa, d, factors[1])
+        gnorm = float(np.abs(g).max())
+        if gnorm <= tol:
+            return d
+        step = solve_pd(nh, g)
+        # try the full step before paying for the exact boundary computation
+        alpha = 1.0
+        for attempt in range(40):
+            d_new = d + alpha * step
+            new = _region_factors(m_arr, kappa, d_new)
+            if new is not None:
+                v_new = _barrier_value(d_new, new[1])
+                if v_new >= val - _ACCEPT_RTOL * (1.0 + abs(val)):
+                    d, factors, val = d_new, new, v_new
+                    break
+            if attempt == 0:
+                neg = step < 0
+                alpha = 0.9 * max_step_chol(
+                    *factors, [np.diag(-step), np.diag(kappa * step)],
+                    min([1.0, *(d[neg] / -step[neg])]))[0]
+            else:
+                alpha *= 0.5
+        else:
+            break   # no trial passed the line search
+    raise CenteringError(f"centering did not reach tol={tol:.1e} "
+                         f"(last gradient norm {gnorm:.3e})", grad_norm=gnorm)
+
+
+def initial_feasible_point(m: SymMatrix, kappa: float,
+                           spectrum=None) -> np.ndarray:
+    """Uniform start d = c * ones, c = sqrt(lam1*lamn/kappa), inside the
+    region for kappa > kappa(M) (else InfeasiblePointError), unfactored;
+    spectrum is (lamn, lam1) of M when the caller already has it."""
+    lamn, lam1 = spectrum or extreme_eigenvalues(m)
+    if kappa <= lam1 / lamn:
+        raise InfeasiblePointError(
+            f"kappa={kappa:.6g} is not above the condition number "
+            f"{lam1 / lamn:.6g}")
+    c = np.sqrt(lam1 * lamn / kappa)
+    return np.full(m.order, c)
 
 
 @serial_blas()

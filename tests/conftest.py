@@ -1,5 +1,5 @@
 """Shared helpers: random SPD instances, dsdp right solves, grid-search
-oracles, perturbed centers."""
+oracles, perturbed centers, the centering barrier at a point."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,9 @@ import pytest
 from optiprecond import SymMatrix
 from optiprecond.dsdp import GAP_FLOOR, barrier_path_solve, build_right
 from optiprecond.linalg import sym_pow
-from optiprecond.potential import CenterState, state_from_center
+from optiprecond.potential import (CenterState, _barrier_derivatives,
+                                   _barrier_value, _region_factors,
+                                   state_from_center)
 
 
 def random_spd(n, rng, cond=50.0):
@@ -22,6 +24,18 @@ def solve_right(m, gap_tol=GAP_FLOOR):
     tau / w: tau I <= L^T W L <= I is D <= M <= D / tau in these d."""
     tau, w, report = barrier_path_solve(build_right(m), gap_tol)
     return tau, tau / w, report
+
+
+def region_value(m_arr, kappa, d):
+    """compute_center's barrier log det R + log det S + sum log d at a
+    strictly feasible d."""
+    return _barrier_value(d, _region_factors(m_arr, kappa, d)[1])
+
+
+def region_derivatives(m_arr, kappa, d):
+    """compute_center's gradient and negated Hessian at a strictly
+    feasible d."""
+    return _barrier_derivatives(kappa, d, _region_factors(m_arr, kappa, d)[1])
 
 
 def random_sym(n, rng):

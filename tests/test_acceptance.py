@@ -25,7 +25,6 @@ from optiprecond import (
     sampling_sweep,
     scaled_condition,
 )
-from optiprecond.barrier import _one_sided
 from optiprecond.dsdp import barrier_path_solve, build_right
 from optiprecond.optimal import (
     OptimalRequest,
@@ -36,6 +35,7 @@ from optiprecond.optimal import (
 )
 from optiprecond.potential import (
     PRConfig,
+    _region_factors,
     delta_kappa,
     nt_step,
     shift_state,
@@ -49,6 +49,8 @@ from conftest import (
     grid_optimal_two_sided_3x3,
     perturbed_center_state,
     random_spd,
+    region_derivatives,
+    region_value,
 )
 
 # bisection runs recorded across the suite; criterion 7 audits all of them
@@ -346,18 +348,16 @@ def test_criterion_8_gradient_checks():
             center = compute_center(m, kappa,
                                     initial_feasible_point(m, kappa))
             d0 = center * np.exp(0.08 * local.uniform(-1, 1, n))
-            barrier = _one_sided(m.mat, kappa)
-            state = barrier.factor(d0)
-            if state is None:
+            if _region_factors(m.mat, kappa, d0) is None:
                 continue
-            g = barrier.derivatives(state)[0]
+            g = region_derivatives(m.mat, kappa, d0)[0]
             h = 1e-6 * np.abs(d0)
             fd = np.empty(n)
             for i in range(n):
                 e = np.zeros(n)
                 e[i] = h[i]
-                fd[i] = (barrier.value(barrier.factor(d0 + e))
-                         - barrier.value(barrier.factor(d0 - e))
+                fd[i] = (region_value(m.mat, kappa, d0 + e)
+                         - region_value(m.mat, kappa, d0 - e)
                          ) / (2 * h[i])
             assert np.abs(g - fd).max() <= 1e-4 * max(1.0, np.abs(fd).max())
             checked += 1

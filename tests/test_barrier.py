@@ -13,23 +13,21 @@ from optiprecond import (
     read_matrix_market,
     two_sided_feasibility,
 )
-from optiprecond.barrier import LmiBarrier, _level_barrier, _one_sided
+from optiprecond import potential
+from optiprecond.barrier import _level_barrier, _linear
 from optiprecond.dsdp import build_left, build_right
 from optiprecond.fixtures import fixture_path
-from optiprecond.linalg import inv_from_chol
+from optiprecond.linalg import chol_pd, inv_from_chol
 from optiprecond.optimal import alternate_two_sided
-from conftest import grid_optimal_two_sided_3x3, random_spd
+from optiprecond.potential import _region_factors
+from conftest import (grid_optimal_two_sided_3x3, random_spd,
+                      region_derivatives, region_value)
 
 # root of -12 d^2 + 10 d - 1 inside (1/4, 1): the 1x1, kappa=4 center
 SCALAR_CENTER = (10 + np.sqrt(52)) / 24
 # barrier value there, frozen from a 40-digit evaluation of the closed form
 SCALAR_CENTER_VALUE = -0.9701193209714584
-
-
-def scalar_point():
-    """The 1x1, kappa=4 barrier and its state at the center."""
-    barrier = _one_sided(np.array([[1.0]]), 4.0)
-    return barrier, barrier.factor(np.array([SCALAR_CENTER]))
+SCALAR = (np.array([[1.0]]), 4.0, np.array([SCALAR_CENTER]))
 
 
 def test_barrier_point_requires_strict_feasibility():
@@ -51,52 +49,46 @@ def test_compute_center_started_at_its_center_factors_once(rng,
     center = compute_center(m, kappa, initial_feasible_point(m, kappa),
                             tol=1e-10)
     calls = []
-    factor = LmiBarrier.factor
 
-    def counted(self, x):
-        calls.append(x)
-        return factor(self, x)
+    def counted(m_arr, kappa, d):
+        calls.append(d)
+        return _region_factors(m_arr, kappa, d)
 
-    monkeypatch.setattr(LmiBarrier, "factor", counted)
+    monkeypatch.setattr(potential, "_region_factors", counted)
     again = compute_center(m, kappa, center, tol=1e-10)
     assert len(calls) == 1
     assert np.array_equal(again, center)
 
 
 def test_barrier_value_scalar_case():
-    barrier, state = scalar_point()
-    assert barrier.value(state) == pytest.approx(SCALAR_CENTER_VALUE,
-                                                 rel=1e-12)
+    assert region_value(*SCALAR) == pytest.approx(SCALAR_CENTER_VALUE,
+                                                  rel=1e-12)
 
 
 def test_barrier_value_separable_identity():
     n, kappa, c = 4, 3.0, 0.6
-    barrier = _one_sided(np.eye(n), kappa)
     expect = n * (np.log(1 - c) + np.log(kappa * c - 1) + np.log(c))
-    assert barrier.value(barrier.factor(np.full(n, c))) == pytest.approx(
+    assert region_value(np.eye(n), kappa, np.full(n, c)) == pytest.approx(
         expect, rel=1e-12)
 
 
 def test_barrier_value_finite_on_feasible(rng):
     m = random_spd(6, rng)
     kappa = 100.0
-    barrier = _one_sided(m.mat, kappa)
-    state = barrier.factor(initial_feasible_point(m, kappa))
-    assert np.isfinite(barrier.value(state))
+    assert np.isfinite(region_value(m.mat, kappa,
+                                    initial_feasible_point(m, kappa)))
 
 
 def test_barrier_gradient_zero_at_scalar_center():
-    barrier, state = scalar_point()
-    assert abs(barrier.derivatives(state)[0][0]) < 1e-8
+    assert abs(region_derivatives(*SCALAR)[0][0]) < 1e-8
 
 
 def test_barrier_gradient_diagonal_closed_form():
     # for diagonal M the FOC decouples into per-coordinate scalar roots
     mvals = np.array([2.0, 5.0])
     kappa = 4.0
-    barrier = _one_sided(np.diag(mvals), kappa)
     d = mvals * SCALAR_CENTER      # scalar solution scales linearly
-    g = barrier.derivatives(barrier.factor(d))[0]
+    g = region_derivatives(np.diag(mvals), kappa, d)[0]
     assert np.abs(g).max() < 1e-8
 
 
@@ -105,29 +97,27 @@ def test_barrier_gradient_matches_finite_differences(rng):
     kappa = 3.0 * np.linalg.cond(m.mat)
     center = compute_center(m, kappa, initial_feasible_point(m, kappa))
     d0 = center * (1 + 0.05 * rng.uniform(-1, 1, 5))
-    barrier = _one_sided(m.mat, kappa)
-    g = barrier.derivatives(barrier.factor(d0))[0]
+    g = region_derivatives(m.mat, kappa, d0)[0]
     h = 1e-6 * np.abs(d0)
     for i in range(5):
         e = np.zeros(5)
         e[i] = h[i]
-        plus = barrier.value(barrier.factor(d0 + e))
-        minus = barrier.value(barrier.factor(d0 - e))
+        plus = region_value(m.mat, kappa, d0 + e)
+        minus = region_value(m.mat, kappa, d0 - e)
         fd = (plus - minus) / (2 * h[i])
         assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-7)
 
 
 def test_barrier_hessian_scalar_closed_form():
-    barrier, state = scalar_point()
     d = SCALAR_CENTER
     expect = -(1 / (1 - d) ** 2 + 16 / (4 * d - 1) ** 2 + 1 / d ** 2)
-    assert -barrier.derivatives(state)[1][0, 0] == pytest.approx(expect,
-                                                                 rel=1e-12)
+    assert -region_derivatives(*SCALAR)[1][0, 0] == pytest.approx(
+        expect, rel=1e-12)
 
 
 def test_barrier_hessian_diagonal_for_diagonal_m():
-    barrier = _one_sided(np.diag([2.0, 5.0]), 4.0)
-    h = -barrier.derivatives(barrier.factor(np.array([1.0, 2.5])))[1]
+    h = -region_derivatives(np.diag([2.0, 5.0]), 4.0,
+                            np.array([1.0, 2.5]))[1]
     assert h[0, 1] == pytest.approx(0.0, abs=1e-14)
 
 
@@ -138,11 +128,9 @@ def test_barrier_hessian_negative_definite(rng):
         kappa = 2.5 * np.linalg.cond(m.mat)
         center = compute_center(m, kappa, initial_feasible_point(m, kappa))
         d = center * np.exp(0.05 * rng.uniform(-1, 1, n))
-        barrier = _one_sided(m.mat, kappa)
-        state = barrier.factor(d)
-        if state is None:
+        if _region_factors(m.mat, kappa, d) is None:
             continue
-        w = np.linalg.eigvalsh(-barrier.derivatives(state)[1])
+        w = np.linalg.eigvalsh(-region_derivatives(m.mat, kappa, d)[1])
         assert w[-1] < 0
 
 
@@ -150,15 +138,13 @@ def test_barrier_hessian_matches_gradient_differences(rng):
     m = random_spd(4, rng, cond=10.0)
     kappa = 3.0 * np.linalg.cond(m.mat)
     d0 = compute_center(m, kappa, initial_feasible_point(m, kappa))
-    barrier = _one_sided(m.mat, kappa)
-    # negating copies the Hessian workspace, which the calls below reuse
-    h_mat = -barrier.derivatives(barrier.factor(d0))[1]
+    h_mat = -region_derivatives(m.mat, kappa, d0)[1]
     step = 1e-6 * np.abs(d0)
     for j in range(4):
         e = np.zeros(4)
         e[j] = step[j]
-        gp = barrier.derivatives(barrier.factor(d0 + e))[0]
-        gm = barrier.derivatives(barrier.factor(d0 - e))[0]
+        gp = region_derivatives(m.mat, kappa, d0 + e)[0]
+        gm = region_derivatives(m.mat, kappa, d0 - e)[0]
         fd = (gp - gm) / (2 * step[j])
         assert np.allclose(h_mat[:, j], fd, rtol=1e-4, atol=1e-6)
 
@@ -194,8 +180,7 @@ def test_compute_center_foc(rng):
         kappa = 1.5 * np.linalg.cond(m.mat)
         center = compute_center(m, kappa, initial_feasible_point(m, kappa),
                                 tol=1e-9)
-        barrier = _one_sided(m.mat, kappa)
-        g = barrier.derivatives(barrier.factor(center))[0]
+        g = region_derivatives(m.mat, kappa, center)[0]
         assert np.abs(g).max() <= 1e-9
 
 
@@ -203,10 +188,9 @@ def test_barrier_value_nondecreasing_along_newton(rng):
     m = random_spd(6, rng, cond=200.0)
     kappa = 1.2 * np.linalg.cond(m.mat)
     start = initial_feasible_point(m, kappa)
-    barrier = _one_sided(m.mat, kappa)
-    v0 = barrier.value(barrier.factor(start))
+    v0 = region_value(m.mat, kappa, start)
     center = compute_center(m, kappa, start)
-    assert barrier.value(barrier.factor(center)) >= v0 - 1e-10 * (1 + abs(v0))
+    assert region_value(m.mat, kappa, center) >= v0 - 1e-10 * (1 + abs(v0))
 
 
 def test_initial_feasible_point_examples():
@@ -336,25 +320,12 @@ def _dsdp_left(rng):
     return p.barrier, p.start
 
 
-@pytest.mark.parametrize("make", [_phase_one_two_sided, _dsdp_right,
-                                  _dsdp_left])
-def test_lmi_barrier_derivatives_match_finite_differences(make, rng):
-    barrier, x0 = make(rng)
-    x0 = x0 * (1 + 1e-3 * rng.uniform(-1, 1, x0.size))
-    state = barrier.factor(x0)
-    assert state is not None
-    g, neg_h = barrier.derivatives(state)
-    neg_h = neg_h.copy()    # the next derivatives call overwrites it
-    for i in range(x0.size):
-        e = np.zeros(x0.size)
-        e[i] = 1e-6 * abs(x0[i])
-        plus, minus = barrier.factor(x0 + e), barrier.factor(x0 - e)
-        fd = (barrier.value(plus) - barrier.value(minus)) / (2 * e[i])
-        assert g[i] == pytest.approx(fd, rel=1e-5, abs=1e-7), i
-        fd_h = (barrier.derivatives(plus)[0]
-                - barrier.derivatives(minus)[0]) / (2 * e[i])
-        assert np.allclose(-neg_h[:, i], fd_h, rtol=1e-4,
-                           atol=1e-6 * np.abs(neg_h).max()), i
+def _primal_point(barrier, rng):
+    """A PD X per cone and a positive v over x[positive]."""
+    xs = [(lambda g: g @ g.T + np.eye(len(f0)))(
+        rng.standard_normal(f0.shape)) for f0, _ in barrier.cones]
+    return xs, rng.uniform(0.5, 2.0,
+                           barrier.positive.stop - barrier.positive.start)
 
 
 @pytest.mark.parametrize("make", [_phase_one_two_sided, _dsdp_right,
@@ -363,18 +334,16 @@ def test_schur_is_the_two_matrix_kernel(make, rng):
     # sum over cones of tr(F^-1 F_a X F_b) + diag(v / x[positive]), by the
     # definition, for primal matrices X other than F^-1
     barrier, x0 = make(rng)
-    state = barrier.factor(x0)
-    xs = [(lambda g: g @ g.T + np.eye(len(f0)))(
-        rng.standard_normal(f0.shape)) for f0, _ in barrier.cones]
-    v = rng.uniform(0.5, 2.0, barrier.positive.stop - barrier.positive.start)
+    lowers, slack = barrier.factor(x0)
+    invs = [inv_from_chol(lower) for lower in lowers]
+    xs, v = _primal_point(barrier, rng)
     basis = [barrier.linear(e) for e in np.eye(barrier.nvar)]
-    ref = np.array([[sum(np.trace(f.inv @ fa[k] @ x @ fb[k])
-                         for k, (f, x) in enumerate(zip(state[0], xs)))
+    ref = np.array([[sum(np.trace(p @ fa[k] @ x @ fb[k])
+                         for k, (p, x) in enumerate(zip(invs, xs)))
                      for fb in basis] for fa in basis])
     idx = np.arange(barrier.positive.start, barrier.positive.stop)
-    ref[idx, idx] += v / state[1]
-    schur = barrier.kernel_sum(
-        [(f.inv, x) for f, x in zip(state[0], xs)], v / state[1])
+    ref[idx, idx] += v / slack
+    schur = barrier.kernel_sum(list(zip(invs, xs)), v / slack)
     assert np.allclose(schur, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
     # adjoint is the transpose of linear: <A(G), u> = sum <G_k, F_k(u)>
     u = rng.standard_normal(barrier.nvar)
@@ -384,57 +353,51 @@ def test_schur_is_the_two_matrix_kernel(make, rng):
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
-def _fresh_derivatives(barrier, state):
-    """Gradient and negated Hessian assembled in fresh arrays, block by
-    block in the order of LmiBarrier.derivatives: the reference for its
-    in-place workspace."""
-    factors, slack = state
-    g = np.zeros(barrier.nvar)
-    nh = np.zeros((barrier.nvar, barrier.nvar))
+def _fresh_schur(barrier, pairs, bound):
+    """sum over cones of tr(P F_a Q F_b) + diag(bound), assembled in fresh
+    arrays block by block in the order of LmiBarrier.kernel_sum: the
+    reference for its in-place workspace."""
+    schur = np.zeros((barrier.nvar, barrier.nvar))
 
-    def cross(ti, pi, tj, pj):
+    def cross(ti, ki, tj, kj):
+        (pi, qi), (pj, qj) = ki, kj
         if ti.eye and tj.eye:
-            return np.array([[np.sum(pi * pj.T)]])
+            return np.array([[np.sum(pi * qj.T)]])
         if ti.eye:
-            return cross(tj, pj, ti, pi).T
+            return cross(tj, kj, ti, ki).T
         if tj.eye:
-            upb = pj if ti.rows is None else ti.rows @ pj
-            return np.einsum("ij,ij->i", upb, pi)[:, None]
+            uqb = qj if ti.rows is None else ti.rows @ qj
+            return np.einsum("ij,ij->i", uqb, pi)[:, None]
         w = pi if tj.rows is None else pi @ tj.rows.T
-        return w * w
+        wq = qi if tj.rows is None else qi @ tj.rows.T
+        return w * wq
 
-    for (_, terms), f in zip(barrier.cones, factors):
-        p = inv_from_chol(f.lower)
-        ker = [(t.trace(p), t.image(p)) for t in terms]
-        for i, (ti, (tr, pi)) in enumerate(zip(terms, ker)):
-            g[ti.sl] += ti.coef * tr
-            for tj, (_, pj) in zip(terms[i:], ker[i:]):
-                k = (ti.coef * tj.coef) * cross(ti, pi, tj, pj)
-                nh[ti.sl, tj.sl] += k
+    for (_, terms), (p, q) in zip(barrier.cones, pairs):
+        imgs = [(t.image(p), t.image(q)) for t in terms]
+        for i, ti in enumerate(terms):
+            for tj, kj in zip(terms[i:], imgs[i:]):
+                k = (ti.coef * tj.coef) * cross(ti, imgs[i], tj, kj)
+                schur[ti.sl, tj.sl] += k
                 if tj is not ti:
-                    nh[tj.sl, ti.sl] += k.T
-    g[barrier.positive] += 1.0 / slack
+                    schur[tj.sl, ti.sl] += k.T
     idx = np.arange(barrier.positive.start, barrier.positive.stop)
-    nh[idx, idx] += 1.0 / slack ** 2
-    return g, nh
-
-
-def _one_sided_start(rng):
-    m = random_spd(5, rng, cond=20.0)
-    kappa = 3.0 * np.linalg.cond(m.mat)
-    return _one_sided(m.mat, kappa), initial_feasible_point(m, kappa)
+    schur[idx, idx] += bound
+    return schur
 
 
 @pytest.mark.parametrize("make", [_phase_one_two_sided, _dsdp_right,
-                                  _dsdp_left, _one_sided_start])
+                                  _dsdp_left])
 def test_workspace_derivatives_are_bit_equal_to_fresh_assembly(make, rng):
+    # kernel_sum's Schur matrix sum tr(F^-1 F_a X F_b) + diag(v / x), in
+    # its in-place workspace, is bit-equal to a fresh assembly
     barrier, x0 = make(rng)
+    xs, v = _primal_point(barrier, rng)
     for _ in range(3):    # later calls reuse the workspace of the first
         x = x0 * (1 + 1e-3 * rng.uniform(-1, 1, x0.size))
-        g, neg_h = barrier.derivatives(barrier.factor(x))
-        ref_g, ref_h = _fresh_derivatives(barrier, barrier.factor(x))
-        assert np.array_equal(g, ref_g)
-        assert np.array_equal(neg_h, ref_h)
+        lowers, slack = barrier.factor(x)
+        pairs = [(inv_from_chol(lower), xm) for lower, xm in zip(lowers, xs)]
+        schur = barrier.kernel_sum(pairs, v / slack)
+        assert np.array_equal(schur, _fresh_schur(barrier, pairs, v / slack))
 
 
 def _term_product(t, xs, n):
@@ -454,26 +417,32 @@ def _term_product(t, xs, n):
 def test_shared_row_products_are_bit_equal_to_per_term_products(make, rng):
     # factor and linear form U^T diag(x) U once for the terms of coef 1 and
     # -1 on the same rows; this gives the bits of forming each term's own
-    # product
+    # product, and factor factors F0 plus those products
     barrier, x0 = make(rng)
     x = x0 * (1 + 1e-3 * rng.uniform(-1, 1, x0.size))
     dx = rng.standard_normal(x0.size)
-    for got, point, shift in ((barrier.factor(x)[0], x, True),
+    lowers = barrier.factor(x)[0]
+    for got, point, shift in ((_linear(barrier.cones, x), x, True),
                               (barrier.linear(dx), dx, False)):
-        for g, (f0, terms) in zip(got, barrier.cones):
+        for k, (g, (f0, terms)) in enumerate(zip(got, barrier.cones)):
             ref = sum(_term_product(t, point[t.sl], len(f0)) for t in terms)
-            assert np.array_equal(g.mat if shift else g,
-                                  ref + f0 if shift else ref)
+            assert np.array_equal(g, ref)
+            if shift:
+                assert np.array_equal(lowers[k], chol_pd(ref + f0))
 
 
 def test_derivatives_allocate_less_than_one_hessian():
+    # the Schur matrix of a 400-row left problem reuses its workspace: a
+    # second assembly allocates less than one 400 x 400 block
     design = RectMatrix(np.random.default_rng(7).standard_normal((400, 40)))
     p = build_left(design)
-    p.barrier.derivatives(p.barrier.factor(p.start))
-    state = p.barrier.factor(p.start)
+    lowers, slack = p.barrier.factor(p.start)
+    xs, v = p.primal_start
+    pairs = [(inv_from_chol(lower), x) for lower, x in zip(lowers, xs)]
+    p.barrier.kernel_sum(pairs, v / slack)
     tracemalloc.start()
     try:
-        p.barrier.derivatives(state)
+        p.barrier.kernel_sum(pairs, v / slack)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -486,9 +455,9 @@ def test_schur_assembly_keeps_u_q_ut_in_the_workspace():
     # allocates only the 400 x 40 images, at least 1 MB below the 1.6 MB
     # it peaked at with U Q U^T in a fresh array
     p = build_left(read_matrix_market(fixture_path("gauss_cov_s0")))
-    factors, slack = p.barrier.factor(p.start)
+    lowers, slack = p.barrier.factor(p.start)
     xs, v = p.primal_start
-    pairs = [(f.inv, x) for f, x in zip(factors, xs)]
+    pairs = [(inv_from_chol(lower), x) for lower, x in zip(lowers, xs)]
     first = p.barrier.kernel_sum(pairs, v / slack).copy()
     tracemalloc.start()
     try:

@@ -179,3 +179,24 @@ def test_concentration_needs_a_trial():
     with pytest.raises(ValueError, match="trials must be at least 1"):
         concentration_experiment(n_grid=[50], sigma_spec=[1.0, 2.0],
                                  trials=0, seed=0)
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_pcg_rejects_a_tolerance_it_cannot_meet(tol):
+    # a NaN or negative tol kept CG going after the Jacobi-scaled system
+    # was solved exactly, into a zero search direction
+    m = SymMatrix.diagonal([4.0, 1.0])
+    with pytest.raises(ValueError, match="tol must be finite"):
+        pcg(m, rhs=np.ones(2), precond=jacobi_scaling(m), tol=tol)
+    assert pcg(m, rhs=np.ones(2), precond=jacobi_scaling(m),
+               tol=0.0).converged
+
+
+@pytest.mark.parametrize("sigma", [
+    [1.0, -2.0], [1.0, 0.0], [1.0, float("nan")],
+    [[2.0, 1.0], [0.0, 2.0]]], ids=["negative", "zero", "nan", "asymmetric"])
+def test_concentration_validates_sigma(sigma):
+    with pytest.raises(ValueError) as info:
+        concentration_experiment(n_grid=[50], sigma_spec=sigma, trials=1,
+                                 seed=0)
+    assert type(info.value) is ValueError

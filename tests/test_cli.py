@@ -60,6 +60,27 @@ def test_cond_cap(tmp_path, capsys):
     assert payload["epsilon"] > 0
 
 
+@pytest.mark.parametrize("sub", ["cond", "precond", "pcg-bench"])
+def test_nan_cap_exit_2(sub, tmp_path, capsys):
+    # NaN passed the old cap <= 1 test and then ran uncapped, epsilon 0
+    path = write_mtx(tmp_path, [4.0, 1.0])
+    code, out, err = run_cli([sub, "--input", str(path), "--cap", "nan"],
+                             capsys)
+    assert code == 2
+    assert "kappa_cap must exceed 1" in err
+    assert out == ""
+
+
+def test_cond_inf_cap_is_no_cap(tmp_path, capsys):
+    path = write_mtx(tmp_path, [4.0, 1.0])
+    code, out, err = run_cli(["cond", "--input", str(path), "--cap", "inf"],
+                             capsys)
+    assert code == 0, err
+    payload = json.loads(out)
+    assert payload["kappa"] == pytest.approx(16.0, rel=1e-12)
+    assert payload["epsilon"] == 0
+
+
 def test_cond_parse_error_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.mtx"
     bad.write_text("%%MatrixMarket matrix coordinate complex general\n1 1 1\n")
@@ -240,6 +261,18 @@ def test_pcg_bench_without_convergence_exits_0(capsys):
     assert all(type(r["extra"]["converged"]) is bool for r in records)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_pcg_bench_bad_tol_exit_2(tol, tmp_path, capsys):
+    # before, nan and -1 ran CG past the exact solve of the Jacobi-scaled
+    # system and exited 3 on a zero search direction
+    path = write_mtx(tmp_path, [4.0, 1.0])
+    code, out, err = run_cli(
+        ["pcg-bench", "--input", str(path), "--tol", tol], capsys)
+    assert code == 2
+    assert "tol must be finite and non-negative" in err
+    assert out == ""
+
+
 def test_pcg_bench_diagonal_fast(tmp_path, capsys):
     path = write_mtx(tmp_path, [5.0, 2.0, 1.0])
     code, out, err = run_cli(["pcg-bench", "--input", str(path)], capsys)
@@ -299,6 +332,16 @@ def test_concentration_zero_trials_exit_2(capsys):
          "--trials", "0"], capsys)
     assert code == 2
     assert "trials must be at least 1" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("sigma", ["1,-2", "1,0", "1,nan"])
+def test_concentration_bad_sigma_exit_2(sigma, capsys):
+    code, out, err = run_cli(
+        ["concentration", "--n-grid", "50", "--sigma-diag", sigma,
+         "--trials", "1"], capsys)
+    assert code == 2
+    assert err.startswith("input error:")
     assert out == ""
 
 

@@ -223,6 +223,19 @@ def test_regularize_cap_noop_cases(rng):
     assert regularize_cap(SymMatrix.identity(3), 2.0).epsilon == 0.0
 
 
+@pytest.mark.parametrize("cap", [float("nan"), 1.0, 0.5, -float("inf")])
+def test_regularize_cap_rejects_a_cap_not_above_1(cap):
+    with pytest.raises(ValueError, match="kappa_cap must exceed 1"):
+        regularize_cap(SymMatrix.diagonal([16.0, 1.0]), cap)
+
+
+@pytest.mark.parametrize("cap", [float("inf"), np.float64("inf")])
+def test_regularize_cap_inf_is_no_cap(cap):
+    m = SymMatrix.diagonal([16.0, 1.0])
+    spec = regularize_cap(m, cap)
+    assert spec.epsilon == 0.0 and spec.gram is m
+
+
 def test_regularize_cap_idempotent(rng):
     m = random_spd(5, rng, cond=1e7)
     first = regularize_cap(m, 1e3)

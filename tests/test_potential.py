@@ -5,17 +5,18 @@ import pytest
 import scipy.linalg.lapack
 
 from optiprecond import SymMatrix, gram_matrix, potential, read_matrix_market
-from optiprecond.barrier import (InfeasiblePointError, _one_sided,
-                                 compute_center, initial_feasible_point)
 from optiprecond.dsdp import build_right, barrier_path_solve
 from optiprecond.fixtures import fixture_path
 from optiprecond.linalg import geomean_inv, inv_pd, sym_pow
 from optiprecond.potential import (
+    InfeasiblePointError,
     PRConfig,
     ScaledGram,
     StagnationError,
     StepTooLargeError,
+    compute_center,
     delta_kappa,
+    initial_feasible_point,
     nt_step,
     scaled_nt_step,
     shift_state,
@@ -23,7 +24,7 @@ from optiprecond.potential import (
     state_from_center,
 )
 from conftest import (grid_optimal_right, perturbed_center_state, random_spd,
-                      solve_right)
+                      region_value, solve_right)
 
 
 def test_prconfig_validation():
@@ -130,8 +131,7 @@ def test_scaled_nt_step_matches_the_reference_step(m):
     ref = _reference_step_d(m.mat, *shifted)
     assert np.linalg.norm(stepped.d - ref) <= 1e-12 * np.linalg.norm(ref)
     kappa1 = shifted[0]
-    barrier = _one_sided(m.mat, kappa1)
-    value = barrier.value(barrier.factor(stepped.d))
+    value = region_value(m.mat, kappa1, stepped.d)
     assert stepped.potential(kappa1) == pytest.approx(value, rel=1e-12)
 
 
@@ -441,6 +441,5 @@ def test_potential_monotone_in_kappa(rng):
             # kappa > kappa*, including kappa below kappa(M)
             theta = 0.5 * (1 - kappa_star / kappa)
             center = compute_center(m, kappa, d_star * (1 - theta))
-            barrier = _one_sided(m.mat, kappa)
-            values.append(barrier.value(barrier.factor(center)))
+            values.append(region_value(m.mat, kappa, center))
         assert np.all(np.diff(values) < 0)
